@@ -32,9 +32,10 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
   const nn::Shape in = models::zoo_input_shape();
   const sim::PlatformModel platform;
 
-  core::ReversiblePruner masked = pm.make_pruner();
-  core::CompactedLevelCache compact(pm.net, pm.levels, in,
-                                    pm.bn_states);
+  // One owner of pm.net: the fast path's masked golden arm is the masked
+  // provider, so two pruners never walk the same network.
+  core::CompactedLadderProvider fast = pm.make_fast_provider(in);
+  core::ReversiblePruner& masked = fast.masked();
 
   nn::Tensor x(in);
   Rng rng(5);
@@ -45,14 +46,14 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
                         "host_compact_ms", "accuracy"});
   for (int k = 0; k < pm.levels.level_count(); ++k) {
     masked.set_level(k);
-    compact.set_level(k);
+    fast.set_level(k);
     const std::int64_t macs = masked.active_macs(in);
     table.row({std::to_string(k), fmt(pm.levels.ratio(k), 2),
                fmt(static_cast<double>(macs) / 1e6, 3),
                fmt(platform.latency_ms(macs), 3),
                fmt(platform.energy_mj(macs), 3),
                fmt(measure_infer_ms(masked, x, 15), 3),
-               fmt(measure_infer_ms(compact, x, 15), 3),
+               fmt(measure_infer_ms(fast, x, 15), 3),
                fmt(pm.level_accuracy[static_cast<std::size_t>(k)], 3)});
 
     // Modeled (deterministic) view only — host wall times stay console-only.

@@ -155,16 +155,15 @@ BENCHMARK(BM_InferMasked)->DenseRange(0, 4);
 
 void BM_InferCompact(benchmark::State& state) {
   auto& pm = detnet();
-  static core::CompactedLevelCache cache(pm.net, pm.levels,
-                                         models::zoo_input_shape(),
-                                         pm.bn_states);
-  cache.set_level(static_cast<int>(state.range(0)));
+  static core::CompactedLadderProvider fast =
+      pm.make_fast_provider(models::zoo_input_shape());
+  fast.set_level(static_cast<int>(state.range(0)));
   const nn::Tensor x = sample_input();
   for (auto _ : state) {
-    auto y = cache.infer(x);
+    auto y = fast.infer(x);
     benchmark::DoNotOptimize(y.raw());
   }
-  cache.set_level(0);
+  fast.set_level(0);
 }
 BENCHMARK(BM_InferCompact)->DenseRange(0, 4);
 

@@ -4,7 +4,7 @@
 // the full network via:
 //   reversible-masked  — copy the masked weights back from the resident
 //                        golden store (this library's contribution),
-//   compact-swap       — pointer swap in the precomputed compact cache,
+//   compact-swap       — level swap on the fast path's compacted ladder,
 //   reload-memory      — deserialize the full artifact from RAM,
 //   reload-disk        — read + deserialize the artifact from disk,
 //   retrain-1epoch     — the classic non-reversible answer: fine-tune the
@@ -52,10 +52,10 @@ void run(models::ModelKind kind, bench::BenchReport& report) {
     results.push_back({"reversible-masked", us, bytes, "O(diff) copy-back"});
   }
   {  // compact-swap
-    core::CompactedLevelCache cache(pm.net, pm.levels, in, pm.bn_states);
+    core::CompactedLadderProvider fast = pm.make_fast_provider(in);
     const double us = median_over(25, [&] {
-      cache.set_level(deepest);
-      return cache.set_level(0).wall_us;
+      fast.set_level(deepest);
+      return fast.set_level(0).wall_us;
     });
     results.push_back({"compact-swap", us, 0, "pointer swap"});
   }

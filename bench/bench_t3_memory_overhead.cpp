@@ -2,8 +2,9 @@
 //
 // What does "keep the past resident" cost?  Per model: the live network,
 // the golden weight store, all nested masks, the per-level BatchNorm
-// statistics (switchable BN), and — for comparison — the compact-cache
-// mode (all levels resident) and the reload baseline's artifacts.
+// statistics (switchable BN), and — for comparison — the fast path's
+// compacted ladder (all levels resident) and the reload baseline's
+// artifacts.
 #include "bench_common.h"
 #include "bench_report.h"
 #include "core/reversible_pruner.h"
@@ -26,8 +27,11 @@ void report_model(models::ModelKind kind, bench::BenchReport& out) {
   std::int64_t bn_bytes = 0;
   for (const auto& s : pm.bn_states) bn_bytes += s.total_bytes();
 
-  core::ReversiblePruner masked = pm.make_pruner();
-  core::CompactedLevelCache compact(pm.net, pm.levels, in, pm.bn_states);
+  // The fast path's masked golden arm is the masked provider (one owner of
+  // pm.net); the compact row is its ladder alone.
+  core::CompactedLadderProvider fast = pm.make_fast_provider(in);
+  core::ReversiblePruner& masked = fast.masked();
+  const std::int64_t ladder_bytes = fast.ladder().weight_bytes;
   core::ReloadProvider reload(pm.net, pm.levels,
                               core::ReloadProvider::Source::Memory);
 
@@ -45,7 +49,7 @@ void report_model(models::ModelKind kind, bench::BenchReport& out) {
   row("nested masks (all levels)", mask_bytes);
   row("switchable BN states", bn_bytes);
   row("TOTAL reversible-masked", masked.resident_weight_bytes() + bn_bytes);
-  row("TOTAL compact cache (all levels)", compact.resident_weight_bytes());
+  row("TOTAL compact cache (all levels)", ladder_bytes);
   row("reload artifacts (RAM mode)", artifact_bytes);
 
   // Every number here is a pure function of the cached artifacts.
@@ -57,7 +61,7 @@ void report_model(models::ModelKind kind, bench::BenchReport& out) {
           static_cast<double>(masked.resident_weight_bytes() + bn_bytes),
           "bytes");
   out.set(base + "compact_total_bytes",
-          static_cast<double>(compact.resident_weight_bytes()), "bytes");
+          static_cast<double>(ladder_bytes), "bytes");
   out.set(base + "reload_artifact_bytes",
           static_cast<double>(artifact_bytes), "bytes");
 

@@ -178,97 +178,57 @@ std::int64_t ReversiblePruner::resident_weight_bytes() {
          delta_index_bytes();
 }
 
-CompactedLadderProvider::CompactedLadderProvider(
-    nn::Network& net, prune::PruneLevelLibrary levels,
-    const nn::Shape& input_shape, std::vector<BnState> bn_states)
-    : masked_(net, std::move(levels)) {
-  const prune::PruneLevelLibrary& lv = masked_.levels();
-  RRP_CHECK_MSG(lv.structured(),
+CompactedLadder::CompactedLadder(const nn::Network& net,
+                                 const prune::PruneLevelLibrary& levels,
+                                 const nn::Shape& shape,
+                                 const std::vector<BnState>& bn_states)
+    : input_shape(shape) {
+  RRP_CHECK_MSG(levels.structured(),
                 "fast path requires a structured level library");
   RRP_CHECK_MSG(bn_states.empty() ||
-                    static_cast<int>(bn_states.size()) == lv.level_count(),
+                    static_cast<int>(bn_states.size()) == levels.level_count(),
                 "need exactly one BnState per level");
   // The ladder is built exactly once, here.  prune.ladder_rebuilds staying
   // flat afterwards is the "no rebuild on the frame path" acceptance
   // signal (test_fast_path.cpp).
   static metrics::Counter& rebuilds = metrics::counter("prune.ladder_rebuilds");
-  ladder_.reserve(static_cast<std::size_t>(lv.level_count()));
-  for (int k = 0; k < lv.level_count(); ++k) {
-    // masked_ sits at level 0, so `net` still carries the golden weights;
-    // bake the level's calibrated BN statistics in BEFORE compaction so
+  nets.reserve(static_cast<std::size_t>(levels.level_count()));
+  for (int k = 0; k < levels.level_count(); ++k) {
+    // Bake the level's calibrated BN statistics in BEFORE compaction so
     // the channel gather keeps the right per-channel entries.
     if (bn_states.empty()) {
-      ladder_.push_back(
-          prune::compact_network(net, lv.channel_masks(k), input_shape));
+      nets.push_back(
+          prune::compact_network(net, levels.channel_masks(k), shape));
     } else {
       nn::Network staged = net.clone();
       apply_bn_state(staged, bn_states[static_cast<std::size_t>(k)]);
-      ladder_.push_back(
-          prune::compact_network(staged, lv.channel_masks(k), input_shape));
+      nets.push_back(
+          prune::compact_network(staged, levels.channel_masks(k), shape));
     }
+    macs.push_back(nets.back().macs(shape));
+    weight_bytes +=
+        nets.back().param_count() * static_cast<std::int64_t>(sizeof(float));
     rebuilds.add(1);
   }
-  if (!bn_states.empty()) masked_.set_bn_states(std::move(bn_states));
 }
 
-nn::Tensor CompactedLadderProvider::infer(const nn::Tensor& x) {
-  return ladder_[static_cast<std::size_t>(current_level_)].forward(x, false);
-}
-
-// rrp-frame-path: the O(1) ladder swap is THE per-frame transition
-// (invariant 13 — no rebuild, no weight traffic, no allocation).
-TransitionStats CompactedLadderProvider::set_level(int level) {
+CompactedLadderView::CompactedLadderView(CompactedLadderProvider& owner,
+                                         int level)
+    : ladder_(owner.ladder_) {
   RRP_CHECK_MSG(level >= 0 && level < level_count(),
                 "level " << level << " outside [0, " << level_count() << ")");
-  Timer timer;
-  TransitionStats stats;
-  stats.from_level = current_level_;
-  stats.to_level = level;
-  stats.is_restore = level < current_level_;
-  current_level_ = level;  // index swap — no rebuild, no weight traffic
-  stats.wall_us = timer.elapsed_us();
-  if (level != stats.from_level) {
-    static metrics::Counter& swaps = metrics::counter("prune.ladder_swaps");
-    swaps.add(1);
-  }
-  return stats;
-}
-
-std::int64_t CompactedLadderProvider::active_macs(
-    const nn::Shape& input_shape) {
-  return ladder_[static_cast<std::size_t>(current_level_)].macs(input_shape);
-}
-
-std::int64_t CompactedLadderProvider::resident_weight_bytes() {
-  // Fast path pays for BOTH arms: the resident compacted ladder plus the
-  // masked golden arm (live net + store + masks + delta indices).
-  std::int64_t total = masked_.resident_weight_bytes();
-  for (auto& n : ladder_)
-    total += n.param_count() * static_cast<std::int64_t>(sizeof(float));
-  return total;
-}
-
-nn::Network& CompactedLadderProvider::network_at(int level) {
-  RRP_CHECK(level >= 0 && level < level_count());
-  return ladder_[static_cast<std::size_t>(level)];
-}
-
-CompactedLadderView::CompactedLadderView(CompactedLadderProvider& shared,
-                                         int level)
-    : shared_(&shared), level_count_(shared.level_count()) {
-  RRP_CHECK_MSG(level >= 0 && level < level_count_,
-                "level " << level << " outside [0, " << level_count_ << ")");
   level_ = level;
 }
 
 nn::Tensor CompactedLadderView::infer(const nn::Tensor& x) {
   // Eval-mode forward mutates nothing, so concurrent views — even two at
   // the same level, over the same physical network — never race.
-  return shared_->network_at(level_).forward(x, /*training=*/false);
+  return network_at(level_).forward(x, /*training=*/false);
 }
 
-// rrp-frame-path: the per-stream O(1) view swap is the serving engine's
-// per-frame transition (no rebuild, no weight traffic, no allocation).
+// rrp-frame-path: the O(1) ladder swap is THE per-frame transition of the
+// fast path and of every serve stream (invariant 13 — no rebuild, no
+// weight traffic, no allocation).
 TransitionStats CompactedLadderView::set_level(int level) {
   RRP_CHECK_MSG(level >= 0 && level < level_count(),
                 "level " << level << " outside [0, " << level_count() << ")");
@@ -277,7 +237,7 @@ TransitionStats CompactedLadderView::set_level(int level) {
   stats.from_level = level_;
   stats.to_level = level;
   stats.is_restore = level < level_;
-  level_ = level;  // view-local index swap — shared ladder untouched
+  level_ = level;  // cursor-local index swap — the ladder is untouched
   stats.wall_us = timer.elapsed_us();
   if (level != stats.from_level) {
     static metrics::Counter& swaps = metrics::counter("prune.ladder_swaps");
@@ -287,77 +247,34 @@ TransitionStats CompactedLadderView::set_level(int level) {
 }
 
 std::int64_t CompactedLadderView::active_macs(const nn::Shape& input_shape) {
-  return shared_->network_at(level_).macs(input_shape);
+  const auto k = static_cast<std::size_t>(level_);
+  if (input_shape == ladder_->input_shape) return ladder_->macs[k];
+  return ladder_->nets[k].macs(input_shape);
 }
 
-std::int64_t CompactedLadderView::resident_weight_bytes() {
-  return shared_->resident_weight_bytes();
+nn::Network& CompactedLadderView::network_at(int level) {
+  RRP_CHECK(level >= 0 && level < level_count());
+  return ladder_->nets[static_cast<std::size_t>(level)];
 }
 
 const nn::Network& CompactedLadderView::active_network() const {
-  return shared_->network_at(level_);
+  return ladder_->nets[static_cast<std::size_t>(level_)];
 }
 
-CompactedLevelCache::CompactedLevelCache(const nn::Network& net,
-                                         const prune::PruneLevelLibrary& levels,
-                                         const nn::Shape& input_shape,
-                                         const std::vector<BnState>& bn_states) {
-  RRP_CHECK_MSG(levels.structured(),
-                "compact mode requires a structured level library");
-  RRP_CHECK_MSG(levels.verify_nested(),
-                "level library violates the nesting invariant");
-  RRP_CHECK_MSG(bn_states.empty() ||
-                    static_cast<int>(bn_states.size()) == levels.level_count(),
-                "need exactly one BnState per level");
-  nets_.reserve(static_cast<std::size_t>(levels.level_count()));
-  for (int k = 0; k < levels.level_count(); ++k) {
-    if (bn_states.empty()) {
-      nets_.push_back(
-          prune::compact_network(net, levels.channel_masks(k), input_shape));
-      continue;
-    }
-    // Bake the level's calibrated statistics in BEFORE compaction so the
-    // channel gather keeps the right per-channel entries.
-    nn::Network staged = net.clone();
-    apply_bn_state(staged, bn_states[static_cast<std::size_t>(k)]);
-    nets_.push_back(
-        prune::compact_network(staged, levels.channel_masks(k), input_shape));
-  }
+CompactedLadderProvider::CompactedLadderProvider(
+    nn::Network& net, prune::PruneLevelLibrary levels,
+    const nn::Shape& input_shape, std::vector<BnState> bn_states)
+    : CompactedLadderView("reversible-fastpath"),
+      masked_(net, std::move(levels)),
+      // masked_ sits at level 0, so `net` still carries the golden weights.
+      owned_(std::make_unique<CompactedLadder>(net, masked_.levels(),
+                                               input_shape, bn_states)) {
+  ladder_ = owned_.get();
+  if (!bn_states.empty()) masked_.set_bn_states(std::move(bn_states));
 }
 
-nn::Tensor CompactedLevelCache::infer(const nn::Tensor& x) {
-  return nets_[static_cast<std::size_t>(current_level_)].forward(x, false);
-}
-
-// rrp-frame-path: pointer-swap transition of the cached-compaction
-// baseline; measured against the ladder on the same frame loop.
-TransitionStats CompactedLevelCache::set_level(int level) {
-  RRP_CHECK_MSG(level >= 0 && level < level_count(),
-                "level " << level << " outside [0, " << level_count() << ")");
-  Timer timer;
-  TransitionStats stats;
-  stats.from_level = current_level_;
-  stats.to_level = level;
-  stats.is_restore = level < current_level_;
-  current_level_ = level;  // pointer swap — no weight traffic at all
-  stats.wall_us = timer.elapsed_us();
-  return stats;
-}
-
-std::int64_t CompactedLevelCache::active_macs(const nn::Shape& input_shape) {
-  return nets_[static_cast<std::size_t>(current_level_)].macs(input_shape);
-}
-
-std::int64_t CompactedLevelCache::resident_weight_bytes() {
-  std::int64_t total = 0;
-  for (auto& n : nets_)
-    total += n.param_count() * static_cast<std::int64_t>(sizeof(float));
-  return total;
-}
-
-nn::Network& CompactedLevelCache::network_at(int level) {
-  RRP_CHECK(level >= 0 && level < level_count());
-  return nets_[static_cast<std::size_t>(level)];
+std::int64_t CompactedLadderProvider::resident_weight_bytes() {
+  return masked_.resident_weight_bytes() + ladder_->weight_bytes;
 }
 
 }  // namespace rrp::core

@@ -1,6 +1,6 @@
 // reversible_pruner.h — the paper's primary contribution.
 //
-// Two reversible execution providers over one nested level ladder:
+// Two ways of executing one nested level ladder:
 //
 //  * ReversiblePruner (masked mode) — one resident network; switching level
 //    k→k′ touches exactly the elements whose keep flag differs between the
@@ -8,13 +8,18 @@
 //    WeightStore (restore).  Restore is "back to the future": O(Δ) memcpy,
 //    no disk, no retraining, bit-exact.
 //
-//  * CompactedLevelCache (compact mode) — pre-built physically-shrunk
-//    networks per level; switching is a pointer swap (O(1)) and inference
-//    actually gets faster, at the memory cost of caching every level.
+//  * CompactedLadder (compact mode) — physically shrunk networks, one per
+//    level, built once; a CompactedLadderView is a level cursor over it, so
+//    switching is an index swap (O(1)) and inference actually gets faster,
+//    at the memory cost of keeping every level resident.
+//    CompactedLadderProvider owns the ladder, runs it through its own
+//    cursor and keeps a lagging masked golden arm for safety.
 //
-// Both implement InferenceProvider so the runtime controller, baselines and
+// All implement InferenceProvider so the runtime controller, baselines and
 // the scenario runner are interchangeable over them.
 #pragma once
+
+#include <memory>
 
 #include "core/bn_calibration.h"
 #include "core/weight_store.h"
@@ -126,19 +131,96 @@ class ReversiblePruner : public InferenceProvider {
   std::size_t history_next_ = 0;          // overwrite cursor once full
 };
 
-/// The sparsity-realizing fast path: a provisioned compacted-network
-/// ladder for the frame path PLUS a masked golden arm for safety.
+/// The compacted level ladder: one physically shrunk clone of the network
+/// per level (compact_network over that level's channel masks, with the
+/// level's calibrated BN statistics baked in), built exactly once.  Each
+/// level's MACs for the input shape the ladder was compacted for are
+/// precomputed, so per-frame MAC accounting is a lookup, not a network
+/// walk.  Only valid for structured level libraries.
+struct CompactedLadder {
+  /// `bn_states`, when present, must hold one state per level (captured on
+  /// the MASKED network).  `net` must carry its golden weights.
+  CompactedLadder(const nn::Network& net,
+                  const prune::PruneLevelLibrary& levels,
+                  const nn::Shape& shape,
+                  const std::vector<BnState>& bn_states);
+
+  nn::Shape input_shape;           ///< the shape the ladder was compacted for
+  std::vector<nn::Network> nets;   ///< nets[k] executes level k
+  std::vector<std::int64_t> macs;  ///< nets[k].macs(input_shape)
+  std::int64_t weight_bytes = 0;   ///< parameter bytes of every level
+};
+
+class CompactedLadderProvider;
+
+/// A level cursor over one compacted ladder — the only compacted
+/// implementation of infer / set_level / active_macs.
 ///
-/// At construction the full ladder is materialized once (one
-/// compact_network clone per level, that level's calibrated BN statistics
-/// baked in) next to a ReversiblePruner over the golden weights.  After
-/// that:
+/// The serving engine (src/serve) runs N concurrent perception streams
+/// against ONE resident ladder: the ladder networks are immutable after
+/// construction and eval-mode forward is non-mutating, so any number of
+/// views may infer concurrently — including two views at the same level
+/// over the very same network.  Each view carries its OWN level index, so a
+/// stream's set_level is invisible to every other stream (the aliasing
+/// property pinned in test_fast_path.cpp): the swap touches only the view.
+///
+/// A view points at the ladder, not at the provider that owns it, and the
+/// ladder lives at a stable heap address: moving the owner leaves every
+/// view valid.  The owner's cursor and masked golden arm are NOT consulted
+/// or moved by views; integrity scrubbing of the shared weights remains
+/// the owner's job.
+class CompactedLadderView : public InferenceProvider {
+ public:
+  explicit CompactedLadderView(CompactedLadderProvider& owner, int level = 0);
+
+  const std::string& name() const override { return name_; }
+  nn::Tensor infer(const nn::Tensor& x) override;
+  /// O(1): swaps this cursor's level index — no rebuild, no weight copy,
+  /// no allocation.  TransitionStats reports zero elements/bytes (the
+  /// modeled switch cost is the platform's fixed overhead only).  Safe
+  /// from pool chunk bodies: no shared state is written.
+  TransitionStats set_level(int level) override;
+  int current_level() const override { return level_; }
+  int level_count() const override {
+    return static_cast<int>(ladder_->nets.size());
+  }
+  /// O(1) lookup for the shape the ladder was compacted for; any other
+  /// shape walks the active network.
+  std::int64_t active_macs(const nn::Shape& input_shape) override;
+  /// The shared ladder's footprint: a view's marginal resident cost is ~0
+  /// (each stream does not pay for its own copy — that is the point).
+  std::int64_t resident_weight_bytes() override {
+    return ladder_->weight_bytes;
+  }
+
+  nn::Network& network_at(int level);
+  const nn::Network& active_network() const;
+  const CompactedLadder& ladder() const { return *ladder_; }
+
+ protected:
+  /// For the owning provider, which points ladder_ at the ladder it builds.
+  explicit CompactedLadderView(std::string name) : name_(std::move(name)) {}
+
+  CompactedLadder* ladder_ = nullptr;
+
+ private:
+  std::string name_ = "reversible-fastpath-view";
+  int level_ = 0;
+};
+
+/// The sparsity-realizing fast path: the owner of one compacted ladder,
+/// which it runs through its own level cursor, PLUS a masked golden arm
+/// for safety.
+///
+/// At construction the ladder is materialized once next to a
+/// ReversiblePruner over the golden weights.  After that:
 ///
 ///  * infer() runs the ACTIVE COMPACTED network — physically smaller
 ///    tensors, so pruning buys real cycles, not just modeled ones;
 ///  * set_level() swaps an index — O(1), no rebuild, no weight copy, no
 ///    allocation on the frame path (prune.ladder_rebuilds stays flat and
-///    parameter storage addresses are stable; see test_fast_path.cpp);
+///    parameter storage addresses are stable; see test_fast_path.cpp) —
+///    and deliberately does NOT walk the masked arm;
 ///  * the masked golden arm keeps the paper's prune→restore bit-exactness
 ///    and gives the integrity scrub its golden ⊙ mask reference.  It LAGS
 ///    the active level and is aligned by sync_masked() — an O(Δ) delta
@@ -148,7 +230,7 @@ class ReversiblePruner : public InferenceProvider {
 /// Numerically the compacted ladder matches the masked network to the
 /// tolerance of DESIGN.md invariant 13 (exact for Linear/Conv gathers; BN
 /// folding of pruned channels reorders no surviving arithmetic).
-class CompactedLadderProvider : public InferenceProvider {
+class CompactedLadderProvider : public CompactedLadderView {
  public:
   /// Snapshots `net` (level-0 golden) and materializes the ladder.
   /// `bn_states`, when present, must hold one state per level; each
@@ -158,107 +240,24 @@ class CompactedLadderProvider : public InferenceProvider {
                           const nn::Shape& input_shape,
                           std::vector<BnState> bn_states = {});
 
-  const std::string& name() const override { return name_; }
-  nn::Tensor infer(const nn::Tensor& x) override;
-  /// O(1): swaps the active-network index.  TransitionStats reports zero
-  /// elements/bytes — the modeled switch cost is the platform's fixed
-  /// overhead only — and the masked arm is deliberately NOT walked here.
-  TransitionStats set_level(int level) override;
-  int current_level() const override { return current_level_; }
-  int level_count() const override {
-    return static_cast<int>(ladder_.size());
-  }
-  std::int64_t active_macs(const nn::Shape& input_shape) override;
+  /// The fast path pays for BOTH arms: the ladder plus the masked golden
+  /// arm (live net + store + masks + delta indices).
   std::int64_t resident_weight_bytes() override;
 
   /// Aligns the masked golden arm to current_level() with the usual O(Δ)
   /// delta walk.  Runs on the scrub cadence inside the mission loop, so
   /// it carries the same real-time certification as set_level.
   // rrp-frame-path: scrub-cadence alignment of the masked golden arm.
-  TransitionStats sync_masked() { return masked_.set_level(current_level_); }
+  TransitionStats sync_masked() { return masked_.set_level(current_level()); }
 
   /// The masked golden arm (scrub target, fault-injection backdoor,
   /// "back to the future" restore).
   ReversiblePruner& masked() { return masked_; }
   const ReversiblePruner& masked() const { return masked_; }
 
-  nn::Network& network_at(int level);
-
  private:
-  std::string name_ = "reversible-fastpath";
   ReversiblePruner masked_;
-  std::vector<nn::Network> ladder_;
-  int current_level_ = 0;
-};
-
-/// A per-stream view over one shared CompactedLadderProvider.
-///
-/// The serving engine (src/serve) runs N concurrent perception streams
-/// against ONE resident compacted ladder: the ladder networks are immutable
-/// after construction and eval-mode forward is non-mutating, so any number
-/// of views may infer concurrently — including two views at the same level
-/// over the very same network.  Each view carries its OWN level index, so a
-/// stream's set_level is invisible to every other stream (the aliasing
-/// property pinned in test_fast_path.cpp): the swap touches only the view.
-///
-/// The shared provider's current_level() and masked golden arm are NOT
-/// consulted or moved by views; integrity scrubbing of the shared weights
-/// remains the owner's job.
-class CompactedLadderView : public InferenceProvider {
- public:
-  explicit CompactedLadderView(CompactedLadderProvider& shared, int level = 0);
-
-  const std::string& name() const override { return name_; }
-  nn::Tensor infer(const nn::Tensor& x) override;
-  /// O(1): swaps this view's level index only.  Safe from pool chunk
-  /// bodies — no shared state is written.
-  TransitionStats set_level(int level) override;
-  int current_level() const override { return level_; }
-  /// Cached at construction (the shared ladder is immutable after build),
-  /// so the frame path never chains through the shared provider.
-  int level_count() const override { return level_count_; }
-  std::int64_t active_macs(const nn::Shape& input_shape) override;
-  /// Marginal resident cost of a view is ~0; reports the SHARED ladder's
-  /// footprint (each stream does not pay for its own copy — that is the
-  /// point).
-  std::int64_t resident_weight_bytes() override;
-
-  CompactedLadderProvider& shared() { return *shared_; }
-  const nn::Network& active_network() const;
-
- private:
-  std::string name_ = "reversible-fastpath-view";
-  CompactedLadderProvider* shared_;
-  int level_ = 0;
-  int level_count_ = 0;
-};
-
-/// Compact-mode reversible pruning: every level pre-compacted and resident.
-/// Only valid for structured level libraries.
-class CompactedLevelCache : public InferenceProvider {
- public:
-  /// `bn_states` is optional switchable-BN data (one state per level,
-  /// captured on the MASKED network); each level's compacted network bakes
-  /// in its own calibrated statistics.
-  CompactedLevelCache(const nn::Network& net,
-                      const prune::PruneLevelLibrary& levels,
-                      const nn::Shape& input_shape,
-                      const std::vector<BnState>& bn_states = {});
-
-  const std::string& name() const override { return name_; }
-  nn::Tensor infer(const nn::Tensor& x) override;
-  TransitionStats set_level(int level) override;
-  int current_level() const override { return current_level_; }
-  int level_count() const override { return static_cast<int>(nets_.size()); }
-  std::int64_t active_macs(const nn::Shape& input_shape) override;
-  std::int64_t resident_weight_bytes() override;
-
-  nn::Network& network_at(int level);
-
- private:
-  std::string name_ = "reversible-compact";
-  std::vector<nn::Network> nets_;
-  int current_level_ = 0;
+  std::unique_ptr<CompactedLadder> owned_;  // stable address for views
 };
 
 }  // namespace rrp::core

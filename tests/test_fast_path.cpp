@@ -1,14 +1,19 @@
 // test_fast_path.cpp — the sparsity-realizing fast path: the
 // CompactedLadderProvider (provisioned compacted-network ladder + masked
-// golden arm) and the GEMM micro-kernel variants behind nn/gemm.cpp.
+// golden arm), the CompactedLadderView level cursor over its ladder, and
+// the GEMM micro-kernel variants behind nn/gemm.cpp.
 //
 // Seeded randomized property sweep in the test_mask_properties.cpp style
 // (~100 configurations from one fixed seed, arch x ladder x net seed):
 //
 //   F1  compacted ≡ masked — at every ladder level the active compacted
-//       network's forward matches the masked golden network within the
-//       DESIGN.md invariant-13 tolerance, including Residual nets whose
-//       identity shortcut pins channel widths;
+//       network's forward matches the masked golden network (and the
+//       provider's synced masked arm) within the DESIGN.md invariant-13
+//       tolerance, including Residual nets whose identity shortcut pins
+//       channel widths; a view agrees bit-exactly, the precomputed MACs
+//       match the active network and shrink per level, the ladder's
+//       resident bytes sit between one and level_count copies, and an
+//       unstructured library is rejected;
 //   F2  ladder-swap-then-restore round trip — any level walk on the fast
 //       path, synced to the masked arm and restored, leaves every golden
 //       parameter bit-exact;
@@ -29,6 +34,7 @@
 #include "nn/gemm_kernels.h"
 #include "prune/levels.h"
 #include "test_support.h"
+#include "util/checks.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -99,19 +105,53 @@ TEST(FastPath, CompactedMatchesMaskedAtEveryLevel) {
         net, c.ratios, tiny_input_shape());
     std::vector<prune::NetworkMask> masks;
     for (int k = 0; k < lib.level_count(); ++k) masks.push_back(lib.mask(k));
+    // The compacted ladder is only defined for channel pruning.
+    EXPECT_THROW(CompactedLadderProvider(
+                     net,
+                     prune::PruneLevelLibrary::build_unstructured(net,
+                                                                  c.ratios),
+                     tiny_input_shape()),
+                 PreconditionError)
+        << describe(c, i);
 
     CompactedLadderProvider fast(net, std::move(lib), tiny_input_shape());
+    CompactedLadderView view(fast);
+    // All levels resident: more than one copy of the network, less than
+    // one per level; the provider adds its masked arm, a view adds nothing.
+    const std::int64_t one = net.param_count() * 4;
+    EXPECT_GT(fast.ladder().weight_bytes, one) << describe(c, i);
+    EXPECT_LT(fast.ladder().weight_bytes, one * fast.level_count())
+        << describe(c, i);
+    EXPECT_EQ(fast.resident_weight_bytes(),
+              fast.masked().resident_weight_bytes() +
+                  fast.ladder().weight_bytes);
+    EXPECT_EQ(view.resident_weight_bytes(), fast.ladder().weight_bytes);
+
     const nn::Tensor x = random_tensor({2, 1, 8, 8}, c.net_seed + 1);
+    std::vector<std::int64_t> level_macs;
     for (int k = 0; k < fast.level_count(); ++k) {
       fast.set_level(k);
+      view.set_level(k);
       const nn::Tensor yc = fast.infer(x);
-      // The masked arm lags at level 0, so `net` still holds golden
-      // weights: the masked reference is a fresh clone + mask apply.
+      EXPECT_TRUE(view.infer(x).equals(yc)) << describe(c, i) << " level " << k;
+      // The precomputed MACs are the active network's.
+      const std::int64_t macs = fast.network_at(k).macs(tiny_input_shape());
+      EXPECT_EQ(fast.active_macs(tiny_input_shape()), macs)
+          << describe(c, i) << " level " << k;
+      EXPECT_EQ(view.active_macs(tiny_input_shape()), macs)
+          << describe(c, i) << " level " << k;
+      level_macs.push_back(macs);
+      // Masked reference: a fresh clone of `net` (golden, or the masked
+      // arm's previous level) with this level's mask applied.
       nn::Network masked = net.clone();
       masks[static_cast<std::size_t>(k)].apply(masked);
       const nn::Tensor ym = masked.forward(x, false);
       ASSERT_EQ(ym.shape(), yc.shape()) << describe(c, i) << " level " << k;
       EXPECT_LT(ym.max_abs_diff(yc), kEquivTolerance)
+          << describe(c, i) << " level " << k;
+      // The provider's own masked golden arm, once synced, agrees too.
+      fast.sync_masked();
+      EXPECT_LT(fast.masked().infer(x).max_abs_diff(yc), kEquivTolerance)
           << describe(c, i) << " level " << k;
       if (c.net_kind == 2) {
         // Residual identity shortcut pins the block output width: the
@@ -123,6 +163,12 @@ TEST(FastPath, CompactedMatchesMaskedAtEveryLevel) {
             << describe(c, i) << " level " << k;
       }
     }
+    // MACs shrink physically down the ladder: never up, and strictly at
+    // the deepest level (adjacent ratios may round to equal widths).
+    for (std::size_t k = 1; k < level_macs.size(); ++k)
+      EXPECT_LE(level_macs[k], level_macs[k - 1])
+          << describe(c, i) << " level " << k;
+    EXPECT_LT(level_macs.back(), level_macs.front()) << describe(c, i);
   }
 }
 
@@ -193,6 +239,7 @@ TEST(FastPath, LevelSwapIsO1OnTheFramePath) {
     const TransitionStats st = fast.set_level(to);
     EXPECT_EQ(st.elements_changed, 0) << "swap " << s;
     EXPECT_EQ(st.bytes_written, 0) << "swap " << s;
+    EXPECT_EQ(fast.current_level(), to) << "swap " << s;
     if (to != level) ++level_changes;
     level = to;
     fast.infer(x);
@@ -265,6 +312,34 @@ TEST(FastPath, SharedLadderViewsAliasWithoutInterference) {
   EXPECT_TRUE(b.infer(x).equals(a_ref));
   // The shared provider's own cursor was never touched by any view.
   EXPECT_EQ(shared.current_level(), 0);
+}
+
+// A view points at the ladder, not at the provider object: moving the
+// owner (as make_fast_provider's callers do) must leave every view
+// working, bit-identically, at every level.
+TEST(FastPath, ViewSurvivesOwnerMove) {
+  nn::Network net = tiny_bn_net(39);
+  CompactedLadderProvider owner(
+      net,
+      prune::PruneLevelLibrary::build_structured(net, {0.0, 0.3, 0.6, 0.8},
+                                                 tiny_input_shape()),
+      tiny_input_shape());
+  CompactedLadderView view(owner, 1);
+  const nn::Tensor x = random_tensor({1, 1, 8, 8}, 40);
+  std::vector<nn::Tensor> before;
+  for (int k = 0; k < view.level_count(); ++k) {
+    view.set_level(k);
+    before.push_back(view.infer(x));
+  }
+
+  CompactedLadderProvider moved(std::move(owner));
+  ASSERT_EQ(view.level_count(), moved.level_count());
+  for (int k = view.level_count() - 1; k >= 0; --k) {
+    view.set_level(k);
+    EXPECT_EQ(&view.active_network(), &moved.network_at(k)) << "level " << k;
+    EXPECT_TRUE(view.infer(x).equals(before[static_cast<std::size_t>(k)]))
+        << "level " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------

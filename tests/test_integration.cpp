@@ -129,13 +129,13 @@ TEST_F(EndToEnd, OracleIsAtLeastAsGoodAsCausalOnViolations) {
 }
 
 TEST_F(EndToEnd, CompactProviderDeliversRealLatencyReduction) {
-  core::CompactedLevelCache cache(net_, lib_, sim::input_shape(cfg_.vision));
-  cache.set_level(2);
+  core::CompactedLadderProvider fast(net_, lib_, sim::input_shape(cfg_.vision));
+  fast.set_level(2);
   const std::int64_t pruned_macs =
-      cache.active_macs(sim::input_shape(cfg_.vision));
-  cache.set_level(0);
+      fast.active_macs(sim::input_shape(cfg_.vision));
+  fast.set_level(0);
   const std::int64_t full_macs =
-      cache.active_macs(sim::input_shape(cfg_.vision));
+      fast.active_macs(sim::input_shape(cfg_.vision));
   EXPECT_LT(pruned_macs, full_macs / 2);
 
   const sim::PlatformModel pm;

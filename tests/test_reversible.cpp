@@ -213,37 +213,47 @@ TEST(ReversiblePruner, BnStatesCountRequired) {
   EXPECT_THROW(rp.set_bn_states({BnState{}}), PreconditionError);
 }
 
+// The compacted level cache: one shrunk network per level, held by a
+// CompactedLadderProvider and read through a CompactedLadderView (the
+// ladder-only cursor).
+
 TEST(CompactedLevelCache, SwitchIsPointerSwap) {
   nn::Network net = tiny_conv_net(17);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
-  const auto s = cache.set_level(2);
+  CompactedLadderProvider fast(net, structured_lib(net), tiny_input_shape());
+  CompactedLadderView view(fast);
+  const auto s = view.set_level(2);
   EXPECT_EQ(s.elements_changed, 0);
   EXPECT_EQ(s.bytes_written, 0);
-  EXPECT_EQ(cache.current_level(), 2);
+  EXPECT_EQ(view.current_level(), 2);
+  const auto t = fast.set_level(2);
+  EXPECT_EQ(t.elements_changed, 0);
+  EXPECT_EQ(t.bytes_written, 0);
+  EXPECT_EQ(fast.current_level(), 2);
 }
 
 TEST(CompactedLevelCache, MatchesMaskedOutputs) {
   nn::Network net = tiny_conv_net(18);
-  auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
-  ReversiblePruner rp(net, std::move(lib));
+  CompactedLadderProvider fast(net, structured_lib(net), tiny_input_shape());
+  CompactedLadderView view(fast);
+  // An independent masked reference over an identically seeded network.
+  nn::Network ref = tiny_conv_net(18);
+  ReversiblePruner rp(ref, structured_lib(ref));
   const nn::Tensor x = random_tensor({2, 1, 8, 8}, 19);
   for (int k = 0; k < rp.level_count(); ++k) {
     rp.set_level(k);
-    cache.set_level(k);
-    EXPECT_LT(rp.infer(x).max_abs_diff(cache.infer(x)), 1e-4f) << k;
+    view.set_level(k);
+    EXPECT_LT(rp.infer(x).max_abs_diff(view.infer(x)), 1e-4f) << k;
   }
 }
 
 TEST(CompactedLevelCache, MacsShrinkPhysically) {
   nn::Network net = tiny_conv_net(20);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
+  CompactedLadderProvider fast(net, structured_lib(net), tiny_input_shape());
+  CompactedLadderView view(fast);
   std::int64_t prev = -1;
-  for (int k = 0; k < cache.level_count(); ++k) {
-    cache.set_level(k);
-    const std::int64_t macs = cache.active_macs(tiny_input_shape());
+  for (int k = 0; k < view.level_count(); ++k) {
+    view.set_level(k);
+    const std::int64_t macs = view.active_macs(tiny_input_shape());
     if (k > 0) {
       EXPECT_LT(macs, prev);
     }
@@ -254,18 +264,21 @@ TEST(CompactedLevelCache, MacsShrinkPhysically) {
 TEST(CompactedLevelCache, RequiresStructuredLibrary) {
   nn::Network net = tiny_conv_net(21);
   const auto lib = prune::PruneLevelLibrary::build_unstructured(net, kRatios);
-  EXPECT_THROW(CompactedLevelCache(net, lib, tiny_input_shape()),
+  EXPECT_THROW(CompactedLadder(net, lib, tiny_input_shape(), {}),
+               PreconditionError);
+  EXPECT_THROW(CompactedLadderProvider(net, lib, tiny_input_shape()),
                PreconditionError);
 }
 
 TEST(CompactedLevelCache, ResidentBytesSumAllLevels) {
   nn::Network net = tiny_conv_net(22);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
+  CompactedLadderProvider fast(net, structured_lib(net), tiny_input_shape());
+  CompactedLadderView view(fast);
   // All levels resident: more than one copy, less than level_count copies.
   const std::int64_t one = net.param_count() * 4;
-  EXPECT_GT(cache.resident_weight_bytes(), one);
-  EXPECT_LT(cache.resident_weight_bytes(), one * cache.level_count());
+  EXPECT_GT(view.resident_weight_bytes(), one);
+  EXPECT_LT(view.resident_weight_bytes(), one * view.level_count());
+  EXPECT_EQ(view.resident_weight_bytes(), fast.ladder().weight_bytes);
 }
 
 TEST(ReversiblePruner, ResidualNetworkFullWalk) {

@@ -145,8 +145,8 @@
 #include "sim/faults.h"
 #include "sim/incident_replay.h"
 #include "sim/runner.h"
+#include "sim/scenario_gen.h"
 #include "serve/serve_engine.h"
-#include "sim/suites.h"
 #include "sim/trace_io.h"
 #include "util/checks.h"
 #include "util/cli.h"
@@ -199,11 +199,11 @@ int usage() {
          "  rrp_cli provision <model>|all\n"
          "  rrp_cli evaluate <model>\n"
          "  rrp_cli sensitivity <model>\n"
-         "  rrp_cli run <model> <highway|urban|cut_in|degraded|intersection> "
+         "  rrp_cli run <model> <suite|dsl:spec> "
          "[--policy greedy|hybrid|oracle|fixed<K>] [--frames N] [--seed S] "
          "[--hysteresis K] [--csv FILE]\n"
-         "  rrp_cli trace <model> <highway|urban|cut_in|degraded|"
-         "intersection> [--policy greedy|fixed<K>] [--frames N] [--seed S] "
+         "  rrp_cli trace <model> <suite|dsl:spec> "
+         "[--policy greedy|fixed<K>] [--frames N] [--seed S] "
          "[--json FILE] [--spans FILE] [--metrics FILE] [--wall 1]\n"
          "  rrp_cli faults <model> [--suites a,b,c] [--arms a,b] "
          "[--kinds a,b] [--frames N] [--seed S] [--faults N] "
@@ -317,6 +317,17 @@ int cmd_sensitivity(models::ModelKind kind) {
   return 0;
 }
 
+/// run and trace accept the shared scenario vocabulary of
+/// sim::make_suite_or_dsl: a built-in scenario name or a dsl:<line> spec.
+bool known_suite(const std::string& suite) {
+  if (sim::is_dsl_suite(suite) || sim::is_builtin_scenario(suite)) return true;
+  std::cerr << "unknown suite '" << suite << "' (try:";
+  for (const std::string& name : sim::builtin_scenario_names())
+    std::cerr << " " << name;
+  std::cerr << ", or dsl:<spec>)\n";
+  return false;
+}
+
 struct RunOutputs {
   std::string csv_path;
   std::string trace_in;
@@ -327,21 +338,13 @@ struct RunOutputs {
 int cmd_run(models::ModelKind kind, const std::string& suite, int frames,
             std::uint64_t seed, const std::string& policy_name,
             int hysteresis, const RunOutputs& io) {
+  if (io.trace_in.empty() && !known_suite(suite)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
 
-  sim::Scenario scenario;
-  if (!io.trace_in.empty()) scenario = sim::load_scenario_csv(io.trace_in);
-  else if (suite == "highway") scenario = sim::make_highway(frames, seed);
-  else if (suite == "urban") scenario = sim::make_urban(frames, seed);
-  else if (suite == "cut_in") scenario = sim::make_cut_in(frames, seed);
-  else if (suite == "degraded") scenario = sim::make_degraded(frames, seed);
-  else if (suite == "intersection")
-    scenario = sim::make_intersection(frames, seed);
-  else {
-    std::cerr << "unknown suite '" << suite << "'\n";
-    return 2;
-  }
+  const sim::Scenario scenario =
+      io.trace_in.empty() ? sim::make_suite_or_dsl(suite, frames, seed)
+                          : sim::load_scenario_csv(io.trace_in);
   if (!io.trace_out.empty()) {
     sim::save_scenario_csv(scenario, io.trace_out);
     std::cout << "trace written to " << io.trace_out << "\n";
@@ -429,20 +432,10 @@ struct TraceOutputs {
 int cmd_trace(models::ModelKind kind, const std::string& suite, int frames,
               std::uint64_t seed, const std::string& policy_name,
               const TraceOutputs& io) {
+  if (!known_suite(suite)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
-
-  sim::Scenario scenario;
-  if (suite == "highway") scenario = sim::make_highway(frames, seed);
-  else if (suite == "urban") scenario = sim::make_urban(frames, seed);
-  else if (suite == "cut_in") scenario = sim::make_cut_in(frames, seed);
-  else if (suite == "degraded") scenario = sim::make_degraded(frames, seed);
-  else if (suite == "intersection")
-    scenario = sim::make_intersection(frames, seed);
-  else {
-    std::cerr << "unknown suite '" << suite << "'\n";
-    return 2;
-  }
+  const sim::Scenario scenario = sim::make_suite_or_dsl(suite, frames, seed);
 
   core::SafetyConfig certified;
   certified.max_level_for = {4, 3, 1, 0};
