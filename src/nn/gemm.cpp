@@ -30,12 +30,17 @@ struct GemmScope {
 
 // Minimum FMAs per parallel chunk: below this the dispatch overhead beats
 // the win.  Row-block grain is derived from it so small GEMMs stay on the
-// calling thread while detnet-shaped ones fan out.
+// calling thread while detnet-shaped ones fan out.  The grain is rounded up
+// to a whole number of register tiles so a chunk never splits one.
 constexpr std::int64_t kMinFlopsPerChunk = 1 << 15;
 
 std::int64_t row_grain(std::int64_t n, std::int64_t k) {
   const std::int64_t flops_per_row = std::max<std::int64_t>(1, n * k);
-  return std::max<std::int64_t>(1, kMinFlopsPerChunk / flops_per_row);
+  const std::int64_t rows = kMinFlopsPerChunk / flops_per_row;
+  const std::int64_t tiles =
+      std::max<std::int64_t>(1, (rows + kernels::kTileRows - 1) /
+                                    kernels::kTileRows);
+  return tiles * kernels::kTileRows;
 }
 
 // Rows [i_begin, i_end) of the B-transposed kernel; rows are fully

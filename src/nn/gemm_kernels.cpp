@@ -20,6 +20,7 @@ constexpr std::int64_t kTileK = 64;
 // k-tile boundaries is invisible in the result.
 constexpr std::int64_t kRegM = 4;
 constexpr std::int64_t kRegN = 16;
+static_assert(kTileRows % kRegM == 0);
 
 void scale_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
                 float beta, float* c, std::int64_t ldc) {

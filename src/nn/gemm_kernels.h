@@ -4,17 +4,20 @@
 //
 //   * reference — the original scalar tile loops (the bit-exactness
 //     oracle every other variant is tested against);
-//   * blocked   — register-tiled, cache-blocked portable C++ (the
+//   * blocked   — register-tiled, cache-blocked portable C++ (a 4 x 16
 //     accumulator tile lives in a local array the compiler keeps in
 //     registers / baseline vector lanes);
-//   * avx2      — the blocked kernel with the j-axpy hand-vectorized
-//     8-wide.  Only compiled when the toolchain accepts -mavx2 and only
-//     selected at runtime on hardware that reports AVX2.
+//   * avx2      — hand-vectorized: a 2-row x 32-column tile in 8 ymm
+//     accumulators (each B vector load feeds both rows), K blocked at 256,
+//     column tails 8-wide then scalar.  Only compiled when the toolchain
+//     accepts -mavx2 and only selected at runtime on hardware that
+//     reports AVX2.
 //
 // All variants produce BIT-IDENTICAL output: every C element accumulates
 // its k-terms in ascending-k order, one rounded multiply then one rounded
 // add per term (never FMA-contracted — the AVX2 translation unit is built
-// without FMA codegen), and zero A-values short-circuit identically.
+// without FMA codegen), and a zero alpha*A value skips its add for that
+// (row, k) alone, in every variant and every tile row.
 // Variant choice, tile shape and row partition are therefore invisible in
 // the result (DESIGN.md invariant 13), which keeps golden traces and
 // bench baselines independent of the RRP_SIMD build configuration.
@@ -72,6 +75,11 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t ldc);
 #endif
+
+/// Height of the tallest register tile of any variant (blocked: 4 rows,
+/// avx2: 2).  nn/gemm.cpp hands the kernels row chunks that are a multiple
+/// of it, so no chunk boundary splits a tile.
+inline constexpr std::int64_t kTileRows = 4;
 
 /// True when the AVX2 kernels are compiled in AND the CPU supports AVX2.
 bool avx2_usable();

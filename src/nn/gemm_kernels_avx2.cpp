@@ -2,11 +2,18 @@
 // -mavx2 (and -ffp-contract=off so mul+add never fuses into FMA); callers
 // reach it through kernels::active_gemm_rows() after a runtime CPU check.
 //
-// Bit-exactness with the scalar reference: the j-axis is split into 8-wide
-// lanes that never interact — each C element still sees its k-terms in
-// ascending order, one _mm256_mul_ps then one _mm256_add_ps per term, which
-// round exactly like the scalar `crow[j] += av * brow[j]`.  Scalar tail
-// loops use the identical expression.
+// Register tile: kRegM C rows x kRegN C columns (2 x 32 = 8 ymm
+// accumulators), so every B vector loaded for a k-step feeds kRegM rows.
+// K is blocked at kBlockK; C is stored at the end of a block and reloaded
+// at the start of the next, and a float's round trip through memory is
+// exact.  Column tails run 8-wide, then scalar.
+//
+// Bit-exactness with the scalar reference: the j-axis lanes never
+// interact — each C element still sees its k-terms in ascending order, one
+// _mm256_mul_ps then one _mm256_add_ps per term, which round exactly like
+// the scalar `crow[j] += av * brow[j]`.  The zero-skip is per (row, k):
+// a row whose alpha*A value is zero gets no add for that k even when the
+// other row of its tile does.  Scalar tails use the identical expression.
 #include "nn/gemm_kernels.h"
 
 #if defined(RRP_HAVE_AVX2)
@@ -19,10 +26,12 @@ namespace rrp::nn::kernels {
 
 namespace {
 
-constexpr std::int64_t kTileM = 64;
-constexpr std::int64_t kTileN = 64;
-constexpr std::int64_t kTileK = 64;
+constexpr int kRegM = 2;
+constexpr int kRegN = 32;
+constexpr std::int64_t kBlockK = 256;
+static_assert(kTileRows % kRegM == 0);
 
+// rrp-frame-path: C = beta*C prologue of the AVX2 kernels.
 void scale_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
                 float beta, float* c, std::int64_t ldc) {
   for (std::int64_t i = i_begin; i < i_end; ++i) {
@@ -33,31 +42,87 @@ void scale_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
   }
 }
 
-// One C row x [j, j+jn) columns, accumulated over [k0, kmax) with the row's
-// 8-wide accumulators held in ymm registers.  `a_at(kk)` abstracts the A
-// layout (row-major vs transposed) so both public kernels share this body.
-template <typename AtFn>
-inline void row_tile(std::int64_t jn, std::int64_t k0, std::int64_t kmax,
-                     float alpha, AtFn a_at, const float* b, std::int64_t ldb,
-                     std::int64_t j, float* crow) {
-  // Up to kTileN/8 = 8 vector accumulators plus a scalar tail.
-  __m256 acc[kTileN / 8];
-  const std::int64_t vn = jn / 8;       // full 8-lanes
-  const std::int64_t tail = jn - vn * 8;
-  float* cj = crow + j;
-  for (std::int64_t v = 0; v < vn; ++v) acc[v] = _mm256_loadu_ps(cj + v * 8);
+// A element (row r of the tile, column kk) sits at a[r * a_rs + kk * a_ks]:
+// row-major A has (a_rs, a_ks) = (lda, 1), A-transposed has (1, lda).  The
+// same tile body therefore serves both public kernels.
+
+// rrp-frame-path: R rows x 8V columns register tile over k in [k0, kmax).
+template <int R, int V>
+void vec_tile(std::int64_t k0, std::int64_t kmax, float alpha,
+              const float* a, std::int64_t a_rs, std::int64_t a_ks,
+              const float* b, std::int64_t ldb, float* c, std::int64_t ldc) {
+  __m256 acc[R][V];
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < V; ++v)
+      acc[r][v] = _mm256_loadu_ps(c + r * ldc + v * 8);
   for (std::int64_t kk = k0; kk < kmax; ++kk) {
-    const float av = alpha * a_at(kk);
-    if (av == 0.0f) continue;  // pruned weights short-circuit
-    const float* brow = b + kk * ldb + j;
-    const __m256 vav = _mm256_set1_ps(av);
-    for (std::int64_t v = 0; v < vn; ++v)
-      acc[v] = _mm256_add_ps(acc[v],
-                             _mm256_mul_ps(vav, _mm256_loadu_ps(brow + v * 8)));
-    for (std::int64_t t = 0; t < tail; ++t)
-      cj[vn * 8 + t] += av * brow[vn * 8 + t];
+    const float* brow = b + kk * ldb;
+    __m256 bv[V];
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(brow + v * 8);
+    for (int r = 0; r < R; ++r) {
+      const float av = alpha * a[r * a_rs + kk * a_ks];
+      if (av == 0.0f) continue;  // pruned weights short-circuit
+      const __m256 va = _mm256_set1_ps(av);
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, bv[v]));
+    }
   }
-  for (std::int64_t v = 0; v < vn; ++v) _mm256_storeu_ps(cj + v * 8, acc[v]);
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < V; ++v)
+      _mm256_storeu_ps(c + r * ldc + v * 8, acc[r][v]);
+}
+
+// rrp-frame-path: scalar column tail (jn < 8) of an R-row tile.
+template <int R>
+void scalar_tile(std::int64_t jn, std::int64_t k0, std::int64_t kmax,
+                 float alpha, const float* a, std::int64_t a_rs,
+                 std::int64_t a_ks, const float* b, std::int64_t ldb,
+                 float* c, std::int64_t ldc) {
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * ldc;
+    for (std::int64_t kk = k0; kk < kmax; ++kk) {
+      const float av = alpha * a[r * a_rs + kk * a_ks];
+      if (av == 0.0f) continue;  // pruned weights short-circuit
+      const float* brow = b + kk * ldb;
+      for (std::int64_t j = 0; j < jn; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// rrp-frame-path: R rows x all n columns over one k block.
+template <int R>
+void row_panel(std::int64_t n, std::int64_t k0, std::int64_t kmax,
+               float alpha, const float* a, std::int64_t a_rs,
+               std::int64_t a_ks, const float* b, std::int64_t ldb, float* c,
+               std::int64_t ldc) {
+  std::int64_t j = 0;
+  for (; j + kRegN <= n; j += kRegN)
+    vec_tile<R, kRegN / 8>(k0, kmax, alpha, a, a_rs, a_ks, b + j, ldb, c + j,
+                           ldc);
+  for (; j + 8 <= n; j += 8)
+    vec_tile<R, 1>(k0, kmax, alpha, a, a_rs, a_ks, b + j, ldb, c + j, ldc);
+  if (j < n)
+    scalar_tile<R>(n - j, k0, kmax, alpha, a, a_rs, a_ks, b + j, ldb, c + j,
+                   ldc);
+}
+
+// rrp-frame-path: shared body of both public kernels.
+void gemm_rows_strided(std::int64_t i_begin, std::int64_t i_end,
+                       std::int64_t n, std::int64_t k, float alpha,
+                       const float* a, std::int64_t a_rs, std::int64_t a_ks,
+                       const float* b, std::int64_t ldb, float beta, float* c,
+                       std::int64_t ldc) {
+  scale_rows(i_begin, i_end, n, beta, c, ldc);
+  for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
+    const std::int64_t kmax = std::min(k0 + kBlockK, k);
+    std::int64_t i = i_begin;
+    for (; i + kRegM <= i_end; i += kRegM)
+      row_panel<kRegM>(n, k0, kmax, alpha, a + i * a_rs, a_rs, a_ks, b, ldb,
+                       c + i * ldc, ldc);
+    for (; i < i_end; ++i)
+      row_panel<1>(n, k0, kmax, alpha, a + i * a_rs, a_rs, a_ks, b, ldb,
+                   c + i * ldc, ldc);
+  }
 }
 
 }  // namespace
@@ -67,23 +132,8 @@ void gemm_rows_avx2(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
                     std::int64_t k, float alpha, const float* a,
                     std::int64_t lda, const float* b, std::int64_t ldb,
                     float beta, float* c, std::int64_t ldc) {
-  scale_rows(i_begin, i_end, n, beta, c, ldc);
-  for (std::int64_t i0 = i_begin; i0 < i_end; i0 += kTileM) {
-    const std::int64_t imax = std::min(i0 + kTileM, i_end);
-    for (std::int64_t k0 = 0; k0 < k; k0 += kTileK) {
-      const std::int64_t kmax = std::min(k0 + kTileK, k);
-      for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const std::int64_t jmax = std::min(j0 + kTileN, n);
-        const std::int64_t jn = jmax - j0;
-        for (std::int64_t i = i0; i < imax; ++i) {
-          const float* arow = a + i * lda;
-          row_tile(jn, k0, kmax, alpha,
-                   [arow](std::int64_t kk) { return arow[kk]; }, b, ldb, j0,
-                   c + i * ldc);
-        }
-      }
-    }
-  }
+  gemm_rows_strided(i_begin, i_end, n, k, alpha, a, lda, 1, b, ldb, beta, c,
+                    ldc);
 }
 
 // rrp-frame-path: hand-vectorized AVX2 micro-kernel, A-transposed.
@@ -92,16 +142,9 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        const float* a, std::int64_t lda, const float* b,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t ldc) {
-  scale_rows(i_begin, i_end, n, beta, c, ldc);
   // A is [K, M]: A elements for row i sit at a[kk * lda + i].
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::int64_t jn = std::min(kTileN, n - j0);
-      row_tile(jn, 0, k, alpha,
-               [a, lda, i](std::int64_t kk) { return a[kk * lda + i]; }, b,
-               ldb, j0, c + i * ldc);
-    }
-  }
+  gemm_rows_strided(i_begin, i_end, n, k, alpha, a, 1, lda, b, ldb, beta, c,
+                    ldc);
 }
 
 }  // namespace rrp::nn::kernels

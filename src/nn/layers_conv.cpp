@@ -1,4 +1,4 @@
-#include <cstring>
+#include <algorithm>
 
 #include "nn/gemm.h"
 #include "nn/layers.h"
@@ -34,30 +34,50 @@ std::pair<int, int> Conv2D::out_hw(int h, int w) const {
   return {oh, ow};
 }
 
+namespace {
+
+// Output positions o in [0, out) whose input coordinate o*stride + offset
+// lands inside [0, extent); the rest read the zero padding.
+std::pair<int, int> valid_range(int offset, int stride, int extent, int out) {
+  const int lo = offset >= 0 ? 0 : (-offset + stride - 1) / stride;
+  const int last = extent - 1 - offset;  // largest in-bounds o * stride
+  const int hi = last < 0 ? 0 : last / stride + 1;
+  return {std::min(lo, out), std::clamp(hi, std::min(lo, out), out)};
+}
+
+}  // namespace
+
 // Unrolls one sample's input [in_ch, h, w] into col [in_ch*k*k, oh*ow].
+// The in-bounds output range is found once per (c, ki, kj), so the inner
+// loops are a plain (strided) copy between zeroed padding edges.
 void Conv2D::im2col(const float* src, int h, int w, float* col) const {
   const auto [oh, ow] = out_hw(h, w);
   const int k = kernel_;
-  std::int64_t row = 0;
+  float* out = col;
   for (int c = 0; c < in_ch_; ++c) {
     const float* plane = src + static_cast<std::int64_t>(c) * h * w;
     for (int ki = 0; ki < k; ++ki) {
-      for (int kj = 0; kj < k; ++kj, ++row) {
-        float* out = col + row * static_cast<std::int64_t>(oh) * ow;
-        for (int oi = 0; oi < oh; ++oi) {
+      const auto [ilo, ihi] = valid_range(ki - padding_, stride_, h, oh);
+      for (int kj = 0; kj < k; ++kj) {
+        const int off = kj - padding_;
+        const auto [jlo, jhi] = valid_range(off, stride_, w, ow);
+        std::fill(out, out + static_cast<std::int64_t>(ilo) * ow, 0.0f);
+        out += static_cast<std::int64_t>(ilo) * ow;
+        for (int oi = ilo; oi < ihi; ++oi, out += ow) {
           const int ii = oi * stride_ - padding_ + ki;
-          if (ii < 0 || ii >= h) {
-            std::memset(out + static_cast<std::int64_t>(oi) * ow, 0,
-                        sizeof(float) * static_cast<std::size_t>(ow));
-            continue;
-          }
           const float* srow = plane + static_cast<std::int64_t>(ii) * w;
-          float* orow = out + static_cast<std::int64_t>(oi) * ow;
-          for (int oj = 0; oj < ow; ++oj) {
-            const int jj = oj * stride_ - padding_ + kj;
-            orow[oj] = (jj >= 0 && jj < w) ? srow[jj] : 0.0f;
+          std::fill(out, out + jlo, 0.0f);
+          if (stride_ == 1) {
+            std::copy(srow + jlo + off, srow + jhi + off, out + jlo);
+          } else {
+            for (int oj = jlo; oj < jhi; ++oj)
+              out[oj] = srow[oj * stride_ + off];
           }
+          std::fill(out + jhi, out + ow, 0.0f);
         }
+        const std::int64_t tail = static_cast<std::int64_t>(oh - ihi) * ow;
+        std::fill(out, out + tail, 0.0f);
+        out += tail;
       }
     }
   }

@@ -14,6 +14,36 @@ std::pair<int, int> pool_out_hw(int h, int w, int k, int s) {
                                                 << " smaller than kernel");
   return {oh, ow};
 }
+
+// Inference max pool over `planes` [h, w] planes: no argmax, no bounds
+// checks.  The window is scanned in (ki, kj) order with `v > best` from
+// -inf, exactly like the training loop, so NaN inputs are passed over and
+// the first of equal values (+0 / -0 ties) wins in both paths.  K and S
+// fix the window and stride at compile time (0 = take `k` / `s`), which
+// unrolls the common 2x2 stride-2 pool.
+template <int K, int S>
+void max_pool_planes(const float* x, std::int64_t planes, int h, int w,
+                     int k, int s, int oh, int ow, float* y) {
+  if constexpr (K > 0) k = K;
+  if constexpr (S > 0) s = S;
+  const std::int64_t plane = static_cast<std::int64_t>(h) * w;
+  for (std::int64_t p = 0; p < planes; ++p, x += plane) {
+    for (int oi = 0; oi < oh; ++oi) {
+      const float* top = x + static_cast<std::int64_t>(oi) * s * w;
+      for (int oj = 0; oj < ow; ++oj, ++y) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int ki = 0; ki < k; ++ki) {
+          const float* row =
+              top + static_cast<std::int64_t>(ki) * w + oj * s;
+          for (int kj = 0; kj < k; ++kj)
+            best = row[kj] > best ? row[kj] : best;
+        }
+        *y = best;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 MaxPool::MaxPool(std::string name, int kernel, int stride)
@@ -26,10 +56,17 @@ Tensor MaxPool::forward(const Tensor& x, bool training) {
   const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
   const auto [oh, ow] = pool_out_hw(h, w, kernel_, stride_);
   Tensor y({n, c, oh, ow});
-  if (training) {
-    cached_in_shape_ = x.shape();
-    argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
+  if (!training) {
+    const std::int64_t planes = static_cast<std::int64_t>(n) * c;
+    if (kernel_ == 2 && stride_ == 2)
+      max_pool_planes<2, 2>(x.raw(), planes, h, w, 2, 2, oh, ow, y.raw());
+    else
+      max_pool_planes<0, 0>(x.raw(), planes, h, w, kernel_, stride_, oh, ow,
+                            y.raw());
+    return y;
   }
+  cached_in_shape_ = x.shape();
+  argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
   std::int64_t oidx = 0;
   for (int s = 0; s < n; ++s) {
     for (int ch = 0; ch < c; ++ch) {
@@ -53,7 +90,7 @@ Tensor MaxPool::forward(const Tensor& x, bool training) {
             }
           }
           y[oidx] = best;
-          if (training) argmax_[static_cast<std::size_t>(oidx)] = best_idx;
+          argmax_[static_cast<std::size_t>(oidx)] = best_idx;
         }
       }
     }

@@ -25,6 +25,7 @@
 //       entry points are bit-exact across thread counts (1/2/8).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -349,6 +350,27 @@ TEST(FastPath, ViewSurvivesOwnerMove) {
 /// Odd sizes exercise every register-tile and vector-lane tail path.
 constexpr std::int64_t kM = 13, kN = 37, kK = 29;
 
+struct KernelShape {
+  std::int64_t m, n, k;
+};
+
+/// Micro-kernel shapes: N = 37 (32-block + scalar tail), 45 (32 + 8 +
+/// scalar), 64 and 256 (whole 32-blocks); K = 9, 288 and 300 (300 crosses
+/// the AVX2 kernel's 256-deep K block); odd M leaves a single-row tile.
+/// Then the conv GEMMs [out_ch, oh*ow, in_ch*9] of the detnet L0 / L4 and
+/// lenet L0 ladders on the 16x16 zoo input.
+const KernelShape kKernelShapes[] = {
+    // tails and K blocks
+    {kM, kN, kK}, {13, 45, 9}, {9, 64, 288}, {7, 256, 300}, {11, 37, 300},
+    {5, 45, 288}, {1, 64, 9},
+    // detnet L0
+    {16, 256, 9}, {32, 256, 144}, {32, 64, 288}, {64, 64, 288},
+    // detnet L4
+    {3, 256, 9}, {5, 256, 27}, {5, 64, 45}, {10, 64, 45},
+    // lenet L0
+    {8, 256, 9}, {16, 64, 72},
+};
+
 std::vector<float> random_matrix(std::int64_t elems, std::uint64_t seed,
                                  double zero_frac) {
   Rng rng(seed);
@@ -360,53 +382,62 @@ std::vector<float> random_matrix(std::int64_t elems, std::uint64_t seed,
   return v;
 }
 
+/// Bitwise equality: -0 differs from +0 and NaNs compare by payload.
 void expect_bits_equal(const std::vector<float>& want,
                        const std::vector<float>& got, const char* label) {
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << label << " element " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want[i]),
+              std::bit_cast<std::uint32_t>(got[i]))
+        << label << " element " << i << ": " << want[i] << " vs " << got[i];
 }
 
 TEST(FastPath, KernelVariantsAreBitIdentical) {
-  // ~30% zeros in A exercises the zero-skip short-circuit every variant
-  // must share for masked-sparsity bit-exactness.
-  const std::vector<float> a = random_matrix(kM * kK, 40, 0.3);
-  const std::vector<float> at = random_matrix(kK * kM, 41, 0.3);
-  const std::vector<float> b = random_matrix(kK * kN, 42, 0.0);
-  const std::vector<float> c0 = random_matrix(kM * kN, 43, 0.0);
+  for (const KernelShape& s : kKernelShapes) {
+    const std::string shape = "M=" + std::to_string(s.m) +
+                              " N=" + std::to_string(s.n) +
+                              " K=" + std::to_string(s.k) + " ";
+    // ~30% zeros in A exercises the zero-skip short-circuit every variant
+    // must share for masked-sparsity bit-exactness.
+    const std::vector<float> a = random_matrix(s.m * s.k, 40, 0.3);
+    const std::vector<float> at = random_matrix(s.k * s.m, 41, 0.3);
+    const std::vector<float> b = random_matrix(s.k * s.n, 42, 0.0);
+    const std::vector<float> c0 = random_matrix(s.m * s.n, 43, 0.0);
 
-  for (float alpha : {1.0f, 1.3f}) {
-    for (float beta : {0.0f, 1.0f, 0.5f}) {
-      const std::string tag =
-          "alpha=" + std::to_string(alpha) + " beta=" + std::to_string(beta);
-      std::vector<float> ref = c0, blk = c0;
-      nn::kernels::gemm_rows_reference(0, kM, kN, kK, alpha, a.data(), kK,
-                                       b.data(), kN, beta, ref.data(), kN);
-      nn::kernels::gemm_rows_blocked(0, kM, kN, kK, alpha, a.data(), kK,
-                                     b.data(), kN, beta, blk.data(), kN);
-      expect_bits_equal(ref, blk, (tag + " blocked").c_str());
+    for (float alpha : {1.0f, 1.3f}) {
+      for (float beta : {0.0f, 1.0f, 0.5f}) {
+        const std::string tag = shape + "alpha=" + std::to_string(alpha) +
+                                " beta=" + std::to_string(beta);
+        std::vector<float> ref = c0, blk = c0;
+        nn::kernels::gemm_rows_reference(0, s.m, s.n, s.k, alpha, a.data(),
+                                         s.k, b.data(), s.n, beta, ref.data(),
+                                         s.n);
+        nn::kernels::gemm_rows_blocked(0, s.m, s.n, s.k, alpha, a.data(), s.k,
+                                       b.data(), s.n, beta, blk.data(), s.n);
+        expect_bits_equal(ref, blk, (tag + " blocked").c_str());
 
-      std::vector<float> ref_at = c0, blk_at = c0;
-      nn::kernels::gemm_at_rows_reference(0, kM, kN, kK, alpha, at.data(),
-                                          kM, b.data(), kN, beta,
-                                          ref_at.data(), kN);
-      nn::kernels::gemm_at_rows_blocked(0, kM, kN, kK, alpha, at.data(), kM,
-                                        b.data(), kN, beta, blk_at.data(),
-                                        kN);
-      expect_bits_equal(ref_at, blk_at, (tag + " blocked_at").c_str());
+        std::vector<float> ref_at = c0, blk_at = c0;
+        nn::kernels::gemm_at_rows_reference(0, s.m, s.n, s.k, alpha,
+                                            at.data(), s.m, b.data(), s.n,
+                                            beta, ref_at.data(), s.n);
+        nn::kernels::gemm_at_rows_blocked(0, s.m, s.n, s.k, alpha, at.data(),
+                                          s.m, b.data(), s.n, beta,
+                                          blk_at.data(), s.n);
+        expect_bits_equal(ref_at, blk_at, (tag + " blocked_at").c_str());
 
 #if defined(RRP_HAVE_AVX2)
-      if (nn::kernels::avx2_usable()) {
-        std::vector<float> vec = c0, vec_at = c0;
-        nn::kernels::gemm_rows_avx2(0, kM, kN, kK, alpha, a.data(), kK,
-                                    b.data(), kN, beta, vec.data(), kN);
-        expect_bits_equal(ref, vec, (tag + " avx2").c_str());
-        nn::kernels::gemm_at_rows_avx2(0, kM, kN, kK, alpha, at.data(), kM,
-                                       b.data(), kN, beta, vec_at.data(),
-                                       kN);
-        expect_bits_equal(ref_at, vec_at, (tag + " avx2_at").c_str());
-      }
+        if (nn::kernels::avx2_usable()) {
+          std::vector<float> vec = c0, vec_at = c0;
+          nn::kernels::gemm_rows_avx2(0, s.m, s.n, s.k, alpha, a.data(), s.k,
+                                      b.data(), s.n, beta, vec.data(), s.n);
+          expect_bits_equal(ref, vec, (tag + " avx2").c_str());
+          nn::kernels::gemm_at_rows_avx2(0, s.m, s.n, s.k, alpha, at.data(),
+                                         s.m, b.data(), s.n, beta,
+                                         vec_at.data(), s.n);
+          expect_bits_equal(ref_at, vec_at, (tag + " avx2_at").c_str());
+        }
 #endif
+      }
     }
   }
 }
@@ -422,12 +453,18 @@ TEST(FastPath, KernelsAreRowPartitionInvariant) {
   nn::kernels::gemm_rows_reference(0, kM, kN, kK, 1.1f, a.data(), kK,
                                    b.data(), kN, 0.5f, whole.data(), kN);
 
-  const nn::kernels::GemmRowsFn fns[] = {
+  std::vector<nn::kernels::GemmRowsFn> fns = {
       nn::kernels::gemm_rows_reference,
       nn::kernels::gemm_rows_blocked,
       nn::kernels::active_gemm_rows(),
   };
-  const std::int64_t cuts[] = {0, 3, 4, 9, kM};
+#if defined(RRP_HAVE_AVX2)
+  if (nn::kernels::avx2_usable()) fns.push_back(nn::kernels::gemm_rows_avx2);
+#endif
+  // The cut at 1 splits the first register tile of every tiled variant
+  // (rows 0-1 of the AVX2 kernel, rows 0-3 of the blocked one); 3 and 9
+  // split tiles that start at an even row.
+  const std::int64_t cuts[] = {0, 1, 3, 4, 9, kM};
   for (const auto fn : fns) {
     std::vector<float> split = c0;
     for (std::size_t s = 0; s + 1 < std::size(cuts); ++s)

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "nn/gemm.h"
+#include "nn/gemm_kernels.h"
+#include "test_support.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace rrp::nn {
 namespace {
+
+using rrp::testing::float_bits;
 
 // Naive reference: C = alpha*op(A)*op(B) + beta*C.
 void ref_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -172,18 +179,72 @@ TEST_P(GemmShapes, BitExactAcrossThreadCounts) {
   EXPECT_TRUE(serial == run_all(8)) << "threads=8 diverged";
 }
 
+/// Every compiled-in row kernel (non-transposed), by name.
+std::vector<std::pair<std::string, kernels::GemmRowsFn>> row_kernels() {
+  std::vector<std::pair<std::string, kernels::GemmRowsFn>> fns = {
+      {"reference", kernels::gemm_rows_reference},
+      {"blocked", kernels::gemm_rows_blocked},
+      {"active", kernels::active_gemm_rows()},
+  };
+#if defined(RRP_HAVE_AVX2)
+  if (kernels::avx2_usable()) fns.push_back({"avx2", kernels::gemm_rows_avx2});
+#endif
+  return fns;
+}
+
 TEST(Gemm, ZeroWeightsShortCircuitIsExact) {
-  // The kernel skips zero A-values; result must equal the reference anyway.
-  const int m = 4, n = 4, k = 4;
+  // Every variant skips the add for each (row, k) whose alpha*A is zero;
+  // the result must be bitwise the scalar reference's.  N = 45 covers a
+  // 32-column block, an 8-wide block and a scalar tail; K = 300 crosses the
+  // AVX2 kernel's 256-deep K block; odd M leaves a single-row tile.
+  const int m = 5, n = 45, k = 300;
   Rng rng(7);
-  auto a = random_vec(16, rng);
-  for (std::size_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;  // half pruned
-  const auto b = random_vec(16, rng);
-  std::vector<float> c(16, 0.0f), expected(16, 0.0f);
-  gemm(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(), n);
-  ref_gemm(false, false, m, n, k, 1.0f, a, b, 0.0f, expected);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_NEAR(c[i], expected[i], 1e-5f);
+  auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+  // Half pruned at random, so the rows of a tile are zero at different k.
+  for (float& v : a)
+    if (rng.uniform() < 0.5) v = 0.0f;
+  const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
+  const auto c0 = random_vec(static_cast<std::size_t>(m) * n, rng);
+
+  std::vector<float> want = c0;
+  kernels::gemm_rows_reference(0, m, n, k, 1.0f, a.data(), k, b.data(), n,
+                               0.5f, want.data(), n);
+  for (const auto& [name, fn] : row_kernels()) {
+    std::vector<float> got = c0;
+    fn(0, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.5f, got.data(), n);
+    EXPECT_EQ(float_bits(got), float_bits(want)) << name;
+  }
+  std::vector<float> got = c0;
+  gemm(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.5f, got.data(), n);
+  EXPECT_EQ(float_bits(got), float_bits(want)) << "gemm";
+}
+
+TEST(Gemm, ZeroSkipKeepsNegativeZero) {
+  // Where skipping and adding differ: C = -0, A = -0, B < 0.  Adding would
+  // give -0 + (-0 * B) = -0 + +0 = +0; the skip keeps -0.  Rows 0 and 2
+  // are all -0 (row 2 is the odd single-row tile); row 1, in the same
+  // 2-row tile as row 0, is live at k = 0 and k = 2, so a multi-row tile
+  // that skipped only when all its rows were zero would flip row 0.
+  const int m = 3, n = 45, k = 3;
+  const float nz = -0.0f;
+  const std::vector<float> a = {nz, nz, nz, 0.25f, nz, 2.0f, nz, nz, nz};
+  std::vector<float> b(static_cast<std::size_t>(k) * n);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = -1.0f - static_cast<float>(i % 7);
+  const std::vector<float> c0(static_cast<std::size_t>(m) * n, nz);
+
+  std::vector<float> want = c0;
+  kernels::gemm_rows_reference(0, m, n, k, 1.0f, a.data(), k, b.data(), n,
+                               1.0f, want.data(), n);
+  for (int j = 0; j < n; ++j) {
+    ASSERT_TRUE(std::signbit(want[static_cast<std::size_t>(j)])) << j;
+    ASSERT_TRUE(std::signbit(want[static_cast<std::size_t>(2 * n + j)])) << j;
+  }
+  for (const auto& [name, fn] : row_kernels()) {
+    std::vector<float> got = c0;
+    fn(0, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, got.data(), n);
+    EXPECT_EQ(float_bits(got), float_bits(want)) << name;
+  }
 }
 
 }  // namespace

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "nn/gemm_kernels.h"
 #include "nn/layers.h"
 #include "test_support.h"
 #include "util/checks.h"
+#include "util/rng.h"
 
 namespace rrp::nn {
 namespace {
 
+using rrp::testing::float_bits;
 using rrp::testing::random_tensor;
 
 TEST(Linear, KnownForward) {
@@ -112,6 +120,74 @@ TEST(Conv2D, EffectiveMacsScaleWithSparsity) {
   EXPECT_EQ(conv.effective_macs(in), dense / 2);
 }
 
+/// The per-element bounds-checked im2col Conv2D used before the hoisted
+/// valid-range rewrite, kept as an independent oracle.
+void reference_im2col(const float* src, int in_ch, int h, int w, int k,
+                      int stride, int pad, int oh, int ow, float* col) {
+  std::int64_t row = 0;
+  for (int c = 0; c < in_ch; ++c) {
+    const float* plane = src + static_cast<std::int64_t>(c) * h * w;
+    for (int ki = 0; ki < k; ++ki) {
+      for (int kj = 0; kj < k; ++kj, ++row) {
+        float* out = col + row * oh * ow;
+        for (int oi = 0; oi < oh; ++oi) {
+          const int ii = oi * stride - pad + ki;
+          for (int oj = 0; oj < ow; ++oj) {
+            const int jj = oj * stride - pad + kj;
+            const bool in = ii >= 0 && ii < h && jj >= 0 && jj < w;
+            out[oi * ow + oj] =
+                in ? plane[static_cast<std::int64_t>(ii) * w + jj] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
+  const int n = 2, in_ch = 3, out_ch = 5;
+  for (const auto& [h, w] : {std::pair{7, 6}, std::pair{5, 9}}) {
+    for (int k : {1, 3, 5}) {
+      for (int stride : {1, 2}) {
+        for (int pad : {0, 1, 2}) {
+          const std::string tag = std::to_string(h) + "x" + std::to_string(w) +
+                                  " k=" + std::to_string(k) +
+                                  " s=" + std::to_string(stride) +
+                                  " p=" + std::to_string(pad);
+          Conv2D conv("c", in_ch, out_ch, k, stride, pad);
+          conv.weight() = random_tensor({out_ch, in_ch, k, k}, 11);
+          for (std::int64_t i = 0; i < conv.weight().numel(); i += 3)
+            conv.weight()[i] = 0.0f;  // exercise the zero-skip
+          conv.bias() = random_tensor({out_ch}, 12);
+          const Tensor x = random_tensor({n, in_ch, h, w}, 13);
+          const Tensor y = conv.forward(x, false);
+
+          const int oh = (h + 2 * pad - k) / stride + 1;
+          const int ow = (w + 2 * pad - k) / stride + 1;
+          const std::int64_t rows = static_cast<std::int64_t>(in_ch) * k * k;
+          const std::int64_t cols = static_cast<std::int64_t>(oh) * ow;
+          std::vector<float> col(static_cast<std::size_t>(rows * cols));
+          Tensor want({n, out_ch, oh, ow});
+          for (int s = 0; s < n; ++s) {
+            reference_im2col(x.raw() + s * in_ch * h * w, in_ch, h, w, k,
+                             stride, pad, oh, ow, col.data());
+            float* out = want.raw() + s * out_ch * cols;
+            kernels::gemm_rows_reference(0, out_ch, cols, rows, 1.0f,
+                                         conv.weight().raw(), rows, col.data(),
+                                         cols, 0.0f, out, cols);
+            for (int c = 0; c < out_ch; ++c)
+              for (std::int64_t i = 0; i < cols; ++i)
+                out[c * cols + i] += conv.bias()[c];
+          }
+          ASSERT_EQ(y.shape(), want.shape()) << tag;
+          EXPECT_EQ(float_bits(y.data()), float_bits(want.data()))
+              << tag;
+        }
+      }
+    }
+  }
+}
+
 TEST(ReLU, ClampsNegatives) {
   ReLU relu("r");
   const Tensor y = relu.forward(Tensor({4}, {-1, 0, 2, -3}), false);
@@ -154,6 +230,40 @@ TEST(MaxPool, PicksWindowMaxima) {
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 2}));
   EXPECT_FLOAT_EQ(y[0], 5.0f);
   EXPECT_FLOAT_EQ(y[1], 8.0f);
+}
+
+TEST(MaxPool, InferencePathMatchesTrainingPath) {
+  // The inference loop drops argmax tracking; it must keep the training
+  // loop's (ki, kj) scan with `v > best` from -inf, so NaNs are passed
+  // over and the first of tied values (+0 / -0) wins in both.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {nan, 0.0f, -0.0f, 0.5f, -0.5f, 1.0f, -inf};
+  for (const auto& [k, stride] :
+       {std::pair{2, 2}, std::pair{2, 1}, std::pair{3, 2}, std::pair{3, 1},
+        std::pair{1, 1}}) {
+    for (const Shape& shape : {Shape{2, 3, 7, 9}, Shape{1, 2, 5, 5}}) {
+      Rng rng(static_cast<std::uint64_t>(k * 10 + stride));
+      Tensor x(shape);
+      for (float& v : x.data())
+        v = values[rng.uniform_u64(std::size(values))];
+      MaxPool mp("m", k, stride);
+      const Tensor infer = mp.forward(x, false);
+      const Tensor train = mp.forward(x, true);
+      EXPECT_EQ(float_bits(infer.data()), float_bits(train.data()))
+          << "k=" << k << " s=" << stride << " " << shape_str(shape);
+    }
+  }
+
+  // Pinned cases: an all-NaN window gives -inf; a -0/+0 tie keeps the
+  // first in scan order.
+  const Tensor x({1, 1, 2, 4}, {nan, nan, -0.0f, 0.0f, nan, nan, 0.0f, -0.0f});
+  for (bool training : {false, true}) {
+    MaxPool mp("m", 2, 2);
+    const Tensor y = mp.forward(x, training);
+    EXPECT_EQ(y[0], -inf) << training;
+    EXPECT_TRUE(y[1] == 0.0f && std::signbit(y[1])) << training;
+  }
 }
 
 TEST(AvgPool, AveragesWindows) {

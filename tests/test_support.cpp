@@ -1,6 +1,7 @@
 #include "test_support.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "nn/loss.h"
@@ -15,6 +16,13 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
   for (float& v : t.data())
     v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
+}
+
+std::vector<std::uint32_t> float_bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return out;
 }
 
 Shape tiny_input_shape() { return {1, 1, 8, 8}; }

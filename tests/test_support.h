@@ -1,6 +1,10 @@
 // test_support.h — shared fixtures/helpers for the rrp test suite.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "models/trained_cache.h"
 #include "nn/init.h"
 #include "nn/network.h"
@@ -12,6 +16,10 @@ namespace rrp::testing {
 
 /// Fills a tensor with deterministic pseudo-random values in [-1, 1].
 nn::Tensor random_tensor(nn::Shape shape, std::uint64_t seed);
+
+/// Bit patterns of `v`, for bitwise comparison: -0 differs from +0 and
+/// NaNs compare equal to themselves.
+std::vector<std::uint32_t> float_bits(std::span<const float> v);
 
 /// A tiny conv net (1x8x8 input, 3 classes) that trains in well under a
 /// second; structured-prunable (conv1, fc1), pinned head.
