@@ -14,7 +14,7 @@
 #include "core/baselines.h"
 #include "models/trained_cache.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "util/csv.h"
 #include "util/stats.h"
 #include "util/timer.h"

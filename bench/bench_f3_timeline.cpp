@@ -22,7 +22,7 @@ int main() {
   core::SafetyMonitor monitor(certified);
   core::RuntimeController ctl(policy, provider, &monitor);
 
-  const sim::Scenario scenario = sim::make_cut_in(900, 7);
+  const sim::Scenario scenario = sim::make_suite_or_dsl("cut_in", 900, 7);
   sim::RunConfig cfg = bench::standard_run_config();
   const sim::RunResult result = sim::run_scenario(scenario, ctl, cfg);
 

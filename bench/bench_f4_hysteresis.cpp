@@ -19,7 +19,7 @@ int main() {
   models::ProvisionedModel pm = bench::provision(models::ModelKind::LeNet);
   const core::SafetyConfig certified = bench::standard_certified();
   const sim::RunConfig cfg = bench::standard_run_config();
-  const sim::Scenario scenario = sim::make_urban(1200, 99);
+  const sim::Scenario scenario = sim::make_suite_or_dsl("urban", 1200, 99);
 
   TableFormatter table({"hysteresis_frames", "switches", "mean_level",
                         "energy_mJ", "accuracy", "missed_crit_%",

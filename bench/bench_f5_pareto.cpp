@@ -28,7 +28,7 @@ int main() {
   models::ProvisionedModel pm = bench::provision(models::ModelKind::ResNetLite);
   const core::SafetyConfig certified = bench::standard_certified();
   sim::RunConfig cfg = bench::standard_run_config();
-  const sim::Scenario scenario = sim::make_urban(900, 55);
+  const sim::Scenario scenario = sim::make_suite_or_dsl("urban", 900, 55);
 
   std::vector<Point> points;
   auto run_one = [&](const std::string& name,

@@ -301,10 +301,11 @@ int main(int argc, char** argv) {
   cfg.measure_wall = wall;
   for (int suite = 0; suite < suites; ++suite) {
     const std::size_t index = reduced ? 2u : static_cast<std::size_t>(suite);
+    const std::string name = sim::builtin_scenario_names()[index];
     std::vector<sim::Scenario> replicas;
     for (int rep = 0; rep < seeds; ++rep)
-      replicas.push_back(
-          sim::standard_suites(frames, 20240325 + 1000ull * rep)[index]);
+      replicas.push_back(sim::make_suite_or_dsl(
+          name, frames, 20240325 + 1000ull * rep + index + 1));
     run_suite(pm, replicas, cfg, report);
   }
   if (!report.write()) return 1;

@@ -69,8 +69,8 @@ int main() {
   bench::BenchReport report("t5");
   report.config("mode", "full");
   report.config("model", "resnetlite");
-  run_suite(pm, sim::make_cut_in(900, 71), cfg, report);
-  run_suite(pm, sim::make_urban(900, 72), cfg, report);
-  run_suite(pm, sim::make_intersection(900, 73), cfg, report);
+  run_suite(pm, sim::make_suite_or_dsl("cut_in", 900, 71), cfg, report);
+  run_suite(pm, sim::make_suite_or_dsl("urban", 900, 72), cfg, report);
+  run_suite(pm, sim::make_suite_or_dsl("intersection", 900, 73), cfg, report);
   return report.write() ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 
 #include "models/trained_cache.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "util/csv.h"
 #include "util/log.h"
 
@@ -38,7 +38,8 @@ int main() {
   core::SafetyMonitor monitor(certified);
   core::RuntimeController controller(policy, provider, &monitor);
 
-  const sim::Scenario scenario = sim::make_highway(900, /*seed=*/7);
+  const sim::Scenario scenario =
+      sim::make_suite_or_dsl("highway", 900, /*seed=*/7);
   sim::RunConfig cfg;
   cfg.deadline_ms = 12.0;
   const sim::RunResult result = sim::run_scenario(scenario, controller, cfg);

@@ -10,7 +10,7 @@
 
 #include "models/trained_cache.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "util/csv.h"
 #include "util/log.h"
 
@@ -41,7 +41,7 @@ int main() {
               << fmt(profile.energy_mj[k], 3) << " / "
               << fmt(profile.accuracy[k], 3) << "\n";
 
-  const sim::Scenario scenario = sim::make_urban(1200, 17);
+  const sim::Scenario scenario = sim::make_suite_or_dsl("urban", 1200, 17);
   TableFormatter table({"budget_mJ", "energy_used_mJ", "mean_level",
                         "accuracy", "missed_crit_%", "violations"});
   for (double budget : {0.0, 120.0, 60.0}) {

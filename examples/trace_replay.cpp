@@ -14,7 +14,7 @@
 #include "core/assurance_export.h"
 #include "models/trained_cache.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "sim/trace_io.h"
 #include "util/csv.h"
 #include "util/log.h"
@@ -26,7 +26,7 @@ int main() {
   std::cout << "== trace record / replay / assurance export ==\n\n";
 
   // 1. Record: archive a cut-in scenario as a CSV trace.
-  const sim::Scenario original = sim::make_cut_in(600, 42);
+  const sim::Scenario original = sim::make_suite_or_dsl("cut_in", 600, 42);
   sim::save_scenario_csv(original, "cutin_trace.csv");
   std::cout << "recorded " << original.frame_count()
             << " frames to cutin_trace.csv\n";

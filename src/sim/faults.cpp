@@ -235,12 +235,6 @@ const char* campaign_arm_name(CampaignArm arm) {
 
 namespace {
 
-Scenario make_suite_by_name(const std::string& name, int frames,
-                            std::uint64_t seed) {
-  // Shared resolver: legacy names, built-in DSL specs, "dsl:<line>".
-  return make_suite_or_dsl(name, frames, seed);
-}
-
 std::unique_ptr<core::Policy> make_campaign_policy(
     const std::string& name, const core::SafetyConfig& certified,
     int hysteresis, int level_count) {
@@ -303,7 +297,7 @@ FaultCampaignResult run_fault_campaign(const CampaignInputs& inputs,
     const std::uint64_t suite_seed =
         config.seed + 0x1000ull * static_cast<std::uint64_t>(s);
     const Scenario scenario =
-        make_suite_by_name(suite, config.frames, suite_seed);
+        make_suite_or_dsl(suite, config.frames, suite_seed);
     // One plan per suite, shared by every arm: recovery numbers are paired.
     const FaultPlan plan = FaultPlan::random_plan(
         suite_seed ^ 0x9E3779B97F4A7C15ull, config.frames,

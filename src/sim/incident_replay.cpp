@@ -15,14 +15,6 @@
 namespace rrp::sim {
 namespace {
 
-Scenario blackbox_suite(const std::string& name, int frames,
-                        std::uint64_t seed) {
-  // Legacy suite names, built-in spec names and "dsl:<line>" strings all
-  // resolve through the shared DSL resolver, so a campaign worst-cell
-  // bundle replays with no side-channel files.
-  return make_suite_or_dsl(name, frames, seed);
-}
-
 std::unique_ptr<core::Policy> blackbox_policy(const std::string& name,
                                               const core::SafetyConfig& certified,
                                               int hysteresis, int level_count) {
@@ -167,8 +159,10 @@ BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
     rc.flight_recorder = &recorder;
     rc.slo = &slo;
 
+    // Built-in names and "dsl:<line>" strings resolve alike, so a campaign
+    // worst-cell bundle replays with no side-channel files.
     const Scenario scenario =
-        blackbox_suite(spec.suite, spec.frames, spec.scenario_seed);
+        make_suite_or_dsl(spec.suite, spec.frames, spec.scenario_seed);
     out.run = run_scenario(scenario, controller, rc, &harness);
   }
   pristine.restore_all(*inputs.net);

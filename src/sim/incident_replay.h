@@ -32,7 +32,7 @@ FaultPlan fault_plan_from_recorded(const std::vector<core::RecordedFault>& v);
 /// bundle context, so a replay can reconstruct the spec verbatim.
 struct BlackboxRunSpec {
   std::string model = "lenet";    ///< informational: provisioned model name
-  std::string suite = "cut_in";   ///< scenario suite (sim/suites.h)
+  std::string suite = "cut_in";   ///< built-in name or "dsl:<line>"
   std::string policy = "greedy";  ///< "greedy" or "fixed<K>"
   int frames = 600;
   std::uint64_t scenario_seed = 20240325;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <sstream>
 
-#include "sim/suites.h"
 #include "util/checks.h"
 #include "util/rng.h"
 
@@ -66,9 +66,15 @@ bool valid_name(const std::string& s) {
 // Primitive registry: kind names, overlay flag, known parameter keys.
 // ---------------------------------------------------------------------------
 
+/// The integer type an engine casts a parameter to.  Casting a double
+/// whose truncation does not fit the type is undefined behaviour, so
+/// validation rejects such values up front.
+enum class IntCast { Int, Size, U64 };
+
 struct KindInfo {
   bool overlay = false;
   std::vector<const char*> keys;
+  std::vector<std::pair<const char*, IntCast>> int_keys = {};
 };
 
 const std::map<std::string, KindInfo>& kind_table() {
@@ -78,28 +84,41 @@ const std::map<std::string, KindInfo>& kind_table() {
         {"gap_lo", "gap_hi", "closing_jitter", "jitter_sigma", "closing_clamp",
          "brake_prob", "brake_lo", "brake_hi", "brake_frames_lo",
          "brake_frames_hi", "resolve_gap", "resolve_lo", "resolve_hi",
-         "far_gap", "near_gap"}}},
-      {"debris", {false, {"prob", "gap_lo", "gap_hi", "lat", "closing_frac",
-                          "cap"}}},
+         "far_gap", "near_gap"},
+        {{"brake_frames_lo", IntCast::Int},
+         {"brake_frames_hi", IntCast::Int}}}},
+      {"debris",
+       {false,
+        {"prob", "gap_lo", "gap_hi", "lat", "closing_frac", "cap"},
+        {{"cap", IntCast::Size}}}},
       {"traffic",
        {false,
         {"spawn_prob", "max_actors", "vulnerable_frac", "vehicle_frac",
          "ped_frac", "gap_lo", "gap_hi", "lat", "closing_lo", "closing_hi",
          "drift_sigma", "brake_gap", "brake_prob", "brake_cap", "burst_period",
-         "burst_len", "burst_factor"}}},
+         "burst_len", "burst_factor"},
+        {{"max_actors", IntCast::Size},
+         {"burst_period", IntCast::Int},
+         {"burst_len", IntCast::Int}}}},
       {"cut_in",
        {false,
         {"period", "count", "gap_lo", "gap_hi", "closing_lo", "closing_hi",
          "lat", "resolve_gap", "resolve_lo", "resolve_hi", "drop_gap",
-         "lead_gap"}}},
+         "lead_gap"},
+        {{"period", IntCast::Int}, {"count", IntCast::Int}}}},
       {"crossers",
        {false,
         {"spawn_prob", "max_walkers", "ped_frac", "gap_lo", "gap_hi",
          "side_lo", "side_hi", "closing", "speed_lo", "speed_hi", "exit_lat",
-         "exit_gap"}}},
+         "exit_gap"},
+        {{"max_walkers", IntCast::Size}}}},
       {"speed_regime", {false, {"target", "start", "end"}}},
-      {"occlusion", {true, {"seed_offset", "prob", "len_lo", "len_hi",
-                            "vis_lo", "vis_hi"}}},
+      {"occlusion",
+       {true,
+        {"seed_offset", "prob", "len_lo", "len_hi", "vis_lo", "vis_hi"},
+        {{"seed_offset", IntCast::U64},
+         {"len_lo", IntCast::Int},
+         {"len_hi", IntCast::Int}}}},
       {"visibility_ramp", {true, {"to", "start", "end", "floor"}}},
   };
   return table;
@@ -113,10 +132,26 @@ const KindInfo& kind_info(const std::string& kind) {
   return it->second;
 }
 
+/// True iff static_cast to `type` is defined for `v`: its truncation is
+/// representable (NaN and infinities never are).
+bool fits(double v, IntCast type) {
+  const double t = std::trunc(v);
+  switch (type) {
+    case IntCast::Int:
+      return t >= std::numeric_limits<int>::min() &&
+             t <= std::numeric_limits<int>::max();
+    case IntCast::Size:
+      return t >= 0.0 &&
+             t < std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+    case IntCast::U64:
+      return t >= 0.0 && t < std::ldexp(1.0, 64);
+  }
+  return false;
+}
+
 void validate_primitive(const ScenarioPrimitive& p) {
   const KindInfo& info = kind_info(p.kind);
   for (const auto& [key, value] : p.params) {
-    (void)value;
     const bool known = std::find_if(info.keys.begin(), info.keys.end(),
                                     [&key](const char* k) {
                                       return key == k;
@@ -124,6 +159,11 @@ void validate_primitive(const ScenarioPrimitive& p) {
     if (!known)
       throw SerializationError("scenario spec: primitive '" + p.kind +
                                "' has no parameter '" + key + "'");
+    for (const auto& [int_key, type] : info.int_keys)
+      if (key == int_key && !fits(value, type))
+        throw SerializationError("scenario spec: primitive '" + p.kind +
+                                 "' parameter '" + key +
+                                 "' is out of range for its integer type");
   }
 }
 
@@ -142,8 +182,10 @@ void validate_spec(const ScenarioSpec& spec) {
 // ---------------------------------------------------------------------------
 // Primitive engines.  Process primitives share ONE main Rng stream in a
 // fixed phase order per frame (pre_step → project → emit → step_actors →
-// post_step); each phase replicates the exact draw order of the legacy
-// suite it descends from, so the parity specs are byte-identical.
+// post_step).  The draw order within each phase is frozen: the five
+// evaluation suites' bytes (and every golden trace and gated baseline
+// built on them) are pinned by digest, so reordering a draw is a
+// behaviour change, not a refactor.
 // ---------------------------------------------------------------------------
 
 class Primitive {
@@ -179,7 +221,7 @@ class Primitive {
 };
 
 /// Persistent lead that mostly keeps its gap; rare hard-braking events.
-/// Parity: make_highway's lead logic, draw for draw.
+/// Parity: the "highway" suite's lead; the draw order is pinned.
 class LeadVehiclePrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -234,7 +276,7 @@ class LeadVehiclePrim final : public Primitive {
   int braking_left_ = 0;
 };
 
-/// Occasional road debris far ahead.  Parity: make_highway's debris spawn.
+/// Occasional road debris far ahead.  Parity: the "highway" suite's debris.
 class DebrisPrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -255,8 +297,8 @@ class DebrisPrim final : public Primitive {
 
 /// Urban traffic: mixed spawns, lateral drift, near-range braking, with
 /// optional density bursts (spawn probability multiplied inside periodic
-/// windows — no extra draws, so burst_period=0 is stream-identical to the
-/// legacy generator).  Parity: make_urban.
+/// windows — no extra draws, so burst_period=0 leaves the stream of the
+/// "urban" suite unchanged).  Parity: "urban".
 class TrafficPrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -294,8 +336,8 @@ class TrafficPrim final : public Primitive {
 };
 
 /// Scripted (multi-actor) cut-ins at a fixed cadence, resolving once
-/// close; keeps a calm background lead alive.  Parity: make_cut_in with
-/// count=1 and period=0 (0 derives the legacy max(180, frames/4)).
+/// close; keeps a calm background lead alive.  Parity: "cut_in" with
+/// count=1 and period=0 (0 derives the period max(180, frames/4)).
 class CutInPrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -349,7 +391,7 @@ class CutInPrim final : public Primitive {
 
 /// Pedestrians/cyclists crossing the corridor LATERALLY.  Walkers are
 /// internal (projected into emitted scenes only), so step_actors never
-/// touches them — parity: make_intersection's Walker list.
+/// touches them.  Parity: "intersection".
 class CrossersPrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -428,8 +470,8 @@ class SpeedRegimePrim final : public Primitive {
   int frames_ = 1;
 };
 
-/// Overlay: visibility drop windows (fog banks / glare).  Parity:
-/// make_degraded's post-pass with its own Rng(seed + seed_offset) stream.
+/// Overlay: visibility drop windows (fog banks / glare), drawn from its
+/// own Rng(seed + seed_offset) stream.  Parity: "degraded".
 class OcclusionPrim final : public Primitive {
  public:
   using Primitive::Primitive;
@@ -689,7 +731,8 @@ ScenarioSpec builtin_scenario_spec(const std::string& name) {
   }
   if (name == "degraded") {
     // Urban traffic under a transformed main seed + occlusion windows on
-    // the original seed + 17: exactly make_degraded's two streams.
+    // the original seed + 17: two streams, so the fog never perturbs the
+    // traffic.
     s.ego_speed_mps = 12.0;
     s.vis_lo = 0.8;
     s.vis_hi = 1.0;
@@ -765,13 +808,6 @@ Scenario make_suite_or_dsl(const std::string& suite, int frames,
         parse_scenario_spec(suite.substr(std::string(kDslSuitePrefix).size()));
     return generate_scenario(spec, frames, seed);
   }
-  // The five legacy names keep their original generators (pinned by golden
-  // traces); the parity tests prove the DSL specs expand identically.
-  if (suite == "highway") return make_highway(frames, seed);
-  if (suite == "urban") return make_urban(frames, seed);
-  if (suite == "cut_in") return make_cut_in(frames, seed);
-  if (suite == "degraded") return make_degraded(frames, seed);
-  if (suite == "intersection") return make_intersection(frames, seed);
   if (is_builtin_scenario(suite))
     return generate_scenario(builtin_scenario_spec(suite), frames, seed);
   RRP_CHECK_MSG(false, "unknown scenario suite '" << suite << "'");

@@ -1,13 +1,13 @@
 // scenario_gen.h — seeded, composable scenario DSL.
 //
-// The five hand-written suites (sim/suites.h) cover five fixed points of
-// the scenario space; the statistical safety case (ROADMAP item 4) needs
-// thousands of points.  This unit replaces hand-enumeration with a small
-// DSL: a ScenarioSpec composes primitives — lead-vehicle dynamics, debris,
-// urban traffic with density bursts, multi-actor cut-ins, lateral
-// crossers, speed regimes, occlusion windows and visibility ramps — and
-// generate_scenario() expands a (spec, seed) pair into a Scenario that is
-// byte-deterministic in both arguments, for any RRP_THREADS.
+// The one scenario generator.  The five evaluation suites are five fixed
+// points of the scenario space; the statistical safety case needs
+// thousands.  A small DSL covers both: a ScenarioSpec composes primitives
+// — lead-vehicle dynamics, debris, urban traffic with density bursts,
+// multi-actor cut-ins, lateral crossers, speed regimes, occlusion windows
+// and visibility ramps — and generate_scenario() expands a (spec, seed)
+// pair into a Scenario that is byte-deterministic in both arguments, for
+// any RRP_THREADS.
 //
 // Determinism contract.  All "process" primitives draw from ONE main
 // rrp::Rng stream, in primitive order, in a fixed per-frame phase order
@@ -19,11 +19,12 @@
 // util/rng.h API: src/sim/scenario_gen.* is deliberately NOT on the
 // rrp_lint ambient-RNG or chrono whitelists.
 //
-// Parity.  Each legacy suite is expressible as a spec —
+// Parity.  The five evaluation suites are built-in specs —
 // builtin_scenario_spec("highway"|"urban"|"cut_in"|"degraded"|
-// "intersection") — whose expansion is byte-identical to the legacy
-// generator under the same (frames, seed) (parity-tested; the golden
-// traces pin the legacy generators, the parity tests pin the DSL to them).
+// "intersection") — and are canonical: their expansions are byte-pinned
+// by digest over a (frames, seed) grid (DslParity in
+// test_scenario_gen.cpp), and the golden traces and gated baselines are
+// built on them.
 //
 // Serialization.  encode_scenario_spec() renders a spec as one canonical
 // line (sorted params, shortest round-trip doubles); parse_scenario_spec()
@@ -42,8 +43,9 @@ namespace rrp::sim {
 
 /// One composable building block.  `kind` is one of the names returned by
 /// scenario_primitive_kinds(); params not present take that kind's
-/// defaults (which reproduce the legacy suites).  Unknown kinds or param
-/// keys throw rrp::SerializationError — specs are validated, not guessed.
+/// defaults (which give the five evaluation suites).  Unknown kinds or
+/// param keys, and values an integer parameter cannot hold, throw
+/// rrp::SerializationError — specs are validated, not guessed.
 struct ScenarioPrimitive {
   std::string kind;
   std::map<std::string, double> params;  // sorted => canonical encoding
@@ -84,8 +86,9 @@ std::string encode_scenario_spec(const ScenarioSpec& spec);
 /// diagnostic on malformed input.
 ScenarioSpec parse_scenario_spec(const std::string& line);
 
-/// Built-in spec library: the five legacy-suite parity specs plus
-/// generated families ("swarm_cut_in", "rush_hour", "fog_ramp").
+/// Built-in spec library: the five evaluation suites (in the order the
+/// end-to-end table indexes them) plus generated families
+/// ("swarm_cut_in", "rush_hour", "fog_ramp").
 std::vector<std::string> builtin_scenario_names();
 bool is_builtin_scenario(const std::string& name);
 ScenarioSpec builtin_scenario_spec(const std::string& name);
@@ -96,10 +99,11 @@ extern const char* const kDslSuitePrefix;
 bool is_dsl_suite(const std::string& suite);
 std::string dsl_suite_string(const ScenarioSpec& spec);
 
-/// The shared scenario resolver: a legacy suite name (sim/suites.h), a
-/// built-in spec name, or a "dsl:<line>" string.  Used by the blackbox
-/// replayer, the fault campaign and the Monte-Carlo campaign driver, so
-/// every consumer accepts the same vocabulary.
+/// The shared scenario resolver: a built-in spec name or a "dsl:<line>"
+/// string.  Every consumer (benches, examples, the CLI, the blackbox
+/// replayer, the fault and Monte-Carlo campaigns) resolves suites here,
+/// so all accept the same vocabulary.  An unknown name throws
+/// rrp::PreconditionError.
 Scenario make_suite_or_dsl(const std::string& suite, int frames,
                            std::uint64_t seed);
 

@@ -56,7 +56,8 @@ int Rng::uniform_int(int lo, int hi) {
   RRP_CHECK(lo <= hi);
   const std::uint64_t span =
       static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) - lo) + 1;
-  return lo + static_cast<int>(uniform_u64(span));
+  // Sum in 64 bits: the offset can exceed INT_MAX when the span does.
+  return static_cast<int>(lo + static_cast<std::int64_t>(uniform_u64(span)));
 }
 
 double Rng::uniform() {

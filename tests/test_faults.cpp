@@ -8,7 +8,7 @@
 #include "nn/init.h"
 #include "sim/faults.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/checks.h"
 #include "util/thread_pool.h"
@@ -149,7 +149,7 @@ TEST_F(FaultsFixture, StuckCriticalityBlindsTheController) {
   // Stuck-at-Low over the whole run: the greedy policy never sees High, so
   // it prunes at the Low cap the entire time; the ground-truth audit
   // (true_violation) records the resulting exposure in a cut-in.
-  const Scenario scenario = make_cut_in(200, 5);
+  const Scenario scenario = make_suite_or_dsl("cut_in", 200, 5);
   FaultEvent stuck;
   stuck.kind = FaultKind::StuckCriticality;
   stuck.frame = 0;
@@ -178,7 +178,7 @@ TEST_F(FaultsFixture, StuckCriticalityBlindsTheController) {
 }
 
 TEST_F(FaultsFixture, DroppedDecisionFreezesTheLevel) {
-  const Scenario scenario = make_cut_in(150, 5);
+  const Scenario scenario = make_suite_or_dsl("cut_in", 150, 5);
   core::ReversiblePruner rp(net_, lib_);
   core::CriticalityGreedyPolicy policy(certified_, 2, rp.level_count());
   core::SafetyMonitor monitor(certified_);
@@ -200,7 +200,7 @@ TEST_F(FaultsFixture, DroppedDecisionFreezesTheLevel) {
 }
 
 TEST_F(FaultsFixture, LatencySpikeTripsTheWatchdog) {
-  const Scenario scenario = make_highway(120, 5);
+  const Scenario scenario = make_suite_or_dsl("highway", 120, 5);
   core::ReversiblePruner rp(net_, lib_);
   // A fixed level-0 policy never prunes, so under a long latency spike only
   // the watchdog can shed load.
@@ -231,7 +231,7 @@ TEST_F(FaultsFixture, LatencySpikeTripsTheWatchdog) {
 }
 
 TEST_F(FaultsFixture, ScrubDetectsAndHealsInjectedFlipInLoop) {
-  const Scenario scenario = make_highway(100, 5);
+  const Scenario scenario = make_suite_or_dsl("highway", 100, 5);
   core::ReversiblePruner rp(net_, lib_);
   core::IntegrityChecker checker(rp.store());
   core::FixedPolicy policy(0);
@@ -271,7 +271,7 @@ TEST_F(FaultsFixture, ScrubDetectsAndHealsInjectedFlipInLoop) {
 }
 
 TEST_F(FaultsFixture, ReloadArmDetectsViaDigestAndPaysFullReload) {
-  const Scenario scenario = make_highway(100, 5);
+  const Scenario scenario = make_suite_or_dsl("highway", 100, 5);
   core::ReloadProvider reload(net_, lib_,
                               core::ReloadProvider::Source::Memory);
   const std::vector<std::uint64_t> digests = reload_level_digests(reload);

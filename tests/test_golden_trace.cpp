@@ -27,7 +27,7 @@
 #include "core/metrics.h"
 #include "models/trained_cache.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "util/trace.h"
 
 namespace rrp {
@@ -80,7 +80,7 @@ TEST(GoldenTrace, LenetCutInExportsMatchPinnedDigests) {
     sim::RunConfig cfg;
     cfg.deadline_ms = 12.0;
     cfg.noise_seed = 0xC0FFEEull;
-    const sim::Scenario sc = sim::make_cut_in(150, 41);
+    const sim::Scenario sc = sim::make_suite_or_dsl("cut_in", 150, 41);
     const sim::RunResult result = sim::run_scenario(sc, ctl, cfg);
 
     std::ostringstream os;

@@ -11,7 +11,6 @@
 #include "core/weight_store.h"
 #include "nn/init.h"
 #include "sim/incident_replay.h"
-#include "sim/suites.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 

@@ -5,7 +5,7 @@
 #include "core/baselines.h"
 #include "core/level_train.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/checks.h"
 
@@ -49,7 +49,7 @@ class EndToEnd : public ::testing::Test {
     core::co_train_levels(net_, lib_, train_, nn::Dataset{}, co, co_rng);
 
     certified_.max_level_for = {2, 1, 0, 0};
-    scenario_ = sim::make_cut_in(600, 6);
+    scenario_ = sim::make_suite_or_dsl("cut_in", 600, 6);
   }
 
   sim::RunResult run_with(core::InferenceProvider& provider,

@@ -17,7 +17,7 @@
 #include "core/metrics.h"
 #include "core/reversible_pruner.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -71,7 +71,7 @@ class ObservabilityParity : public ::testing::Test {
       core::CriticalityGreedyPolicy policy(certified, 3, rp.level_count());
       core::SafetyMonitor monitor(certified);
       core::RuntimeController ctl(policy, rp, &monitor);
-      const Scenario sc = make_cut_in(200, 5);
+      const Scenario sc = make_suite_or_dsl("cut_in", 200, 5);
       const RunResult result = run_scenario(sc, ctl, cfg_);
       cap.summary = result.summary;
       std::ostringstream os;

@@ -2,7 +2,7 @@
 
 #include "sim/perception_criticality.h"
 #include "sim/runner.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/checks.h"
 
@@ -103,7 +103,7 @@ TEST(PerceptionSource, SelfTriggeredLoopHasMoreTrueViolations) {
 
   core::SafetyConfig certified;
   certified.max_level_for = {2, 1, 0, 0};
-  const Scenario sc = make_cut_in(600, 5);
+  const Scenario sc = make_suite_or_dsl("cut_in", 600, 5);
 
   auto run_with = [&](CriticalitySource source) {
     core::ReversiblePruner provider(net, lib);
@@ -140,7 +140,8 @@ TEST(PerceptionSource, FloorVariantPrunesLess) {
   cfg.vision.height = 8;
   cfg.vision.width = 8;
   cfg.criticality_source = CriticalitySource::PerceptionFloor;
-  const auto s = run_scenario(make_urban(120, 3), ctl, cfg).summary;
+  const auto s =
+      run_scenario(make_suite_or_dsl("urban", 120, 3), ctl, cfg).summary;
   EXPECT_LE(s.mean_level, 1.0 + 1e-9);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/checks.h"
@@ -45,6 +46,17 @@ TEST(Rng, UniformIntCoversFullRangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
   EXPECT_EQ(*seen.begin(), -2);
   EXPECT_EQ(*seen.rbegin(), 2);
+
+  // The full int range: the drawn offset exceeds INT_MAX, so the sum must
+  // not be done in int (signed overflow; the UBSan build reports it).
+  bool negative = false, positive = false;
+  for (int i = 0; i < 64; ++i) {
+    const int v = rng.uniform_int(std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::max());
+    negative |= v < 0;
+    positive |= v > 0;
+  }
+  EXPECT_TRUE(negative && positive);
 }
 
 TEST(Rng, UniformU64RejectsZero) {

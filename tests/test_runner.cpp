@@ -2,8 +2,8 @@
 
 #include "core/baselines.h"
 #include "sim/runner.h"
+#include "sim/scenario_gen.h"
 #include "util/checks.h"
-#include "sim/suites.h"
 #include "test_support.h"
 
 namespace rrp::sim {
@@ -79,7 +79,7 @@ TEST_F(RunnerFixture, ClosedLoopProducesOneRecordPerFrame) {
   core::SafetyMonitor monitor(certified);
   core::RuntimeController ctl(policy, rp, &monitor);
 
-  const Scenario sc = make_cut_in(240, 5);
+  const Scenario sc = make_suite_or_dsl("cut_in", 240, 5);
   const RunResult result = run_scenario(sc, ctl, cfg_);
   EXPECT_EQ(result.telemetry.size(), sc.frame_count());
   EXPECT_EQ(result.scenario, "cut_in");
@@ -95,7 +95,7 @@ TEST_F(RunnerFixture, ReversibleControllerNeverViolatesSafety) {
   core::SafetyMonitor monitor(certified);
   core::RuntimeController ctl(policy, rp, &monitor);
 
-  const Scenario sc = make_cut_in(400, 6);
+  const Scenario sc = make_suite_or_dsl("cut_in", 400, 6);
   const RunResult result = run_scenario(sc, ctl, cfg_);
   EXPECT_EQ(result.summary.safety_violations, 0);
   // The controller must actually adapt in a cut-in scenario.
@@ -110,7 +110,7 @@ TEST_F(RunnerFixture, StaticDeepPruningViolatesInCriticalScenes) {
   core::SafetyMonitor monitor(certified);
   core::RuntimeController ctl(policy, sp, &monitor);
 
-  const Scenario sc = make_cut_in(400, 7);
+  const Scenario sc = make_suite_or_dsl("cut_in", 400, 7);
   const RunResult result = run_scenario(sc, ctl, cfg_);
   EXPECT_GT(result.summary.safety_violations, 0);
 }
@@ -129,7 +129,7 @@ TEST_F(RunnerFixture, EnergyBudgetSignalReachesPolicy) {
 
   RunConfig cfg = cfg_;
   cfg.energy_budget_mj = 1e-6;  // exhausted immediately
-  const Scenario sc = make_highway(200, 8);
+  const Scenario sc = make_suite_or_dsl("highway", 200, 8);
   const RunResult result = run_scenario(sc, ctl, cfg);
   EXPECT_GT(result.summary.mean_level, 1.0);
 }
@@ -140,7 +140,7 @@ TEST_F(RunnerFixture, SwitchCostAppearsInTelemetry) {
   certified.max_level_for = {2, 1, 0, 0};
   core::CriticalityGreedyPolicy policy(certified, 2, rp.level_count());
   core::RuntimeController ctl(policy, rp, nullptr);
-  const Scenario sc = make_cut_in(300, 9);
+  const Scenario sc = make_suite_or_dsl("cut_in", 300, 9);
   const RunResult result = run_scenario(sc, ctl, cfg_);
   EXPECT_GT(result.summary.mean_switch_us, 0.0);
 }
@@ -153,7 +153,7 @@ TEST_F(RunnerFixture, DeterministicAcrossRuns) {
     certified.max_level_for = {2, 1, 0, 0};
     core::CriticalityGreedyPolicy policy(certified, 3, rp.level_count());
     core::RuntimeController ctl(policy, rp, nullptr);
-    const Scenario sc = make_urban(150, 10);
+    const Scenario sc = make_suite_or_dsl("urban", 150, 10);
     return run_scenario(sc, ctl, cfg_).summary;
   };
   const auto a = run_once();
@@ -205,7 +205,7 @@ TEST(SensorFaults, BlackoutDegradesAccuracyButLoopSurvives) {
     core::RuntimeController ctl(policy, provider, nullptr);
     RunConfig c = cfg;
     c.sensor_blackout_prob = p;
-    return run_scenario(make_urban(400, 9), ctl, c).summary;
+    return run_scenario(make_suite_or_dsl("urban", 400, 9), ctl, c).summary;
   };
 
   const auto clean = run_with_blackout(0.0);
@@ -223,7 +223,8 @@ TEST(SensorFaults, ValidatesProbability) {
   core::RuntimeController ctl(policy, provider, nullptr);
   RunConfig cfg;
   cfg.sensor_blackout_prob = 1.5;
-  EXPECT_THROW(run_scenario(make_urban(10, 1), ctl, cfg), PreconditionError);
+  EXPECT_THROW(run_scenario(make_suite_or_dsl("urban", 10, 1), ctl, cfg),
+               PreconditionError);
 }
 
 }  // namespace
@@ -249,7 +250,8 @@ TEST(CriticalitySourceTest, GroundTruthAndPerceptionDiverge) {
   cfg.vision.height = 8;
   cfg.vision.width = 8;
   cfg.criticality_source = CriticalitySource::Perception;
-  const RunResult r = run_scenario(make_cut_in(200, 4), ctl, cfg);
+  const RunResult r =
+      run_scenario(make_suite_or_dsl("cut_in", 200, 4), ctl, cfg);
   EXPECT_EQ(r.telemetry.size(), 200u);
   // Sensed-basis violations are impossible by construction (monitor
   // screens the same signal it audits)...
@@ -274,7 +276,8 @@ TEST(CriticalitySourceTest, TrueViolationsAtLeastSensedForDelayedTtc) {
   cfg.vision.height = 8;
   cfg.vision.width = 8;
   cfg.sensing_delay_frames = 2;
-  const RunResult r = run_scenario(make_cut_in(300, 5), ctl, cfg);
+  const RunResult r =
+      run_scenario(make_suite_or_dsl("cut_in", 300, 5), ctl, cfg);
   EXPECT_GE(r.summary.true_safety_violations, r.summary.safety_violations);
 }
 
@@ -291,7 +294,8 @@ TEST(IntersectionLoop, ControllerCyclesWithCrossingTraffic) {
   RunConfig cfg;
   cfg.vision.height = 8;
   cfg.vision.width = 8;
-  const RunResult r = run_scenario(make_intersection(1200, 6), ctl, cfg);
+  const RunResult r =
+      run_scenario(make_suite_or_dsl("intersection", 1200, 6), ctl, cfg);
   // Crossing pedestrians force restore/re-prune cycles.
   EXPECT_GT(r.summary.level_switches, 2);
   EXPECT_EQ(r.summary.safety_violations, 0);

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "sim/criticality.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "util/checks.h"
 
 namespace rrp::sim {
@@ -79,7 +79,7 @@ TEST(Criticality, ProximityFloorEvenWithoutClosing) {
 }
 
 TEST(Criticality, TraceMatchesPerSceneClassification) {
-  const Scenario sc = make_cut_in(200, 42);
+  const Scenario sc = make_suite_or_dsl("cut_in", 200, 42);
   const auto trace = criticality_trace(sc);
   ASSERT_EQ(trace.size(), sc.scenes.size());
   for (std::size_t i = 0; i < trace.size(); i += 17)
@@ -87,8 +87,8 @@ TEST(Criticality, TraceMatchesPerSceneClassification) {
 }
 
 TEST(Suites, DeterministicForSameSeed) {
-  const Scenario a = make_highway(300, 7);
-  const Scenario b = make_highway(300, 7);
+  const Scenario a = make_suite_or_dsl("highway", 300, 7);
+  const Scenario b = make_suite_or_dsl("highway", 300, 7);
   ASSERT_EQ(a.scenes.size(), b.scenes.size());
   for (std::size_t i = 0; i < a.scenes.size(); i += 29) {
     ASSERT_EQ(a.scenes[i].actors.size(), b.scenes[i].actors.size());
@@ -99,8 +99,8 @@ TEST(Suites, DeterministicForSameSeed) {
 }
 
 TEST(Suites, DifferentSeedsDiffer) {
-  const Scenario a = make_urban(300, 1);
-  const Scenario b = make_urban(300, 2);
+  const Scenario a = make_suite_or_dsl("urban", 300, 1);
+  const Scenario b = make_suite_or_dsl("urban", 300, 2);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.scenes.size(); ++i)
     if (a.scenes[i].actors.size() != b.scenes[i].actors.size())
@@ -110,20 +110,20 @@ TEST(Suites, DifferentSeedsDiffer) {
 
 TEST(Suites, RequestedFrameCount) {
   for (int frames : {30, 450}) {
-    EXPECT_EQ(make_highway(frames, 3).frame_count(),
+    EXPECT_EQ(make_suite_or_dsl("highway", frames, 3).frame_count(),
               static_cast<std::size_t>(frames));
-    EXPECT_EQ(make_urban(frames, 3).frame_count(),
+    EXPECT_EQ(make_suite_or_dsl("urban", frames, 3).frame_count(),
               static_cast<std::size_t>(frames));
-    EXPECT_EQ(make_cut_in(frames, 3).frame_count(),
+    EXPECT_EQ(make_suite_or_dsl("cut_in", frames, 3).frame_count(),
               static_cast<std::size_t>(frames));
-    EXPECT_EQ(make_degraded(frames, 3).frame_count(),
+    EXPECT_EQ(make_suite_or_dsl("degraded", frames, 3).frame_count(),
               static_cast<std::size_t>(frames));
   }
-  EXPECT_THROW(make_highway(0, 3), PreconditionError);
+  EXPECT_THROW(make_suite_or_dsl("highway", 0, 3), PreconditionError);
 }
 
 TEST(Suites, CutInProducesCriticalBursts) {
-  const Scenario sc = make_cut_in(900, 11);
+  const Scenario sc = make_suite_or_dsl("cut_in", 900, 11);
   const auto trace = criticality_trace(sc);
   int critical_or_high = 0, low = 0;
   for (auto c : trace) {
@@ -135,7 +135,7 @@ TEST(Suites, CutInProducesCriticalBursts) {
 }
 
 TEST(Suites, HighwayMostlyCalm) {
-  const Scenario sc = make_highway(900, 13);
+  const Scenario sc = make_suite_or_dsl("highway", 900, 13);
   const auto trace = criticality_trace(sc);
   int low_or_medium = 0;
   for (auto c : trace) low_or_medium += (c <= CriticalityClass::Medium);
@@ -143,14 +143,14 @@ TEST(Suites, HighwayMostlyCalm) {
 }
 
 TEST(Suites, DegradedHasVisibilityDrops) {
-  const Scenario sc = make_degraded(1200, 17);
+  const Scenario sc = make_suite_or_dsl("degraded", 1200, 17);
   double min_vis = 1.0;
   for (const Scene& s : sc.scenes) min_vis = std::min(min_vis, s.visibility);
   EXPECT_LT(min_vis, 0.75);
 }
 
 TEST(Suites, UrbanContainsVulnerableRoadUsers) {
-  const Scenario sc = make_urban(900, 19);
+  const Scenario sc = make_suite_or_dsl("urban", 900, 19);
   int vru = 0;
   for (const Scene& s : sc.scenes)
     for (const Actor& a : s.actors)
@@ -160,7 +160,12 @@ TEST(Suites, UrbanContainsVulnerableRoadUsers) {
 }
 
 TEST(Suites, StandardSuitesBundle) {
-  const auto suites = standard_suites(60, 100);
+  // The five evaluation suites lead the built-in list, in the order the
+  // end-to-end table indexes them (derived seed base + index + 1).
+  const std::vector<std::string> names = builtin_scenario_names();
+  std::vector<Scenario> suites;
+  for (std::size_t i = 0; i < 5; ++i)
+    suites.push_back(make_suite_or_dsl(names.at(i), 60, 100 + i + 1));
   ASSERT_EQ(suites.size(), 5u);
   EXPECT_EQ(suites[0].name, "highway");
   EXPECT_EQ(suites[1].name, "urban");
@@ -183,8 +188,8 @@ namespace {
 using core::CriticalityClass;
 
 TEST(Intersection, DeterministicAndSized) {
-  const Scenario a = make_intersection(600, 3);
-  const Scenario b = make_intersection(600, 3);
+  const Scenario a = make_suite_or_dsl("intersection", 600, 3);
+  const Scenario b = make_suite_or_dsl("intersection", 600, 3);
   ASSERT_EQ(a.frame_count(), 600u);
   for (std::size_t i = 0; i < a.scenes.size(); i += 37) {
     ASSERT_EQ(a.scenes[i].actors.size(), b.scenes[i].actors.size());
@@ -195,7 +200,7 @@ TEST(Intersection, DeterministicAndSized) {
 }
 
 TEST(Intersection, CrossersTraverseTheCorridor) {
-  const Scenario sc = make_intersection(1800, 5);
+  const Scenario sc = make_suite_or_dsl("intersection", 1800, 5);
   // Criticality must rise (proximity floor) while a walker is in-corridor
   // and fall once it leaves — i.e. the trace has both High and Low frames.
   const auto trace = criticality_trace(sc);
@@ -209,7 +214,7 @@ TEST(Intersection, CrossersTraverseTheCorridor) {
 }
 
 TEST(Intersection, OnlyVulnerableRoadUsers) {
-  const Scenario sc = make_intersection(900, 7);
+  const Scenario sc = make_suite_or_dsl("intersection", 900, 7);
   for (const Scene& s : sc.scenes)
     for (const Actor& a : s.actors)
       EXPECT_TRUE(a.type == ActorType::Pedestrian ||

@@ -1,17 +1,18 @@
 // test_scenario_gen.cpp — the scenario DSL (sim/scenario_gen.h).
 //
-// The load-bearing property is PARITY: each legacy suite's DSL spec must
-// expand byte-identically to the legacy generator under the same
-// (frames, seed) — the golden traces pin the legacy generators, these
-// tests pin the DSL to them.  On top: canonical encode/parse round-trips,
-// validation errors, and scene invariants over randomly composed specs.
+// The load-bearing property is PARITY: the five evaluation suites expand
+// to digest-pinned bytes over a (frames, seed) grid — the golden traces
+// and gated baselines are built on those bytes.  On top: canonical
+// encode/parse round-trips, validation errors, and scene invariants over
+// randomly composed specs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <sstream>
 
+#include "core/integrity.h"
 #include "sim/scenario_gen.h"
-#include "sim/suites.h"
 #include "sim/trace_io.h"
 #include "util/checks.h"
 #include "util/rng.h"
@@ -26,12 +27,48 @@ std::string scenario_bytes(const Scenario& sc) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity with the five legacy suites.
+// The five evaluation suites, byte-pinned by digest.
 // ---------------------------------------------------------------------------
+
+// FNV-1a digests of write_scenario_csv() for each suite over frames
+// {1, 150, 700, 1000} x seeds {1, 42, 20240325}, recorded from the
+// hand-written generators these specs replaced (the golden traces and
+// gated baselines were built on those bytes).  1000 frames crosses
+// cut_in's derived period max(180, frames/4); 1 frame is the edge case.
+constexpr int kParityFrames[] = {1, 150, 700, 1000};
+constexpr std::uint64_t kParitySeeds[] = {1, 42, 20240325};
 
 struct ParityCase {
   const char* name;
-  Scenario (*legacy)(int, std::uint64_t);
+  std::array<std::uint64_t, 12> digests;  // [frames][seed], frames-major
+};
+
+const ParityCase kParityCases[] = {
+    {"highway",
+     {0xf0ae85df881838bfull, 0x8d6842974e156325ull, 0x3934488235aa0d2dull,
+      0x67508e8415ffb16full, 0xeafdfb85b1bc0296ull, 0xf5fce6ce67ebbbd1ull,
+      0xefb83a40646487b4ull, 0xd35eecb7ca830034ull, 0xfff37c3644f70012ull,
+      0x20e6713e530c49aeull, 0x59eb0339bdd29becull, 0x2a3ac60fcb0c9487ull}},
+    {"urban",
+     {0xbeeb219c5c6d2c95ull, 0xdd312ff489966d75ull, 0xa68b7d1437aafc28ull,
+      0xf5251c15d6cfea19ull, 0x425ca7d920189054ull, 0xb61ce8260dbadeeeull,
+      0x118e481400baceceull, 0x29394457970276c0ull, 0x27b1ec42f6133cfaull,
+      0x6c3bcf431da1c2ccull, 0x07cf023d1fc9afcbull, 0xed046bd026cf5349ull}},
+    {"cut_in",
+     {0x4f29be479eb96041ull, 0x587dc522cee64364ull, 0xd48f5bce0dd9447eull,
+      0x627b8a44eb421cfeull, 0xf9bb434254fcaea0ull, 0x5e9796e7b3f60250ull,
+      0xad5f60b94d9d3342ull, 0xaf1c1c1e58f80f6cull, 0x9ae1b8e813371f79ull,
+      0x7fefb535d6ad11b6ull, 0xa1fb31f44b73cd4bull, 0x59393f0b88a32036ull}},
+    {"degraded",
+     {0x90ad57ab64f21c52ull, 0xc5b646c36ace2371ull, 0xff874d0150281960ull,
+      0x09aa6836eb32fcc5ull, 0xb528bed61d0df6ddull, 0xbead5fbb664b52eeull,
+      0x96f518c70e635b12ull, 0xced6ae981c62ebedull, 0xc35a5a7b346a0fa0ull,
+      0x3bbba48a33f108dfull, 0xd2984b03500f5afdull, 0x476a558ba0aab438ull}},
+    {"intersection",
+     {0x455a1c2ab87c33c5ull, 0xab304693556c4525ull, 0xb88d3abcbfd10858ull,
+      0x417fb91171545befull, 0x2bdd89764cb5b982ull, 0xfc13e0d698431cd7ull,
+      0xd90098a7a937e7d0ull, 0x904a0c55204f4970ull, 0x234ddd0dd8af590eull,
+      0x2d421f1af8806f9full, 0xedb83171ffbe5bf2ull, 0xcbf3a2f7b95367d9ull}},
 };
 
 class DslParity : public ::testing::TestWithParam<ParityCase> {};
@@ -39,24 +76,21 @@ class DslParity : public ::testing::TestWithParam<ParityCase> {};
 TEST_P(DslParity, BuiltinSpecMatchesLegacyGeneratorByteForByte) {
   const ParityCase& pc = GetParam();
   const ScenarioSpec spec = builtin_scenario_spec(pc.name);
-  for (std::uint64_t seed : {1ull, 42ull, 20240325ull}) {
-    const Scenario legacy = pc.legacy(700, seed);
-    const Scenario dsl = generate_scenario(spec, 700, seed);
-    ASSERT_EQ(dsl.name, legacy.name) << pc.name;
-    ASSERT_EQ(dsl.dt_s, legacy.dt_s) << pc.name;
-    ASSERT_EQ(dsl.frame_count(), legacy.frame_count()) << pc.name;
-    EXPECT_EQ(scenario_bytes(dsl), scenario_bytes(legacy))
-        << pc.name << " seed=" << seed;
+  std::size_t i = 0;
+  for (int frames : kParityFrames) {
+    for (std::uint64_t seed : kParitySeeds) {
+      const Scenario sc = generate_scenario(spec, frames, seed);
+      ASSERT_EQ(sc.name, pc.name);
+      ASSERT_EQ(sc.frame_count(), static_cast<std::size_t>(frames));
+      const std::string bytes = scenario_bytes(sc);
+      EXPECT_EQ(core::fnv1a64(bytes.data(), bytes.size()), pc.digests[i++])
+          << pc.name << " frames=" << frames << " seed=" << seed;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllLegacySuites, DslParity,
-    ::testing::Values(ParityCase{"highway", make_highway},
-                      ParityCase{"urban", make_urban},
-                      ParityCase{"cut_in", make_cut_in},
-                      ParityCase{"degraded", make_degraded},
-                      ParityCase{"intersection", make_intersection}),
+    AllLegacySuites, DslParity, ::testing::ValuesIn(kParityCases),
     [](const ::testing::TestParamInfo<ParityCase>& info) {
       return std::string(info.param.name);
     });
@@ -198,6 +232,40 @@ TEST(DslEncoding, MalformedSpecsThrow) {
   bad.primitives.push_back(ScenarioPrimitive{"no_such_kind", {}});
   EXPECT_THROW(generate_scenario(bad, 10, 1), SerializationError);
   EXPECT_THROW(builtin_scenario_spec("no_such_builtin"), SerializationError);
+
+  // Parameters an engine casts to an integer type must fit that type
+  // after truncation; casting an out-of-range double is undefined.  Both
+  // entry points reject them, naming the key.
+  struct IntCase {
+    const char* line;
+    const char* kind;
+    const char* key;
+    double value;
+  };
+  for (const IntCase& c : {IntCase{"name=a occlusion{seed_offset=-1}",
+                                   "occlusion", "seed_offset", -1.0},
+                           IntCase{"name=b cut_in{period=1e12}", "cut_in",
+                                   "period", 1e12},
+                           IntCase{"name=c crossers{max_walkers=-1}",
+                                   "crossers", "max_walkers", -1.0}}) {
+    ScenarioSpec spec;
+    spec.primitives.push_back(ScenarioPrimitive{c.kind, {{c.key, c.value}}});
+    for (int entry = 0; entry < 2; ++entry) {
+      try {
+        if (entry == 0) parse_scenario_spec(c.line);
+        else generate_scenario(spec, 10, 1);
+        ADD_FAILURE() << c.line << " did not throw (entry " << entry << ")";
+      } catch (const SerializationError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Values at the edge of each type stay valid; fractions truncate as
+  // before.
+  EXPECT_NO_THROW(parse_scenario_spec(
+      "name=d cut_in{period=2147483647.9} crossers{max_walkers=-0.5} "
+      "occlusion{seed_offset=18446744073709549568}"));
 }
 
 // ---------------------------------------------------------------------------
@@ -274,10 +342,11 @@ TEST(DslProperties, EveryGeneratedScenarioSatisfiesSceneInvariants) {
 // ---------------------------------------------------------------------------
 
 TEST(SuiteResolver, ResolvesLegacyBuiltinAndDslForms) {
-  // Legacy name → legacy generator, byte-for-byte.
+  // Every built-in name (the five evaluation suites included) → the
+  // built-in spec's expansion.
   EXPECT_EQ(scenario_bytes(make_suite_or_dsl("highway", 120, 3)),
-            scenario_bytes(make_highway(120, 3)));
-  // Built-in spec name → DSL expansion.
+            scenario_bytes(
+                generate_scenario(builtin_scenario_spec("highway"), 120, 3)));
   EXPECT_EQ(scenario_bytes(make_suite_or_dsl("rush_hour", 120, 3)),
             scenario_bytes(
                 generate_scenario(builtin_scenario_spec("rush_hour"), 120, 3)));

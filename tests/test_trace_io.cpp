@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "sim/criticality.h"
-#include "sim/suites.h"
+#include "sim/scenario_gen.h"
 #include "sim/trace_io.h"
 #include "util/checks.h"
 
@@ -32,7 +32,7 @@ void expect_same(const Scenario& a, const Scenario& b) {
 }
 
 TEST(TraceIo, RoundTripCutIn) {
-  const Scenario sc = make_cut_in(240, 7);
+  const Scenario sc = make_suite_or_dsl("cut_in", 240, 7);
   std::ostringstream os;
   write_scenario_csv(sc, os);
   std::istringstream is(os.str());
@@ -40,7 +40,7 @@ TEST(TraceIo, RoundTripCutIn) {
 }
 
 TEST(TraceIo, RoundTripPreservesCriticalityTrace) {
-  const Scenario sc = make_urban(300, 9);
+  const Scenario sc = make_suite_or_dsl("urban", 300, 9);
   std::ostringstream os;
   write_scenario_csv(sc, os);
   std::istringstream is(os.str());
@@ -67,7 +67,7 @@ TEST(TraceIo, EmptyFramesSurvive) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const Scenario sc = make_intersection(120, 3);
+  const Scenario sc = make_suite_or_dsl("intersection", 120, 3);
   const std::string path =
       (std::filesystem::temp_directory_path() / "rrp_trace.csv").string();
   save_scenario_csv(sc, path);
@@ -87,7 +87,7 @@ TEST(TraceIo, RejectsMalformedInput) {
   {
     // Valid header but a row with the wrong arity.
     std::ostringstream os;
-    write_scenario_csv(make_cut_in(5, 1), os);
+    write_scenario_csv(make_suite_or_dsl("cut_in", 5, 1), os);
     std::string text = os.str() + "9,1,2\n";
     std::istringstream is(text);
     EXPECT_THROW(read_scenario_csv(is), SerializationError);
@@ -95,7 +95,7 @@ TEST(TraceIo, RejectsMalformedInput) {
   {
     // Gap in the frame sequence.
     std::ostringstream os;
-    write_scenario_csv(make_cut_in(3, 1), os);
+    write_scenario_csv(make_suite_or_dsl("cut_in", 3, 1), os);
     std::string text = os.str() + "7,0.1,25,0.9,none,0,0,0\n";
     std::istringstream is(text);
     EXPECT_THROW(read_scenario_csv(is), SerializationError);
@@ -110,7 +110,7 @@ TEST(TraceIo, RejectsMalformedInput) {
 
 TEST(TraceIo, UnknownActorTypeRejected) {
   std::ostringstream os;
-  write_scenario_csv(make_cut_in(2, 1), os);
+  write_scenario_csv(make_suite_or_dsl("cut_in", 2, 1), os);
   std::string text = os.str();
   std::string row = "2,0.06,25,0.9,unicorn,10,1,0\n";
   std::istringstream is(text + row);

@@ -16,7 +16,9 @@
 #       regression is called out by name;
 #   (d) the ThreadSanitizer smoke suite (pool mechanics, parallel GEMM,
 #       parallel provisioning);
-#   (e) a UBSan build of the unit tests, -fno-sanitize-recover=all;
+#   (e) a UBSan build of the unit tests and the scenario-DSL/campaign
+#       suite, -fno-sanitize-recover=all, with float-cast-overflow (not
+#       part of GCC's -fsanitize=undefined);
 #   (f) a line-coverage summary of the unit tests (-DRRP_COVERAGE=ON +
 #       gcovr or llvm-cov), skipped gracefully when no coverage tool is
 #       installed — informational, not a gate;
@@ -84,8 +86,11 @@ ctest --test-dir build-check-tsan --output-on-failure -L tsan
 
 step "(e) UndefinedBehaviorSanitizer unit tests"
 cmake -B build-check-ubsan -S . -DRRP_SANITIZE=undefined
-cmake --build build-check-ubsan -j "$JOBS" --target rrp_tests
+cmake --build build-check-ubsan -j "$JOBS" --target rrp_tests \
+  rrp_campaign_suite
 ./build-check-ubsan/tests/rrp_tests
+# The scenario-DSL suite feeds malformed spec lines (outside input).
+./build-check-ubsan/tests/rrp_campaign_suite
 
 step "(f) line coverage (informational)"
 if command -v gcovr >/dev/null 2>&1; then
