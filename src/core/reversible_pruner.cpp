@@ -1,5 +1,7 @@
 #include "core/reversible_pruner.h"
 
+#include <algorithm>
+
 #include "util/checks.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -38,7 +40,9 @@ ReversiblePruner::ReversiblePruner(ReversiblePruner&& other) noexcept
       bn_states_(std::move(other.bn_states_)),
       current_level_(other.current_level_),
       history_(std::move(other.history_)),
-      history_next_(other.history_next_) {
+      history_next_(other.history_next_),
+      plan_(std::move(other.plan_)),
+      arena_(std::move(other.arena_)) {
   other.net_ = nullptr;  // disarm the moved-from destructor
   // Delta lists hold raw pointers into net_ (unchanged) and into our own
   // store_, whose map nodes are stable under move — but rebuild defensively
@@ -84,8 +88,41 @@ std::int64_t ReversiblePruner::delta_index_bytes() const {
   return n;
 }
 
+namespace {
+
+// rrp-frame-path-stop: sizes a caller-kept output on its first use; every
+// later call finds it sized and returns.
+void fit_output(nn::Tensor& out, const nn::Shape& shape) {
+  if (out.shape() != shape) out = nn::Tensor(shape);
+}
+
+// rrp-frame-path-stop: inputs of an unplanned shape (batched evaluation)
+// take the allocating forward; frames always match the plan.
+nn::Tensor unplanned_forward(nn::Network& net, const nn::Tensor& x) {
+  return net.forward(x, /*training=*/false);
+}
+
+}  // namespace
+
 nn::Tensor ReversiblePruner::infer(const nn::Tensor& x) {
-  return net_->forward(x, /*training=*/false);
+  if (x.shape() != plan_.input_shape) return unplanned_forward(*net_, x);
+  nn::Tensor out;
+  infer_into(x, out);
+  return out;
+}
+
+// rrp-frame-path-stop: plans on the first inference of an input shape;
+// every later frame of that shape reuses the plan and the arena.
+void ReversiblePruner::plan_for(const nn::Shape& input_shape) {
+  plan_ = nn::plan_inference(*net_, input_shape);
+  arena_.assign(static_cast<std::size_t>(plan_.arena_floats), 0.0f);
+}
+
+// rrp-frame-path: the masked arm's inference on its own arena.
+void ReversiblePruner::infer_into(const nn::Tensor& x, nn::Tensor& out) {
+  if (x.shape() != plan_.input_shape) plan_for(x.shape());
+  fit_output(out, plan_.output_shape);
+  net_->forward_into(plan_, x, out, arena_.data());
 }
 
 // rrp-frame-path: the masked O(Δ) prune/restore arm runs inside the
@@ -210,20 +247,45 @@ CompactedLadder::CompactedLadder(const nn::Network& net,
         nets.back().param_count() * static_cast<std::int64_t>(sizeof(float));
     rebuilds.add(1);
   }
+  // Plans point into nets, which is complete (and never grows) from here.
+  for (const nn::Network& level_net : nets) {
+    plans.push_back(nn::plan_inference(level_net, shape));
+    arena_floats = std::max(arena_floats, plans.back().arena_floats);
+  }
 }
 
 CompactedLadderView::CompactedLadderView(CompactedLadderProvider& owner,
-                                         int level)
-    : ladder_(owner.ladder_) {
+                                         int level) {
+  attach_ladder(owner.ladder_);
   RRP_CHECK_MSG(level >= 0 && level < level_count(),
                 "level " << level << " outside [0, " << level_count() << ")");
   level_ = level;
 }
 
+void CompactedLadderView::attach_ladder(CompactedLadder* ladder) {
+  ladder_ = ladder;
+  arena_.assign(static_cast<std::size_t>(ladder_->arena_floats), 0.0f);
+}
+
 nn::Tensor CompactedLadderView::infer(const nn::Tensor& x) {
-  // Eval-mode forward mutates nothing, so concurrent views — even two at
-  // the same level, over the same physical network — never race.
-  return network_at(level_).forward(x, /*training=*/false);
+  nn::Tensor out;
+  infer_into(x, out);
+  return out;
+}
+
+// rrp-frame-path: a stream's inference — the active level's plan on this
+// cursor's own arena.  The ladder's networks and plans are only read, so
+// concurrent views (even two at one level) never race.
+void CompactedLadderView::infer_into(const nn::Tensor& x, nn::Tensor& out) {
+  const auto k = static_cast<std::size_t>(level_);
+  nn::Network& net = ladder_->nets[k];
+  const nn::InferPlan& plan = ladder_->plans[k];
+  if (x.shape() != plan.input_shape) {
+    out = unplanned_forward(net, x);
+    return;
+  }
+  fit_output(out, plan.output_shape);
+  net.forward_into(plan, x, out, arena_.data());
 }
 
 // rrp-frame-path: the O(1) ladder swap is THE per-frame transition of the
@@ -269,7 +331,7 @@ CompactedLadderProvider::CompactedLadderProvider(
       // masked_ sits at level 0, so `net` still carries the golden weights.
       owned_(std::make_unique<CompactedLadder>(net, masked_.levels(),
                                                input_shape, bn_states)) {
-  ladder_ = owned_.get();
+  attach_ladder(owned_.get());
   if (!bn_states.empty()) masked_.set_bn_states(std::move(bn_states));
 }
 

@@ -49,6 +49,14 @@ class InferenceProvider {
 
   virtual const std::string& name() const = 0;
   virtual nn::Tensor infer(const nn::Tensor& x) = 0;
+  /// Inference into `out`, which the provider sizes on first use; a caller
+  /// that keeps `out` (FrameEngine's per-stream logits) reuses it.  The
+  /// masked pruner and the ladder cursors override this to run a planned
+  /// forward on their own activation arena, allocation-free once `out` is
+  /// sized; the default delegates to infer().
+  virtual void infer_into(const nn::Tensor& x, nn::Tensor& out) {
+    out = infer(x);
+  }
   virtual TransitionStats set_level(int level) = 0;
   virtual int current_level() const = 0;
   virtual int level_count() const = 0;
@@ -74,7 +82,13 @@ class ReversiblePruner : public InferenceProvider {
   ReversiblePruner& operator=(ReversiblePruner&&) = delete;
 
   const std::string& name() const override { return name_; }
+  /// Runs the live network through the plan when `x` has the planned
+  /// shape, else through the allocating forward (batched evaluation).
   nn::Tensor infer(const nn::Tensor& x) override;
+  /// Plans the live network for `x`'s shape on first use (restores write
+  /// weights in place, so the plan's layer addresses stay valid), then
+  /// runs it on this pruner's arena.
+  void infer_into(const nn::Tensor& x, nn::Tensor& out) override;
   TransitionStats set_level(int level) override;
   int current_level() const override { return current_level_; }
   int level_count() const override { return levels_.level_count(); }
@@ -119,6 +133,7 @@ class ReversiblePruner : public InferenceProvider {
   };
 
   void build_deltas();
+  void plan_for(const nn::Shape& input_shape);
 
   std::string name_ = "reversible-masked";
   nn::Network* net_;
@@ -129,6 +144,8 @@ class ReversiblePruner : public InferenceProvider {
   int current_level_ = 0;
   std::vector<TransitionStats> history_;  // bounded ring, see history()
   std::size_t history_next_ = 0;          // overwrite cursor once full
+  nn::InferPlan plan_;                    // eval plan of *net_, see infer_into
+  std::vector<float> arena_;              // plan_.arena_floats activations
 };
 
 /// The compacted level ladder: one physically shrunk clone of the network
@@ -136,7 +153,8 @@ class ReversiblePruner : public InferenceProvider {
 /// level's calibrated BN statistics baked in), built exactly once.  Each
 /// level's MACs for the input shape the ladder was compacted for are
 /// precomputed, so per-frame MAC accounting is a lookup, not a network
-/// walk.  Only valid for structured level libraries.
+/// walk, and so is each level's activation plan for that shape.  Only valid
+/// for structured level libraries.
 struct CompactedLadder {
   /// `bn_states`, when present, must hold one state per level (captured on
   /// the MASKED network).  `net` must carry its golden weights.
@@ -148,7 +166,9 @@ struct CompactedLadder {
   nn::Shape input_shape;           ///< the shape the ladder was compacted for
   std::vector<nn::Network> nets;   ///< nets[k] executes level k
   std::vector<std::int64_t> macs;  ///< nets[k].macs(input_shape)
-  std::int64_t weight_bytes = 0;   ///< parameter bytes of every level
+  std::vector<nn::InferPlan> plans;  ///< plans[k]: nets[k] at input_shape
+  std::int64_t arena_floats = 0;     ///< max plans[k].arena_floats
+  std::int64_t weight_bytes = 0;     ///< parameter bytes of every level
 };
 
 class CompactedLadderProvider;
@@ -157,12 +177,15 @@ class CompactedLadderProvider;
 /// implementation of infer / set_level / active_macs.
 ///
 /// The serving engine (src/serve) runs N concurrent perception streams
-/// against ONE resident ladder: the ladder networks are immutable after
-/// construction and eval-mode forward is non-mutating, so any number of
-/// views may infer concurrently — including two views at the same level
-/// over the very same network.  Each view carries its OWN level index, so a
-/// stream's set_level is invisible to every other stream (the aliasing
-/// property pinned in test_fast_path.cpp): the swap touches only the view.
+/// against ONE resident ladder: the ladder networks and their activation
+/// plans are immutable after construction and eval-mode forward_into
+/// writes only the caller's memory, so any number of views may infer
+/// concurrently — including two views at the same level over the very
+/// same network.  Each view owns its level index AND its activation arena
+/// (sized once to the largest level's plan, not one arena per level), so
+/// streams share nothing mutable: a stream's set_level and inference are
+/// invisible to every other stream (the aliasing property pinned in
+/// test_fast_path.cpp).  One view must not infer from two threads at once.
 ///
 /// A view points at the ladder, not at the provider that owns it, and the
 /// ladder lives at a stable heap address: moving the owner leaves every
@@ -175,6 +198,9 @@ class CompactedLadderView : public InferenceProvider {
 
   const std::string& name() const override { return name_; }
   nn::Tensor infer(const nn::Tensor& x) override;
+  /// The active level's plan on this view's arena; inputs of another shape
+  /// than the ladder's take the allocating forward.
+  void infer_into(const nn::Tensor& x, nn::Tensor& out) override;
   /// O(1): swaps this cursor's level index — no rebuild, no weight copy,
   /// no allocation.  TransitionStats reports zero elements/bytes (the
   /// modeled switch cost is the platform's fixed overhead only).  Safe
@@ -198,14 +224,17 @@ class CompactedLadderView : public InferenceProvider {
   const CompactedLadder& ladder() const { return *ladder_; }
 
  protected:
-  /// For the owning provider, which points ladder_ at the ladder it builds.
+  /// For the owning provider, which points ladder_ at the ladder it builds
+  /// and then sizes the arena (attach_ladder).
   explicit CompactedLadderView(std::string name) : name_(std::move(name)) {}
+  void attach_ladder(CompactedLadder* ladder);
 
   CompactedLadder* ladder_ = nullptr;
 
  private:
   std::string name_ = "reversible-fastpath-view";
   int level_ = 0;
+  std::vector<float> arena_;  // ladder_->arena_floats, this cursor only
 };
 
 /// The sparsity-realizing fast path: the owner of one compacted ladder,
@@ -215,8 +244,9 @@ class CompactedLadderView : public InferenceProvider {
 /// At construction the ladder is materialized once next to a
 /// ReversiblePruner over the golden weights.  After that:
 ///
-///  * infer() runs the ACTIVE COMPACTED network — physically smaller
-///    tensors, so pruning buys real cycles, not just modeled ones;
+///  * infer() / infer_into() run the ACTIVE COMPACTED network — physically
+///    smaller tensors, so pruning buys real cycles, not just modeled ones —
+///    through that level's plan on the provider's own arena;
 ///  * set_level() swaps an index — O(1), no rebuild, no weight copy, no
 ///    allocation on the frame path (prune.ladder_rebuilds stays flat and
 ///    parameter storage addresses are stable; see test_fast_path.cpp) —

@@ -65,6 +65,22 @@ void gemm_bt_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
   }
 }
 
+// Everything a GEMM row chunk reads: the parallel_for bodies capture one
+// pointer to it, so their std::function stays in the small-object buffer
+// (a by-reference capture of every argument would heap-allocate per call).
+struct GemmArgs {
+  kernels::GemmRowsFn rows;  // nullptr: gemm_bt_rows
+  std::int64_t n, k;
+  float alpha;
+  const float* a;
+  std::int64_t lda;
+  const float* b;
+  std::int64_t ldb;
+  float beta;
+  float* c;
+  std::int64_t ldc;
+};
+
 }  // namespace
 
 // rrp-frame-path: every per-frame inference lands here.
@@ -75,12 +91,14 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // Row-range micro-kernel selected once by the RRP_SIMD configuration;
   // every variant is bit-identical (nn/gemm_kernels.h), so the choice is
   // invisible to traces, goldens and bench baselines.
-  const kernels::GemmRowsFn rows = kernels::active_gemm_rows();
+  const GemmArgs args{kernels::active_gemm_rows(), n, k, alpha, a, lda, b,
+                      ldb, beta, c, ldc};
   parallel_for(0, m, row_grain(n, k),
-               [&](std::int64_t i_begin, std::int64_t i_end) {
+               [g = &args](std::int64_t i_begin, std::int64_t i_end) {
+                 const kernels::GemmRowsFn rows = g->rows;
                  // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated gemm_rows_* variants in nn/gemm_kernels*.cpp, each certified.
-                 rows(i_begin, i_end, n, k, alpha, a, lda, b, ldb, beta, c,
-                      ldc);
+                 rows(i_begin, i_end, g->n, g->k, g->alpha, g->a, g->lda, g->b,
+                      g->ldb, g->beta, g->c, g->ldc);
                });
 }
 
@@ -89,12 +107,14 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
              std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
   GemmScope scope("gemm_at", m, n, k);
-  const kernels::GemmRowsFn rows = kernels::active_gemm_at_rows();
+  const GemmArgs args{kernels::active_gemm_at_rows(), n, k, alpha, a, lda, b,
+                      ldb, beta, c, ldc};
   parallel_for(0, m, row_grain(n, k),
-               [&](std::int64_t i_begin, std::int64_t i_end) {
+               [g = &args](std::int64_t i_begin, std::int64_t i_end) {
+                 const kernels::GemmRowsFn rows = g->rows;
                  // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated gemm_at_rows_* variants in nn/gemm_kernels*.cpp, each certified.
-                 rows(i_begin, i_end, n, k, alpha, a, lda, b, ldb, beta, c,
-                      ldc);
+                 rows(i_begin, i_end, g->n, g->k, g->alpha, g->a, g->lda, g->b,
+                      g->ldb, g->beta, g->c, g->ldc);
                });
 }
 
@@ -103,10 +123,11 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
              std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
   GemmScope scope("gemm_bt", m, n, k);
+  const GemmArgs args{nullptr, n, k, alpha, a, lda, b, ldb, beta, c, ldc};
   parallel_for(0, m, row_grain(n, k),
-               [&](std::int64_t i_begin, std::int64_t i_end) {
-                 gemm_bt_rows(i_begin, i_end, n, k, alpha, a, lda, b, ldb,
-                              beta, c, ldc);
+               [g = &args](std::int64_t i_begin, std::int64_t i_end) {
+                 gemm_bt_rows(i_begin, i_end, g->n, g->k, g->alpha, g->a,
+                              g->lda, g->b, g->ldb, g->beta, g->c, g->ldc);
                });
 }
 

@@ -43,7 +43,12 @@ struct ParamRef {
 /// Abstract base for all layers.
 ///
 /// Contract:
-///  * forward(x, /*training=*/false) must not retain references to x.
+///  * forward_into is THE eval-mode implementation of every layer; it
+///    writes into caller memory and allocates nothing, so a planned
+///    network (nn/infer_plan.h) runs without touching the heap.
+///  * forward(x, /*training=*/false) is a thin wrapper: it allocates the
+///    output and the scratch, then calls forward_into — bit-identical by
+///    construction.  It must not retain references to x.
 ///  * forward(x, true) may cache activations; a subsequent backward(g)
 ///    consumes that cache, accumulates into parameter grads, and returns
 ///    the gradient w.r.t. the layer input.
@@ -61,6 +66,20 @@ class Layer {
 
   virtual Tensor forward(const Tensor& x, bool training = false) = 0;
   virtual Tensor backward(const Tensor& grad_out);
+
+  /// Eval-mode forward of input `x` (shape `in`) into `y`, which holds
+  /// shape_numel(output_shape(in)) floats, using `scratch`, which holds
+  /// scratch_floats(in) floats.  Never allocates.  When in_place() is
+  /// true, `y` may equal `x`.
+  virtual void forward_into(const float* x, const Shape& in, float* y,
+                            float* scratch) const = 0;
+  /// Scratch floats forward_into needs for input shape `in`.
+  virtual std::int64_t scratch_floats(const Shape& in) const {
+    (void)in;
+    return 0;
+  }
+  /// True when forward_into may run with `y == x`.
+  virtual bool in_place() const { return false; }
 
   /// Parameters owned directly by this layer (not recursing into children).
   virtual std::vector<ParamRef> params() { return {}; }
@@ -80,6 +99,11 @@ class Layer {
 
   /// Deep copy including parameter values (not grads/caches).
   virtual std::unique_ptr<Layer> clone() const = 0;
+
+ protected:
+  /// The allocating eval wrapper: sizes the output and the scratch, then
+  /// runs forward_into.  Every forward(x, false) goes through here.
+  Tensor forward_eval(const Tensor& x) const;
 
  private:
   std::string name_;

@@ -22,6 +22,8 @@ class Linear : public Layer {
 
   LayerKind kind() const override { return LayerKind::Linear; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;
@@ -50,7 +52,8 @@ class Linear : public Layer {
   Tensor cached_input_;
 };
 
-/// 2-D convolution (NCHW), implemented as im2col + GEMM.
+/// 2-D convolution (NCHW), implemented as im2col + GEMM.  The im2col
+/// buffer is caller scratch: one [in_ch*k*k, oh*ow] slot per sample.
 class Conv2D : public Layer {
  public:
   Conv2D(std::string name, int in_ch, int out_ch, int kernel, int stride = 1,
@@ -58,6 +61,9 @@ class Conv2D : public Layer {
 
   LayerKind kind() const override { return LayerKind::Conv2D; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  std::int64_t scratch_floats(const Shape& in) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;
@@ -106,6 +112,8 @@ class DepthwiseConv2D : public Layer {
 
   LayerKind kind() const override { return LayerKind::DepthwiseConv2D; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;
@@ -143,6 +151,9 @@ class ReLU : public Layer {
   explicit ReLU(std::string name) : Layer(std::move(name)) {}
   LayerKind kind() const override { return LayerKind::ReLU; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  bool in_place() const override { return true; }
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override { return in; }
   std::unique_ptr<Layer> clone() const override;
@@ -157,6 +168,9 @@ class Softmax : public Layer {
   explicit Softmax(std::string name) : Layer(std::move(name)) {}
   LayerKind kind() const override { return LayerKind::Softmax; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  bool in_place() const override { return true; }
   Shape output_shape(const Shape& in) const override { return in; }
   std::unique_ptr<Layer> clone() const override;
 };
@@ -167,6 +181,9 @@ class Flatten : public Layer {
   explicit Flatten(std::string name) : Layer(std::move(name)) {}
   LayerKind kind() const override { return LayerKind::Flatten; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  bool in_place() const override { return true; }
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
   std::unique_ptr<Layer> clone() const override;
@@ -181,6 +198,8 @@ class MaxPool : public Layer {
   MaxPool(std::string name, int kernel, int stride);
   LayerKind kind() const override { return LayerKind::MaxPool; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
   std::unique_ptr<Layer> clone() const override;
@@ -200,6 +219,8 @@ class AvgPool : public Layer {
   AvgPool(std::string name, int kernel, int stride);
   LayerKind kind() const override { return LayerKind::AvgPool; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
   std::unique_ptr<Layer> clone() const override;
@@ -218,6 +239,8 @@ class GlobalAvgPool : public Layer {
   explicit GlobalAvgPool(std::string name) : Layer(std::move(name)) {}
   LayerKind kind() const override { return LayerKind::GlobalAvgPool; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
   std::unique_ptr<Layer> clone() const override;
@@ -233,6 +256,9 @@ class BatchNorm : public Layer {
             float eps = 1e-5f);
   LayerKind kind() const override { return LayerKind::BatchNorm; }
   Tensor forward(const Tensor& x, bool training) override;
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  bool in_place() const override { return true; }
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override { return in; }

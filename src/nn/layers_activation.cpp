@@ -7,10 +7,16 @@
 namespace rrp::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool training) {
-  Tensor y = x;
-  for (float& v : y.data()) v = std::max(v, 0.0f);
+  Tensor y = forward_eval(x);
   if (training) cached_input_ = x;
   return y;
+}
+
+void ReLU::forward_into(const float* x, const Shape& in, float* y,
+                        float* scratch) const {
+  (void)scratch;
+  const std::int64_t n = shape_numel(in);
+  for (std::int64_t i = 0; i < n; ++i) y[i] = std::max(x[i], 0.0f);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -31,13 +37,19 @@ std::unique_ptr<Layer> ReLU::clone() const {
 
 Tensor Softmax::forward(const Tensor& x, bool training) {
   (void)training;
-  RRP_CHECK_MSG(x.dim() >= 1, "Softmax needs rank >= 1");
-  const int cols = x.size(-1);
-  const std::int64_t rows = x.numel() / cols;
-  Tensor y = x;
-  float* d = y.raw();
+  return forward_eval(x);
+}
+
+void Softmax::forward_into(const float* x, const Shape& in, float* y,
+                           float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(!in.empty(), "Softmax needs rank >= 1");
+  const int cols = in.back();
+  const std::int64_t numel = shape_numel(in);
+  const std::int64_t rows = numel / cols;
+  if (y != x) std::copy(x, x + numel, y);
   for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = d + r * cols;
+    float* row = y + r * cols;
     const float m = *std::max_element(row, row + cols);
     double z = 0.0;
     for (int c = 0; c < cols; ++c) {
@@ -47,7 +59,6 @@ Tensor Softmax::forward(const Tensor& x, bool training) {
     const float inv = static_cast<float>(1.0 / z);
     for (int c = 0; c < cols; ++c) row[c] *= inv;
   }
-  return y;
 }
 
 std::unique_ptr<Layer> Softmax::clone() const {
@@ -55,11 +66,16 @@ std::unique_ptr<Layer> Softmax::clone() const {
 }
 
 Tensor Flatten::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() >= 2, "Flatten needs rank >= 2");
+  Tensor y = forward_eval(x);
   if (training) cached_in_shape_ = x.shape();
-  const int n = x.size(0);
-  const int rest = static_cast<int>(x.numel() / n);
-  return x.reshape({n, rest});
+  return y;
+}
+
+void Flatten::forward_into(const float* x, const Shape& in, float* y,
+                           float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() >= 2, "Flatten needs rank >= 2");
+  if (y != x) std::copy(x, x + shape_numel(in), y);
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

@@ -108,49 +108,79 @@ void Conv2D::col2im(const float* col, int h, int w, float* dst) const {
   }
 }
 
-// rrp-frame-path: im2col-GEMM conv — the dominant per-frame inference cost.
-// NOTE(analyzer blind spot): the per-chunk `std::vector<float> col(...)`
-// scratch below is a constructor, which the call-site analyzer cannot see
-// (it extracts calls, not declarations). It is pool-worker scratch sized
-// once per chunk, not per frame-path growth; see DESIGN.md §7.
 Tensor Conv2D::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() == 4 && x.size(1) == in_ch_,
+  Tensor y = forward_eval(x);
+  if (training) cached_input_ = x;
+  return y;
+}
+
+namespace {
+
+// im2col slots of one conv call: at most this many threads take its
+// sample chunks, each through the slot of its ThreadPool::chunk_slot(), so
+// a batch of N needs min(N, kConvSlots) slots, not N.
+constexpr std::int64_t kConvSlots = 8;
+
+// Everything a conv sample chunk reads: the parallel_for body captures one
+// pointer to it, so its std::function stays in the small-object buffer.
+struct ConvSamples {
+  const Conv2D* conv;
+  const float* x;
+  float* y;
+  float* col;  // [col_rows, col_cols] im2col slots, one per chunk_slot()
+  int h, w;
+  std::int64_t col_rows, col_cols;
+};
+
+}  // namespace
+
+std::int64_t Conv2D::scratch_floats(const Shape& in) const {
+  const Shape out = output_shape(in);
+  return std::min<std::int64_t>(in[0], kConvSlots) * in_ch_ * kernel_ *
+         kernel_ * out[2] * out[3];
+}
+
+// rrp-frame-path: im2col-GEMM conv — the dominant per-frame inference cost.
+void Conv2D::forward_into(const float* x, const Shape& in, float* y,
+                          float* scratch) const {
+  RRP_CHECK_MSG(in.size() == 4 && in[1] == in_ch_,
                 "Conv2D '" << name() << "' expects [N, " << in_ch_
-                           << ", H, W], got " << shape_str(x.shape()));
-  const int n = x.size(0), h = x.size(2), w = x.size(3);
+                           << ", H, W], got " << shape_str(in));
+  const int n = in[0], h = in[2], w = in[3];
   const auto [oh, ow] = out_hw(h, w);
   const std::int64_t col_rows = static_cast<std::int64_t>(in_ch_) * kernel_ *
                                 kernel_;
   const std::int64_t col_cols = static_cast<std::int64_t>(oh) * ow;
 
-  Tensor y({n, out_ch_, oh, ow});
   static metrics::Counter& calls = metrics::counter("conv.calls");
   calls.add(1);
   RRP_SPAN_VAR(span, "conv.forward");
   span.add_items(static_cast<std::int64_t>(n) * out_ch_ * col_rows *
                  col_cols);  // im2col-GEMM FMAs
   // Samples write disjoint output planes: fan the batch out over the pool
-  // (each chunk owns a scratch col buffer; nested GEMMs stay serial).
-  parallel_for(0, n, 1, [&](std::int64_t s_begin, std::int64_t s_end) {
-    std::vector<float> col(static_cast<std::size_t>(col_rows * col_cols));
+  // (each taking thread unrolls into its own im2col slot; nested GEMMs
+  // stay serial).
+  const ConvSamples args{this, x, y, scratch, h, w, col_rows, col_cols};
+  const auto body = [a = &args](std::int64_t s_begin, std::int64_t s_end) {
+    const Conv2D& conv = *a->conv;
+    float* col = a->col + ThreadPool::chunk_slot() * a->col_rows * a->col_cols;
     for (std::int64_t s = s_begin; s < s_end; ++s) {
-      const float* src = x.raw() + s * in_ch_ * h * w;
-      im2col(src, h, w, col.data());
-      float* out = y.raw() + s * out_ch_ * col_cols;
+      conv.im2col(a->x + s * conv.in_ch_ * a->h * a->w, a->h, a->w, col);
+      float* out = a->y + s * conv.out_ch_ * a->col_cols;
       // y[out_ch, oh*ow] = W[out_ch, col_rows] * col[col_rows, oh*ow]
-      gemm(out_ch_, col_cols, col_rows, 1.0f, weight_.raw(), col_rows,
-           col.data(), col_cols, 0.0f, out, col_cols);
-      if (with_bias_) {
-        for (int c = 0; c < out_ch_; ++c) {
-          float* plane = out + static_cast<std::int64_t>(c) * col_cols;
-          const float b = bias_[c];
-          for (std::int64_t i = 0; i < col_cols; ++i) plane[i] += b;
+      gemm(conv.out_ch_, a->col_cols, a->col_rows, 1.0f, conv.weight_.raw(),
+           a->col_rows, col, a->col_cols, 0.0f, out, a->col_cols);
+      if (conv.with_bias_) {
+        for (int c = 0; c < conv.out_ch_; ++c) {
+          float* plane = out + static_cast<std::int64_t>(c) * a->col_cols;
+          const float b = conv.bias_.raw()[c];
+          for (std::int64_t i = 0; i < a->col_cols; ++i) plane[i] += b;
         }
       }
     }
-  });
-  if (training) cached_input_ = x;
-  return y;
+  };
+  parallel_for(0, n, 1, body,
+               static_cast<int>(std::min<std::int64_t>(n, kConvSlots)));
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {

@@ -30,15 +30,36 @@ std::pair<int, int> DepthwiseConv2D::out_hw(int h, int w) const {
   return {oh, ow};
 }
 
-// rrp-frame-path: direct depthwise conv loop on the per-frame path.
 Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() == 4 && x.size(1) == channels_,
+  Tensor y = forward_eval(x);
+  if (training) cached_input_ = x;
+  return y;
+}
+
+namespace {
+
+// Everything a depthwise plane chunk reads: the parallel_for body captures
+// one pointer to it, so its std::function stays in the small-object buffer.
+struct DepthwisePlanes {
+  const float* x;
+  const float* weight;
+  const float* bias;  // nullptr without bias
+  float* y;
+  int channels, kernel, stride, padding;
+  int h, w, oh, ow;
+};
+
+}  // namespace
+
+// rrp-frame-path: direct depthwise conv loop on the per-frame path.
+void DepthwiseConv2D::forward_into(const float* x, const Shape& in, float* y,
+                                   float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() == 4 && in[1] == channels_,
                 "DepthwiseConv2D '" << name() << "' expects [N, " << channels_
-                                    << ", H, W], got "
-                                    << shape_str(x.shape()));
-  const int n = x.size(0), h = x.size(2), w = x.size(3);
+                                    << ", H, W], got " << shape_str(in));
+  const int n = in[0], h = in[2], w = in[3];
   const auto [oh, ow] = out_hw(h, w);
-  Tensor y({n, channels_, oh, ow});
   const int kk = kernel_;
   static metrics::Counter& calls = metrics::counter("depthwise.calls");
   static metrics::Counter& flops = metrics::counter("depthwise.flops");
@@ -52,25 +73,29 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
   // Every (sample, channel) plane is independent: parallelize the flat
   // n*channels grid over the pool (disjoint output planes, bit-exact for
   // any thread count).
+  const float* bias = with_bias_ ? bias_.raw() : nullptr;
+  const DepthwisePlanes args{x,  weight_.raw(), bias, y, channels_, kk,
+                             stride_, padding_, h, w, oh, ow};
   parallel_for(
       0, static_cast<std::int64_t>(n) * channels_, 1,
-      [&](std::int64_t p_begin, std::int64_t p_end) {
+      [a = &args](std::int64_t p_begin, std::int64_t p_end) {
+        const int kk = a->kernel, h = a->h, w = a->w, oh = a->oh, ow = a->ow;
         for (std::int64_t p = p_begin; p < p_end; ++p) {
-          const std::int64_t s = p / channels_;
-          const int c = static_cast<int>(p % channels_);
-          const float* plane = x.raw() + (s * channels_ + c) * h * w;
+          const std::int64_t s = p / a->channels;
+          const int c = static_cast<int>(p % a->channels);
+          const float* plane = a->x + (s * a->channels + c) * h * w;
           const float* filter =
-              weight_.raw() + static_cast<std::int64_t>(c) * kk * kk;
-          float* out = y.raw() + (s * channels_ + c) * oh * ow;
-          const float b = with_bias_ ? bias_[c] : 0.0f;
+              a->weight + static_cast<std::int64_t>(c) * kk * kk;
+          float* out = a->y + (s * a->channels + c) * oh * ow;
+          const float b = a->bias != nullptr ? a->bias[c] : 0.0f;
           for (int oi = 0; oi < oh; ++oi) {
             for (int oj = 0; oj < ow; ++oj) {
               double acc = b;
               for (int ki = 0; ki < kk; ++ki) {
-                const int ii = oi * stride_ - padding_ + ki;
+                const int ii = oi * a->stride - a->padding + ki;
                 if (ii < 0 || ii >= h) continue;
                 for (int kj = 0; kj < kk; ++kj) {
-                  const int jj = oj * stride_ - padding_ + kj;
+                  const int jj = oj * a->stride - a->padding + kj;
                   if (jj < 0 || jj >= w) continue;
                   acc += static_cast<double>(filter[ki * kk + kj]) *
                          plane[static_cast<std::int64_t>(ii) * w + jj];
@@ -82,8 +107,6 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
           }
         }
       });
-  if (training) cached_input_ = x;
-  return y;
 }
 
 Tensor DepthwiseConv2D::backward(const Tensor& grad_out) {

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <memory>
 
 #include "nn/gemm.h"
 #include "nn/layers.h"
@@ -23,6 +24,19 @@ const char* layer_kind_name(LayerKind kind) {
   return "?";
 }
 
+Tensor Layer::forward_eval(const Tensor& x) const {
+  Tensor y(output_shape(x.shape()));
+  // Uninitialized, so only the scratch a forward uses gets touched (a
+  // batched conv has min(N, 8) im2col slots, but only one per thread
+  // taking chunks is written); every layer writes its scratch before
+  // reading it.
+  const std::int64_t n = scratch_floats(x.shape());
+  const std::unique_ptr<float[]> scratch(
+      n > 0 ? new float[static_cast<std::size_t>(n)] : nullptr);
+  forward_into(x.raw(), x.shape(), y.raw(), scratch.get());
+  return y;
+}
+
 Tensor Layer::backward(const Tensor& grad_out) {
   (void)grad_out;
   throw Error("layer '" + name() + "' (" + layer_kind_name(kind()) +
@@ -43,20 +57,28 @@ Linear::Linear(std::string name, int in_features, int out_features,
 }
 
 Tensor Linear::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() == 2 && x.size(1) == in_features_,
-                "Linear '" << name() << "' expects [N, " << in_features_
-                           << "], got " << shape_str(x.shape()));
-  const int n = x.size(0);
-  Tensor y({n, out_features_});
-  // y[N, out] = x[N, in] * W^T (W is [out, in])
-  gemm_bt(n, out_features_, in_features_, 1.0f, x.raw(), in_features_,
-          weight_.raw(), in_features_, 0.0f, y.raw(), out_features_);
-  if (with_bias_) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < out_features_; ++j) y.at(i, j) += bias_[j];
-  }
+  Tensor y = forward_eval(x);
   if (training) cached_input_ = x;
   return y;
+}
+
+void Linear::forward_into(const float* x, const Shape& in, float* y,
+                          float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() == 2 && in[1] == in_features_,
+                "Linear '" << name() << "' expects [N, " << in_features_
+                           << "], got " << shape_str(in));
+  const int n = in[0];
+  // y[N, out] = x[N, in] * W^T (W is [out, in])
+  gemm_bt(n, out_features_, in_features_, 1.0f, x, in_features_,
+          weight_.raw(), in_features_, 0.0f, y, out_features_);
+  if (with_bias_) {
+    const float* b = bias_.raw();
+    for (int i = 0; i < n; ++i) {
+      float* row = y + static_cast<std::int64_t>(i) * out_features_;
+      for (int j = 0; j < out_features_; ++j) row[j] += b[j];
+    }
+  }
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

@@ -26,33 +26,38 @@ namespace {
 struct NchwView {
   int n, c, hw;
 };
-NchwView view_of(const Tensor& x, int channels) {
+NchwView view_of(const Shape& in, int channels) {
   RRP_CHECK_MSG(
-      (x.dim() == 4 && x.size(1) == channels) ||
-          (x.dim() == 2 && x.size(1) == channels),
+      (in.size() == 4 && in[1] == channels) ||
+          (in.size() == 2 && in[1] == channels),
       "BatchNorm expects [N, " << channels << ", H, W] or [N, " << channels
-                               << "], got " << shape_str(x.shape()));
-  if (x.dim() == 2) return {x.size(0), channels, 1};
-  return {x.size(0), channels, x.size(2) * x.size(3)};
+                               << "], got " << shape_str(in));
+  if (in.size() == 2) return {in[0], channels, 1};
+  return {in[0], channels, in[2] * in[3]};
 }
 }  // namespace
 
-Tensor BatchNorm::forward(const Tensor& x, bool training) {
-  const NchwView v = view_of(x, channels_);
-  Tensor y = x;
-  if (!training) {
-    for (int s = 0; s < v.n; ++s) {
-      for (int c = 0; c < v.c; ++c) {
-        const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
-        const float scale = gamma_[c] * inv_std;
-        const float shift = beta_[c] - running_mean_[c] * scale;
-        float* plane =
-            y.raw() + (static_cast<std::int64_t>(s) * v.c + c) * v.hw;
-        for (int i = 0; i < v.hw; ++i) plane[i] = plane[i] * scale + shift;
-      }
+void BatchNorm::forward_into(const float* x, const Shape& in, float* y,
+                             float* scratch) const {
+  (void)scratch;
+  const NchwView v = view_of(in, channels_);
+  for (int s = 0; s < v.n; ++s) {
+    for (int c = 0; c < v.c; ++c) {
+      const float inv_std = 1.0f / std::sqrt(running_var_.raw()[c] + eps_);
+      const float scale = gamma_.raw()[c] * inv_std;
+      const float shift = beta_.raw()[c] - running_mean_.raw()[c] * scale;
+      const std::int64_t off = (static_cast<std::int64_t>(s) * v.c + c) * v.hw;
+      const float* src = x + off;
+      float* dst = y + off;
+      for (int i = 0; i < v.hw; ++i) dst[i] = src[i] * scale + shift;
     }
-    return y;
   }
+}
+
+Tensor BatchNorm::forward(const Tensor& x, bool training) {
+  if (!training) return forward_eval(x);
+  const NchwView v = view_of(x.shape(), channels_);
+  Tensor y = x;
 
   // Training path: batch statistics per channel.
   batch_mean_.assign(static_cast<std::size_t>(v.c), 0.0f);
@@ -104,7 +109,7 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
 Tensor BatchNorm::backward(const Tensor& grad_out) {
   RRP_CHECK_MSG(!cached_input_.empty(),
                 "BatchNorm '" << name() << "' backward without forward(train)");
-  const NchwView v = view_of(cached_input_, channels_);
+  const NchwView v = view_of(cached_input_.shape(), channels_);
   RRP_CHECK(grad_out.shape() == cached_input_.shape());
   Tensor grad_in(cached_input_.shape());
   const double count = static_cast<double>(v.n) * v.hw;

@@ -51,20 +51,25 @@ MaxPool::MaxPool(std::string name, int kernel, int stride)
   RRP_CHECK(kernel > 0 && stride > 0);
 }
 
+void MaxPool::forward_into(const float* x, const Shape& in, float* y,
+                           float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() == 4, "MaxPool expects NCHW");
+  const int h = in[2], w = in[3];
+  const auto [oh, ow] = pool_out_hw(h, w, kernel_, stride_);
+  const std::int64_t planes = static_cast<std::int64_t>(in[0]) * in[1];
+  if (kernel_ == 2 && stride_ == 2)
+    max_pool_planes<2, 2>(x, planes, h, w, 2, 2, oh, ow, y);
+  else
+    max_pool_planes<0, 0>(x, planes, h, w, kernel_, stride_, oh, ow, y);
+}
+
 Tensor MaxPool::forward(const Tensor& x, bool training) {
+  if (!training) return forward_eval(x);
   RRP_CHECK_MSG(x.dim() == 4, "MaxPool expects NCHW");
   const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
   const auto [oh, ow] = pool_out_hw(h, w, kernel_, stride_);
   Tensor y({n, c, oh, ow});
-  if (!training) {
-    const std::int64_t planes = static_cast<std::int64_t>(n) * c;
-    if (kernel_ == 2 && stride_ == 2)
-      max_pool_planes<2, 2>(x.raw(), planes, h, w, 2, 2, oh, ow, y.raw());
-    else
-      max_pool_planes<0, 0>(x.raw(), planes, h, w, kernel_, stride_, oh, ow,
-                            y.raw());
-    return y;
-  }
   cached_in_shape_ = x.shape();
   argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
   std::int64_t oidx = 0;
@@ -124,16 +129,23 @@ AvgPool::AvgPool(std::string name, int kernel, int stride)
 }
 
 Tensor AvgPool::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() == 4, "AvgPool expects NCHW");
-  const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+  Tensor y = forward_eval(x);
+  if (training) cached_in_shape_ = x.shape();
+  return y;
+}
+
+void AvgPool::forward_into(const float* x, const Shape& in, float* y,
+                           float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() == 4, "AvgPool expects NCHW");
+  const int n = in[0], c = in[1], h = in[2], w = in[3];
   const auto [oh, ow] = pool_out_hw(h, w, kernel_, stride_);
-  Tensor y({n, c, oh, ow});
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   std::int64_t oidx = 0;
   for (int s = 0; s < n; ++s) {
     for (int ch = 0; ch < c; ++ch) {
       const float* plane =
-          x.raw() + (static_cast<std::int64_t>(s) * c + ch) * h * w;
+          x + (static_cast<std::int64_t>(s) * c + ch) * h * w;
       for (int oi = 0; oi < oh; ++oi) {
         for (int oj = 0; oj < ow; ++oj, ++oidx) {
           double acc = 0.0;
@@ -148,8 +160,6 @@ Tensor AvgPool::forward(const Tensor& x, bool training) {
       }
     }
   }
-  if (training) cached_in_shape_ = x.shape();
-  return y;
 }
 
 Tensor AvgPool::backward(const Tensor& grad_out) {
@@ -194,21 +204,26 @@ std::unique_ptr<Layer> AvgPool::clone() const {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
-  RRP_CHECK_MSG(x.dim() == 4, "GlobalAvgPool expects NCHW");
-  const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  Tensor y({n, c});
+  Tensor y = forward_eval(x);
+  if (training) cached_in_shape_ = x.shape();
+  return y;
+}
+
+void GlobalAvgPool::forward_into(const float* x, const Shape& in, float* y,
+                                 float* scratch) const {
+  (void)scratch;
+  RRP_CHECK_MSG(in.size() == 4, "GlobalAvgPool expects NCHW");
+  const int n = in[0], c = in[1], h = in[2], w = in[3];
   const float inv = 1.0f / static_cast<float>(h * w);
   for (int s = 0; s < n; ++s) {
     for (int ch = 0; ch < c; ++ch) {
       const float* plane =
-          x.raw() + (static_cast<std::int64_t>(s) * c + ch) * h * w;
+          x + (static_cast<std::int64_t>(s) * c + ch) * h * w;
       double acc = 0.0;
       for (int i = 0; i < h * w; ++i) acc += plane[i];
-      y.at(s, ch) = static_cast<float>(acc) * inv;
+      y[static_cast<std::int64_t>(s) * c + ch] = static_cast<float>(acc) * inv;
     }
   }
-  if (training) cached_in_shape_ = x.shape();
-  return y;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {

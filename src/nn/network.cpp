@@ -23,9 +23,53 @@ const Layer& Network::layer(std::size_t i) const {
 }
 
 Tensor Network::forward(const Tensor& x, bool training) {
-  Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, training);
+  if (layers_.empty()) return x;
+  Tensor cur = layers_.front()->forward(x, training);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    cur = layers_[i]->forward(cur, training);
   return cur;
+}
+
+namespace {
+
+// The add closing a Residual block: y = body + skip, in add_ order.
+void residual_add(const float* body, const float* skip, float* y,
+                  std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = body[i] + skip[i];
+}
+
+}  // namespace
+
+// rrp-frame-path: the planned eval forward behind every provider's
+// infer_into.
+// rrp-lint-allow(frame-path-recursion): receiver-blind cycle through run_plan's layer call; plan steps hold leaf layers only (plan_inference flattens Residuals), so it never re-enters a Network.
+void Network::forward_into(const InferPlan& plan, const Tensor& x,
+                           Tensor& out, float* arena) const {
+  RRP_CHECK_MSG(plan.network == this && x.shape() == plan.input_shape &&
+                    out.shape() == plan.output_shape,
+                "plan for network '" << name_ << "' does not fit input "
+                                     << shape_str(x.shape()) << " / output "
+                                     << shape_str(out.shape()));
+  run_plan(plan, x.raw(), out.raw(), arena);
+}
+
+// The plan interpreter: one forward_into per layer step.
+// rrp-lint-allow(frame-path-recursion): the same receiver-blind cycle as forward_into above; steps never call back into a Network.
+void Network::run_plan(const InferPlan& plan, const float* x, float* out,
+                       float* arena) const {
+  const auto at = [&](std::int64_t where) -> float* {
+    return where == kPlanOutput ? out : arena + where;
+  };
+  for (const InferStep& st : plan.steps) {
+    const float* src = st.x == kPlanInput ? x : at(st.x);
+    float* dst = at(st.y);
+    if (st.layer == nullptr) {
+      const float* skip = st.skip == kPlanInput ? x : at(st.skip);
+      residual_add(src, skip, dst, st.numel);
+    } else {
+      st.layer->forward_into(src, st.in, dst, arena + st.scratch);
+    }
+  }
 }
 
 Tensor Network::backward(const Tensor& grad_out) {
@@ -124,6 +168,7 @@ Residual::Residual(std::string name, Network body)
 }
 
 Tensor Residual::forward(const Tensor& x, bool training) {
+  if (!training) return forward_eval(x);
   Tensor y = body_.forward(x, training);
   RRP_CHECK_MSG(y.shape() == x.shape(),
                 "Residual '" << name() << "' body changed shape "
@@ -131,6 +176,19 @@ Tensor Residual::forward(const Tensor& x, bool training) {
                              << shape_str(y.shape()));
   y.add_(x);
   return y;
+}
+
+std::int64_t Residual::scratch_floats(const Shape& in) const {
+  return plan_inference(body_, in).arena_floats;
+}
+
+// rrp-frame-path-stop: plan_inference flattens Residual bodies into plan
+// steps, so planned inference never calls this; it serves forward().
+void Residual::forward_into(const float* x, const Shape& in, float* y,
+                            float* scratch) const {
+  const InferPlan plan = plan_inference(body_, in);
+  body_.run_plan(plan, x, y, scratch);
+  residual_add(y, x, y, shape_numel(in));
 }
 
 Tensor Residual::backward(const Tensor& grad_out) {

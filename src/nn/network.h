@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 
+#include "nn/infer_plan.h"
 #include "nn/layers.h"
 
 namespace rrp::nn {
@@ -44,6 +45,12 @@ class Network {
   const std::vector<std::unique_ptr<Layer>>& layers() const { return layers_; }
 
   Tensor forward(const Tensor& x, bool training = false);
+  /// Runs `plan` (built by plan_inference over THIS network) on `x` into
+  /// `out`, which must already have plan.output_shape, with `arena`
+  /// holding plan.arena_floats floats.  Allocates nothing, and equals
+  /// forward(x, false) bit for bit.
+  void forward_into(const InferPlan& plan, const Tensor& x, Tensor& out,
+                    float* arena) const;
   /// Back-propagates through all layers; forward(x, true) must precede.
   Tensor backward(const Tensor& grad_out);
 
@@ -74,6 +81,12 @@ class Network {
   Network clone() const;
 
  private:
+  friend class Residual;  // runs its body's plan on raw buffers
+
+  /// forward_into on raw buffers, shapes unchecked.
+  void run_plan(const InferPlan& plan, const float* x, float* out,
+                float* arena) const;
+
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;
 };
@@ -85,6 +98,11 @@ class Residual : public Layer {
 
   LayerKind kind() const override { return LayerKind::Residual; }
   Tensor forward(const Tensor& x, bool training) override;
+  /// Plans the body per call; planned networks never reach it, because
+  /// plan_inference flattens Residual bodies into its own steps.
+  void forward_into(const float* x, const Shape& in, float* y,
+                    float* scratch) const override;
+  std::int64_t scratch_floats(const Shape& in) const override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override { return {}; }  // owned by body
   std::vector<Layer*> children() override;

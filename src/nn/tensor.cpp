@@ -112,13 +112,18 @@ float Tensor::at(int i0, int i1, int i2, int i3) const {
   return const_cast<Tensor*>(this)->at(i0, i1, i2, i3);
 }
 
-Tensor Tensor::reshape(Shape new_shape) const {
+Tensor Tensor::reshape(Shape new_shape) const& {
+  return Tensor(*this).reshape(std::move(new_shape));
+}
+
+Tensor Tensor::reshape(Shape new_shape) && {
   RRP_CHECK_MSG(shape_numel(new_shape) == numel(),
                 "reshape " << shape_str(shape_) << " -> "
                            << shape_str(new_shape) << " changes numel");
   Tensor t;
   t.shape_ = std::move(new_shape);
-  t.data_ = data_;
+  t.data_ = std::move(data_);
+  shape_.clear();
   return t;
 }
 

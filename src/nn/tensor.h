@@ -65,7 +65,9 @@ class Tensor {
   float at(int i0, int i1, int i2, int i3) const;
 
   /// Returns a copy with a new shape of identical element count.
-  Tensor reshape(Shape new_shape) const;
+  Tensor reshape(Shape new_shape) const&;
+  /// Same, moving this tensor's storage instead of copying it.
+  Tensor reshape(Shape new_shape) &&;
 
   void fill(float value);
 

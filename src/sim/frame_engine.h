@@ -56,6 +56,8 @@ struct StreamState {
   std::int64_t prev_repairs = 0;
   std::int64_t prev_degrades = 0;
   std::size_t credit_idx = 0;
+  // The provider's output, kept across frames so infer_into sizes it once.
+  nn::Tensor logits;
 
   std::size_t frame = 0;  ///< next frame to execute
   RunResult result;

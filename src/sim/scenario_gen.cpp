@@ -71,10 +71,27 @@ bool valid_name(const std::string& s) {
 /// validation rejects such values up front.
 enum class IntCast { Int, Size, U64 };
 
+/// An integer range an engine draws with Rng::uniform_int(lo, hi), which
+/// requires lo <= hi after the int casts; a missing key takes the
+/// engine's default.
+struct IntRange {
+  const char* lo_key;
+  const char* hi_key;
+  double lo_default;
+  double hi_default;
+};
+
+// Defaults of the drawn integer ranges, shared by engines and validation.
+constexpr double kBrakeFramesLo = 45.0;
+constexpr double kBrakeFramesHi = 120.0;
+constexpr double kOcclusionLenLo = 90.0;
+constexpr double kOcclusionLenHi = 240.0;
+
 struct KindInfo {
   bool overlay = false;
   std::vector<const char*> keys;
   std::vector<std::pair<const char*, IntCast>> int_keys = {};
+  std::vector<IntRange> int_ranges = {};
 };
 
 const std::map<std::string, KindInfo>& kind_table() {
@@ -86,7 +103,9 @@ const std::map<std::string, KindInfo>& kind_table() {
          "brake_frames_hi", "resolve_gap", "resolve_lo", "resolve_hi",
          "far_gap", "near_gap"},
         {{"brake_frames_lo", IntCast::Int},
-         {"brake_frames_hi", IntCast::Int}}}},
+         {"brake_frames_hi", IntCast::Int}},
+        {{"brake_frames_lo", "brake_frames_hi", kBrakeFramesLo,
+          kBrakeFramesHi}}}},
       {"debris",
        {false,
         {"prob", "gap_lo", "gap_hi", "lat", "closing_frac", "cap"},
@@ -118,7 +137,8 @@ const std::map<std::string, KindInfo>& kind_table() {
         {"seed_offset", "prob", "len_lo", "len_hi", "vis_lo", "vis_hi"},
         {{"seed_offset", IntCast::U64},
          {"len_lo", IntCast::Int},
-         {"len_hi", IntCast::Int}}}},
+         {"len_hi", IntCast::Int}},
+        {{"len_lo", "len_hi", kOcclusionLenLo, kOcclusionLenHi}}}},
       {"visibility_ramp", {true, {"to", "start", "end", "floor"}}},
   };
   return table;
@@ -164,6 +184,16 @@ void validate_primitive(const ScenarioPrimitive& p) {
         throw SerializationError("scenario spec: primitive '" + p.kind +
                                  "' parameter '" + key +
                                  "' is out of range for its integer type");
+  }
+  // Every key fits its cast now, so the truncations below are defined.
+  for (const IntRange& r : info.int_ranges) {
+    const int lo = static_cast<int>(p.get(r.lo_key, r.lo_default));
+    const int hi = static_cast<int>(p.get(r.hi_key, r.hi_default));
+    if (lo > hi)
+      throw SerializationError(
+          "scenario spec: primitive '" + p.kind + "' has " + r.lo_key + " " +
+          std::to_string(lo) + " above " + r.hi_key + " " +
+          std::to_string(hi));
   }
 }
 
@@ -247,9 +277,9 @@ class LeadVehiclePrim final : public Primitive {
       l.closing_mps = std::clamp(l.closing_mps, -clamp, clamp);
       if (rng.bernoulli(get("brake_prob", 0.004))) {
         l.closing_mps = rng.uniform(get("brake_lo", 7.0), get("brake_hi", 11.0));
-        braking_left_ =
-            rng.uniform_int(static_cast<int>(get("brake_frames_lo", 45.0)),
-                            static_cast<int>(get("brake_frames_hi", 120.0)));
+        braking_left_ = rng.uniform_int(
+            static_cast<int>(get("brake_frames_lo", kBrakeFramesLo)),
+            static_cast<int>(get("brake_frames_hi", kBrakeFramesHi)));
       }
     }
     if (l.distance_m > get("far_gap", 75.0))
@@ -482,8 +512,8 @@ class OcclusionPrim final : public Primitive {
     for (Scene& s : sc.scenes) {
       if (window_left == 0 && rng.bernoulli(get("prob", 0.01))) {
         window_left =
-            rng.uniform_int(static_cast<int>(get("len_lo", 90.0)),
-                            static_cast<int>(get("len_hi", 240.0)));
+            rng.uniform_int(static_cast<int>(get("len_lo", kOcclusionLenLo)),
+                            static_cast<int>(get("len_hi", kOcclusionLenHi)));
         window_vis = rng.uniform(get("vis_lo", 0.55), get("vis_hi", 0.7));
       }
       if (window_left > 0) {

@@ -217,7 +217,9 @@ MetricDomain::MetricDomain(std::vector<Label> labels)
                     "duplicate metric label key '" << labels_[i].first << "'");
   }
   if (!labels_.empty()) {
-    suffix_ = "{";
+    // Append to the empty member rather than assign a literal: GCC 12's
+    // -Wrestrict misfires on the inlined literal assignment at -O3.
+    suffix_ += '{';
     for (std::size_t i = 0; i < labels_.size(); ++i) {
       if (i > 0) suffix_ += ',';
       suffix_ += labels_[i].first;

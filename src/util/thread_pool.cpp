@@ -19,12 +19,21 @@ thread_local bool tls_in_worker = false;
 // (tls_in_worker covers the worker/drain paths).  Together they make
 // in_parallel_region() thread-count-invariant.
 thread_local bool tls_in_chunk = false;
+// The executing thread's slot in the job whose chunk body runs here.
+thread_local int tls_slot = 0;
 
 // RAII so an exception thrown by a chunk body cannot leave the flag set.
 struct ChunkFlagGuard {
-  ChunkFlagGuard() : saved(tls_in_chunk) { tls_in_chunk = true; }
-  ~ChunkFlagGuard() { tls_in_chunk = saved; }
+  ChunkFlagGuard() : saved(tls_in_chunk), saved_slot(tls_slot) {
+    tls_in_chunk = true;
+    tls_slot = 0;
+  }
+  ~ChunkFlagGuard() {
+    tls_in_chunk = saved;
+    tls_slot = saved_slot;
+  }
   bool saved;
+  int saved_slot;
 };
 
 int clamp_threads(int threads) { return std::max(1, threads); }
@@ -51,7 +60,7 @@ int global_threads_override = 0;  // 0 = derive from env / hardware
 ThreadPool::ThreadPool(int threads) : threads_(clamp_threads(threads)) {
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int i = 0; i < threads_ - 1; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -67,7 +76,9 @@ bool ThreadPool::in_worker() { return tls_in_worker; }
 
 bool ThreadPool::in_parallel_region() { return tls_in_worker || tls_in_chunk; }
 
-void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock) {
+int ThreadPool::chunk_slot() { return tls_slot; }
+
+void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock, int slot) {
   while (job_.next_chunk < job_.chunk_count) {
     const std::int64_t chunk = job_.next_chunk++;
     const std::int64_t b = job_.begin + chunk * job_.grain;
@@ -79,7 +90,9 @@ void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock) {
     // path instead of trying to post a second job (workers set the flag
     // permanently in worker_loop; save/restore makes this a no-op there).
     const bool was_in_worker = tls_in_worker;
+    const int was_slot = tls_slot;
     tls_in_worker = true;
+    tls_slot = slot;
     std::exception_ptr error;
     try {
       (*fn)(b, e);
@@ -87,13 +100,14 @@ void ThreadPool::drain_job(std::unique_lock<std::mutex>& lock) {
       error = std::current_exception();
     }
     tls_in_worker = was_in_worker;
+    tls_slot = was_slot;
     lock.lock();
     if (error && !job_.error) job_.error = error;
     ++job_.done_chunks;
   }
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(int slot) {
   tls_in_worker = true;
   std::unique_lock<std::mutex> lock(mutex_);
   std::uint64_t seen_serial = 0;
@@ -103,13 +117,14 @@ void ThreadPool::worker_loop() {
     });
     if (stop_) return;
     seen_serial = job_serial_;
-    drain_job(lock);
+    if (job_.max_slots == 0 || slot < job_.max_slots) drain_job(lock, slot);
     if (job_.done_chunks == job_.chunk_count) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              std::int64_t grain, const ChunkFn& fn) {
+                              std::int64_t grain, const ChunkFn& fn,
+                              int max_slots) {
   if (begin >= end) return;
   grain = std::max<std::int64_t>(1, grain);
   const std::int64_t chunks = (end - begin + grain - 1) / grain;
@@ -144,12 +159,13 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   job_.end = end;
   job_.grain = grain;
   job_.chunk_count = chunks;
+  job_.max_slots = std::max(0, max_slots);
   has_job_ = true;
   ++job_serial_;
   work_cv_.notify_all();
 
   // The caller participates, then waits for stragglers.
-  drain_job(lock);
+  drain_job(lock, 0);
   done_cv_.wait(lock, [&] { return job_.done_chunks == job_.chunk_count; });
   has_job_ = false;
   const std::exception_ptr error = job_.error;

@@ -50,8 +50,16 @@ class ThreadPool {
   /// Chunk k covers [begin + k*grain, min(begin + (k+1)*grain, end)).
   /// Chunks may execute concurrently and in any order; see the header
   /// comment for the determinism contract.  `grain` is clamped to >= 1.
+  /// `max_slots` > 0 caps the threads that take chunks, so a body may
+  /// index per-thread scratch by chunk_slot() (chunk boundaries, and so
+  /// every result and counter, do not depend on it).
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const ChunkFn& fn);
+                    const ChunkFn& fn, int max_slots = 0);
+
+  /// Inside a chunk body: the executing thread's index among the threads
+  /// taking part in that parallel_for — 0 for the caller and for every
+  /// serial/inline chunk, 1.. for workers — always below its max_slots.
+  static int chunk_slot();
 
   /// True when called from inside one of this pool's workers.
   static bool in_worker();
@@ -84,12 +92,13 @@ class ThreadPool {
     std::int64_t next_chunk = 0;   // next chunk index to claim
     std::int64_t chunk_count = 0;  // total chunks in this job
     std::int64_t done_chunks = 0;  // chunks fully executed
+    int max_slots = 0;             // threads allowed to take chunks
     std::exception_ptr error;      // first failure, rethrown on the caller
   };
 
-  void worker_loop();
+  void worker_loop(int slot);
   /// Claims and runs chunks of the current job until none remain.
-  void drain_job(std::unique_lock<std::mutex>& lock);
+  void drain_job(std::unique_lock<std::mutex>& lock, int slot);
 
   int threads_;
   std::vector<std::thread> workers_;
@@ -104,8 +113,9 @@ class ThreadPool {
 
 /// Convenience wrapper over the global pool.
 inline void parallel_for(std::int64_t begin, std::int64_t end,
-                         std::int64_t grain, const ThreadPool::ChunkFn& fn) {
-  ThreadPool::global().parallel_for(begin, end, grain, fn);
+                         std::int64_t grain, const ThreadPool::ChunkFn& fn,
+                         int max_slots = 0) {
+  ThreadPool::global().parallel_for(begin, end, grain, fn, max_slots);
 }
 
 /// RAII override of the global pool size (tests / benchmarks).

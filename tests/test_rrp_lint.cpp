@@ -395,6 +395,17 @@ TEST(RrpLintFramePath, ContainerGrowthRule) {
   EXPECT_EQ(v.size(), 5u);
 }
 
+TEST(RrpLintFramePath, OwningDeclarationRule) {
+  const auto v = fired("src/core/fp_decl.cpp");
+  EXPECT_TRUE(has(v, 12, "frame-path-alloc")) << "std::vector local";
+  EXPECT_TRUE(has(v, 13, "frame-path-alloc")) << "std::string local";
+  EXPECT_TRUE(has(v, 20, "frame-path-alloc")) << "Tensor copy";
+  EXPECT_TRUE(has(v, 21, "frame-path-alloc")) << "brace-initialized Shape";
+  EXPECT_TRUE(has(v, 24, "frame-path-alloc")) << "nested template vector";
+  // Header types (lines 11 and 19), references and pointers own nothing.
+  EXPECT_EQ(v.size(), 5u);
+}
+
 TEST(RrpLintFramePath, LockRule) {
   const auto v = fired("src/core/fp_lock.cpp");
   EXPECT_TRUE(has(v, 12, "frame-path-lock")) << "RAII lock_guard token";
@@ -496,9 +507,10 @@ TEST(RrpLintFramePath, SingleLexPassPerFile) {
 TEST(RrpLintFramePath, ReportCountsRootsAndSuppressions) {
   const rrp::lint::LintReport report =
       rrp::lint::lint_tree_report(RRP_LINT_FIXTURE_DIR);
-  // One root per fp_ fixture that declares one (alloc, growth, lock, io,
-  // throw, recursion, lambda, overload, template, memfn, virtual, clean).
-  EXPECT_EQ(report.frame_path_roots, 12);
+  // One root per fp_ fixture that declares one (alloc, growth, decl, lock,
+  // io, throw, recursion, lambda, overload, template, memfn, virtual,
+  // clean).
+  EXPECT_EQ(report.frame_path_roots, 13);
   EXPECT_GT(report.frame_path_reachable, report.frame_path_roots)
       << "roots must drag their callees into the reachable set";
   EXPECT_GE(report.frame_path_stops, 1) << "fp_virtual's audited override";
@@ -509,9 +521,10 @@ TEST(RrpLintFramePath, ReportCountsRootsAndSuppressions) {
 TEST(RrpLintFramePath, RealTreeReport) {
   const rrp::lint::LintReport report =
       rrp::lint::lint_tree_report(RRP_LINT_REPO_ROOT);
-  // The annotated real tree: controller step, provider set_levels,
-  // sync_masked, scrub/repair, recorder, GEMM entry points and kernel
-  // variants, conv/depthwise forwards.
+  // The annotated real tree: controller step, provider set_levels and
+  // infer_intos, sync_masked, scrub/repair, recorder, the planned network
+  // forward, GEMM entry points and kernel variants, conv/depthwise
+  // forward_intos.
   EXPECT_GE(report.frame_path_roots, 15);
   EXPECT_GT(report.frame_path_reachable, report.frame_path_roots);
   EXPECT_GE(report.frame_path_stops, 8);

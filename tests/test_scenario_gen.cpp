@@ -266,6 +266,46 @@ TEST(DslEncoding, MalformedSpecsThrow) {
   EXPECT_NO_THROW(parse_scenario_spec(
       "name=d cut_in{period=2147483647.9} crossers{max_walkers=-0.5} "
       "occlusion{seed_offset=18446744073709549568}"));
+
+  // Integer ranges an engine draws from must not be inverted after
+  // truncation, counting a missing bound at the engine's default.  Both
+  // entry points reject them, naming both keys.
+  struct RangeCase {
+    const char* line;
+    ScenarioPrimitive prim;
+    const char* lo_key;
+    const char* hi_key;
+  };
+  for (const RangeCase& c :
+       {RangeCase{"name=e occlusion{len_lo=300}",
+                  {"occlusion", {{"len_lo", 300.0}}}, "len_lo", "len_hi"},
+        RangeCase{"name=f occlusion{len_lo=200,len_hi=100}",
+                  {"occlusion", {{"len_lo", 200.0}, {"len_hi", 100.0}}},
+                  "len_lo", "len_hi"},
+        RangeCase{"name=g lead_vehicle{brake_frames_lo=130,"
+                  "brake_frames_hi=120}",
+                  {"lead_vehicle",
+                   {{"brake_frames_lo", 130.0}, {"brake_frames_hi", 120.0}}},
+                  "brake_frames_lo", "brake_frames_hi"}}) {
+    ScenarioSpec spec;
+    spec.primitives.push_back(c.prim);
+    for (int entry = 0; entry < 2; ++entry) {
+      try {
+        if (entry == 0) parse_scenario_spec(c.line);
+        else generate_scenario(spec, 10, 1);
+        ADD_FAILURE() << c.line << " did not throw (entry " << entry << ")";
+      } catch (const SerializationError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.lo_key), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(c.hi_key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Equal bounds, and bounds equal after truncation, stay valid.
+  EXPECT_NO_THROW(parse_scenario_spec(
+      "name=h occlusion{len_lo=240} lead_vehicle{brake_frames_lo=120.9,"
+      "brake_frames_hi=120.2}"));
 }
 
 // ---------------------------------------------------------------------------

@@ -113,6 +113,41 @@ TEST(ThreadPool, NestedParallelForRunsSerialInline) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+TEST(ThreadPool, MaxSlotsBoundsChunkSlots) {
+  // Per-thread scratch indexed by chunk_slot() is safe: with max_slots = S
+  // every chunk still runs exactly once, and no two chunks running at the
+  // same time share a slot below S.
+  ThreadPool pool(8);
+  for (const int slots : {1, 3, 8}) {
+    std::vector<int> hits(64, 0);
+    std::vector<std::atomic<int>> busy(8);
+    std::atomic<bool> clash{false};
+    std::atomic<int> max_slot{-1};
+    pool.parallel_for(
+        0, 64, 1,
+        [&](std::int64_t b, std::int64_t e) {
+          const int slot = ThreadPool::chunk_slot();
+          int seen = max_slot.load();
+          while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
+          }
+          if (busy[static_cast<std::size_t>(slot)].fetch_add(1) != 0)
+            clash = true;
+          for (std::int64_t i = b; i < e; ++i)
+            ++hits[static_cast<std::size_t>(i)];
+          busy[static_cast<std::size_t>(slot)].fetch_sub(1);
+        },
+        slots);
+    for (int h : hits) EXPECT_EQ(h, 1) << "slots " << slots;
+    EXPECT_LT(max_slot.load(), slots);
+    EXPECT_FALSE(clash.load()) << "slots " << slots;
+  }
+  // Serial and nested chunks run in slot 0.
+  ThreadPool one(1);
+  one.parallel_for(0, 4, 1, [&](std::int64_t, std::int64_t) {
+    EXPECT_EQ(ThreadPool::chunk_slot(), 0);
+  });
+}
+
 TEST(ThreadPool, ManySmallJobsBackToBack) {
   ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {

@@ -11,9 +11,10 @@
 #       python3's json module (the machine-readable round-trip);
 #   (c) the fault-injection / integrity campaign suite (ctest -L faults),
 #       the scenario-DSL / Monte-Carlo campaign suite (-L campaign), the
-#       multi-stream serving suite (-L serve) and the fleet observability
-#       suite (-L obs), so a robustness, serving or observability
-#       regression is called out by name;
+#       multi-stream serving suite (-L serve), the fleet observability
+#       suite (-L obs) and the allocation-free inference suite (-L alloc),
+#       so a robustness, serving, observability or allocation regression
+#       is called out by name;
 #   (d) the ThreadSanitizer smoke suite (pool mechanics, parallel GEMM,
 #       parallel provisioning);
 #   (e) a UBSan build of the unit tests and the scenario-DSL/campaign
@@ -26,11 +27,12 @@
 #       deterministic --gate benches and compares every metric against
 #       bench/baselines/ within RRP_BENCH_TOLERANCE (default 0.05),
 #       skipped with a warning when python3 is unavailable;
-#   (h) an -DRRP_SIMD=OFF build of the unit + perf tests + rrp_lint — the
-#       micro-kernel variants are bit-identical by contract (DESIGN.md
-#       invariant 13), so the scalar-dispatch build must pass the exact
-#       same suite (golden traces included) and the frame-path pass must
-#       hold with the AVX2 TU out of the build.
+#   (h) an -DRRP_SIMD=OFF build of the unit + perf + alloc tests +
+#       rrp_lint — the micro-kernel variants are bit-identical by contract
+#       (DESIGN.md invariant 13), so the scalar-dispatch build must pass
+#       the exact same suite (golden traces included), infer_into must
+#       stay allocation-free, and the frame-path pass must hold with the
+#       AVX2 TU out of the build.
 # Build trees are kept per-configuration (build-check, build-check-tsan,
 # build-check-ubsan, build-check-cov, build-check-nosimd) so re-runs are
 # incremental.
@@ -78,6 +80,9 @@ ctest --test-dir build-check --output-on-failure -L serve
 
 step "(c''') fleet observability suite (ctest -L obs)"
 ctest --test-dir build-check --output-on-failure -L obs
+
+step "(c'''') allocation-free inference suite (ctest -L alloc)"
+ctest --test-dir build-check --output-on-failure -L alloc
 
 step "(d) ThreadSanitizer smoke suite"
 cmake -B build-check-tsan -S . -DRRP_SANITIZE=thread
@@ -143,9 +148,10 @@ fi
 step "(h) RRP_SIMD=OFF build (scalar kernel dispatch, same suite)"
 cmake -B build-check-nosimd -S . -DRRP_SIMD=OFF -DRRP_WERROR=ON
 cmake --build build-check-nosimd -j "$JOBS" --target rrp_tests rrp_perf_smoke \
-  rrp_lint
+  rrp_alloc_suite rrp_lint
 ./build-check-nosimd/tests/rrp_tests
 ./build-check-nosimd/tests/rrp_perf_smoke
+./build-check-nosimd/tests/rrp_alloc_suite
 # The frame-path pass must hold in both dispatch configurations: the AVX2
 # TU's roots are annotated and the scalar tree must be just as clean.
 ./build-check-nosimd/tools/rrp_lint --root .

@@ -27,8 +27,9 @@
 //     diagnostic, never a silent pass.
 //
 //  3. Check.  BFS from the root set marks the reachable subgraph; each
-//     reachable body gets the R6 line scans (new/delete, lock guards,
-//     stdio/fstream/ostream tokens, throw) and its banned/unresolved
+//     reachable body gets the R6 line scans (new/delete, local
+//     declarations of owning types, lock guards, stdio/fstream/ostream
+//     tokens, throw) and its banned/unresolved
 //     call findings; Tarjan SCCs over the reachable subgraph yield the
 //     R7 recursion findings (self-edge = direct, |SCC| > 1 = mutual).
 #include "callgraph.h"
@@ -571,11 +572,66 @@ bool io_call_name(const std::string& name) {
   return false;
 }
 
+/// Types whose constructor owns heap storage: a local of one of them
+/// allocates without a call token the resolver could see.
+const char* const kOwningTypes[] = {"std::vector", "std::string", "Tensor",
+                                    "Shape"};
+
+/// The owning type declared by a local declaration in `s` at or after
+/// `from` — `T name`, `T name(...)`, `T name = ...`, `T name{...}`, with
+/// std::vector's template arguments balanced on the line — or "".  A
+/// reference or pointer (`T& r`, `const T* p`) owns nothing.
+std::string owning_declaration(const std::string& s, std::size_t from) {
+  for (const char* type : kOwningTypes) {
+    const std::string t = type;
+    for (std::size_t pos = s.find(t, from); pos != kNposT;
+         pos = s.find(t, pos + 1)) {
+      if (pos > 0 && ident_char(s[pos - 1])) continue;
+      std::size_t i = pos + t.size();
+      if (i < s.size() && ident_char(s[i])) continue;
+      if (t == "std::vector") {
+        i = skip_spaces(s, i);
+        if (i >= s.size() || s[i] != '<') continue;
+        int depth = 0;
+        for (; i < s.size(); ++i) {
+          if (s[i] == '<') ++depth;
+          if (s[i] == '>' && --depth == 0) break;
+        }
+        if (i >= s.size()) continue;
+        ++i;
+      }
+      i = skip_spaces(s, i);
+      if (s.compare(i, 5, "const") == 0 &&
+          (i + 5 >= s.size() || !ident_char(s[i + 5])))
+        i = skip_spaces(s, i + 5);
+      if (i >= s.size() || !(std::isalpha(static_cast<unsigned char>(s[i])) ||
+                             s[i] == '_'))
+        continue;  // &, *, ::, (, > — not a declaration of an owner
+      while (i < s.size() && ident_char(s[i])) ++i;
+      i = skip_spaces(s, i);
+      if (i >= s.size() || std::string(";=({,):").find(s[i]) != kNposT)
+        return t;
+    }
+  }
+  return "";
+}
+
 void scan_body_lines(const ParsedFile& pf, const FunctionDef& d,
                      const std::string& via, std::vector<Finding>* out) {
   const std::string ctx = " in '" + d.display + "' (" + via + ")";
   for (int l = d.body_begin; l <= d.body_end; ++l) {
     const std::string& s = pf.view.code[static_cast<std::size_t>(l) - 1];
+    // The body starts after the '{' that opens it; what precedes it on
+    // that line is the header (return and parameter types).
+    const std::size_t body_from =
+        l == d.body_begin && s.find('{') != kNposT ? s.find('{') + 1 : 0;
+    const std::string owner = owning_declaration(s, body_from);
+    if (!owner.empty())
+      out->push_back({pf.rel_path, l, "frame-path-alloc",
+                      "local '" + owner + "' declaration" + ctx +
+                          " constructs heap storage on the frame path: "
+                          "preallocate at provision time (DESIGN.md "
+                          "invariant 14)"});
     if (has_token(s, "new") || has_token(s, "delete"))
       out->push_back({pf.rel_path, l, "frame-path-alloc",
                       "heap allocation (new/delete) on the frame path" + ctx +

@@ -33,12 +33,16 @@
 // pointers, member-function pointers, externals — produce a per-edge
 // `frame-path-unresolved` diagnostic instead of silently passing.
 //
-// Known under-approximations (documented, deliberate): the pass sees
-// *calls*, not constructors — a local `std::vector<float> v(n);` or a
-// copy-assignment allocates without a call token — and the arguments of
-// ALL-CAPS macro invocations (assert/log/span macros) are excluded from
-// call extraction because their message arguments only evaluate on the
-// failure path.
+// Constructors have no call token, so the body scan also flags local
+// declarations of owning types (`std::vector<...>`, `std::string`,
+// `Tensor`, `Shape`) in reachable bodies; references and pointers to
+// them own nothing and pass.
+//
+// Known under-approximations (documented, deliberate): temporaries and
+// copy-assignments of owning types (`out = Tensor(s);`) are not
+// declarations and pass unseen, and the arguments of ALL-CAPS macro
+// invocations (assert/log/span macros) are excluded from call extraction
+// because their message arguments only evaluate on the failure path.
 #pragma once
 
 #include <string>
