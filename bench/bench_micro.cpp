@@ -197,7 +197,7 @@ BENCHMARK(BM_ReloadSwitch)->DenseRange(1, 4);
 struct WallRecipe {
   int warmup = 3;          ///< untimed inferences before measuring
   int repeats = 7;         ///< timed repeats; the MEDIAN is reported
-  double block_ms = 30.0;  ///< target wall time of one timed repeat
+  double block_ms = 30.0;  ///< target wall time of one timed block
 };
 
 // Lighter recipe for --gate runs: the wall numbers there are context, not
@@ -211,34 +211,52 @@ constexpr WallRecipe kFullWall{};
 // (tens-of-µs) level.
 constexpr double kWallFitTolerance = 0.5;
 
-// Median-of-repeats per-inference wall time: `warmup` untimed calls, then
-// `repeats` timed blocks of `iters` inferences each (iters sized so one
-// block lasts ~block_ms; stable against timer granularity).
-double measure_infer_us(core::InferenceProvider& provider, const nn::Tensor& x,
-                        const WallRecipe& recipe) {
-  for (int i = 0; i < recipe.warmup; ++i) {
-    auto y = provider.infer(x);
-    benchmark::DoNotOptimize(y.raw());
-  }
-  Timer probe;
-  {
-    auto y = provider.infer(x);
-    benchmark::DoNotOptimize(y.raw());
-  }
-  const double probe_us = std::max(1.0, probe.elapsed_us());
-  const int iters = static_cast<int>(
-      std::clamp(recipe.block_ms * 1000.0 / probe_us, 1.0, 200.0));
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(recipe.repeats));
-  for (int r = 0; r < recipe.repeats; ++r) {
-    Timer t;
-    for (int i = 0; i < iters; ++i) {
-      auto y = provider.infer(x);
+// Median-of-repeats per-inference wall time of every level of each
+// provider, result[p][k].  `warmup` untimed calls per level, then
+// `repeats` rounds; each round times one block of `iters` inferences
+// (sized so a block lasts ~block_ms) for every (provider, level) in turn.
+// Round-robin keeps a host slowdown from landing on one level's block of
+// repeats alone, which skews the per-level curve the MACs fit reads.
+std::vector<std::vector<double>> measure_levels_us(
+    const std::vector<core::InferenceProvider*>& providers, int levels,
+    const nn::Tensor& x, const WallRecipe& recipe) {
+  const auto run = [&](core::InferenceProvider& p, int calls) {
+    for (int i = 0; i < calls; ++i) {
+      auto y = p.infer(x);
       benchmark::DoNotOptimize(y.raw());
     }
-    samples.push_back(t.elapsed_us() / iters);
+  };
+  std::vector<std::vector<int>> iters(providers.size());
+  for (std::size_t p = 0; p < providers.size(); ++p) {
+    for (int k = 0; k < levels; ++k) {
+      providers[p]->set_level(k);
+      run(*providers[p], recipe.warmup);
+      Timer probe;
+      run(*providers[p], 1);
+      const double probe_us = std::max(1.0, probe.elapsed_us());
+      iters[p].push_back(static_cast<int>(
+          std::clamp(recipe.block_ms * 1000.0 / probe_us, 1.0, 200.0)));
+    }
   }
-  return quantile(samples, 0.5);
+  std::vector<std::vector<std::vector<double>>> samples(
+      providers.size(), std::vector<std::vector<double>>(
+                            static_cast<std::size_t>(levels)));
+  for (int r = 0; r < recipe.repeats; ++r) {
+    for (int k = 0; k < levels; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      for (std::size_t p = 0; p < providers.size(); ++p) {
+        providers[p]->set_level(k);
+        Timer t;
+        run(*providers[p], iters[p][kk]);
+        samples[p][kk].push_back(t.elapsed_us() / iters[p][kk]);
+      }
+    }
+  }
+  std::vector<std::vector<double>> us(providers.size());
+  for (std::size_t p = 0; p < providers.size(); ++p)
+    for (const std::vector<double>& level : samples[p])
+      us[p].push_back(quantile(level, 0.5));
+  return us;
 }
 
 // Measured wall-clock of the masked-dense path vs the compacted ladder at
@@ -260,17 +278,14 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
   report.config("wall_repeats", static_cast<std::int64_t>(recipe.repeats));
 
   const int levels = masked.level_count();
-  std::vector<double> masked_us(static_cast<std::size_t>(levels));
-  std::vector<double> compact_us(static_cast<std::size_t>(levels));
+  const std::vector<std::vector<double>> us =
+      measure_levels_us({&masked, &fast}, levels, x, recipe);
+  const std::vector<double>& masked_us = us[0];
+  const std::vector<double>& compact_us = us[1];
   std::vector<double> macs(static_cast<std::size_t>(levels));
   std::vector<double> modeled_us(static_cast<std::size_t>(levels));
   for (int k = 0; k < levels; ++k) {
-    masked.set_level(k);
     fast.set_level(k);
-    masked_us[static_cast<std::size_t>(k)] =
-        measure_infer_us(masked, x, recipe);
-    compact_us[static_cast<std::size_t>(k)] =
-        measure_infer_us(fast, x, recipe);
     macs[static_cast<std::size_t>(k)] =
         static_cast<double>(fast.active_macs(in));
     modeled_us[static_cast<std::size_t>(k)] =

@@ -81,9 +81,15 @@ struct GemmArgs {
   std::int64_t ldc;
 };
 
+// What a conv_gemm row chunk reads, behind one captured pointer.
+struct ConvArgs {
+  kernels::ConvRowsFn rows;
+  const ConvGemm* g;
+};
+
 }  // namespace
 
-// rrp-frame-path: every per-frame inference lands here.
+// rrp-frame-path: row-major GEMM entry point.
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           float beta, float* c, std::int64_t ldc) {
@@ -128,6 +134,21 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                [g = &args](std::int64_t i_begin, std::int64_t i_end) {
                  gemm_bt_rows(i_begin, i_end, g->n, g->k, g->alpha, g->a,
                               g->lda, g->b, g->ldb, g->beta, g->c, g->ldc);
+               });
+}
+
+// rrp-frame-path: every per-frame conv lands here (Conv2D eval forward).
+void conv_gemm(std::int64_t m, const ConvGemm& g) {
+  const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
+  const std::int64_t k = static_cast<std::int64_t>(g.cin) * g.kernel *
+                         g.kernel;
+  GemmScope scope("gemm", m, n, k);
+  const ConvArgs args{kernels::active_conv_rows(), &g};
+  parallel_for(0, m, row_grain(n, k),
+               [c = &args](std::int64_t i_begin, std::int64_t i_end) {
+                 const kernels::ConvRowsFn rows = c->rows;
+                 // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated conv_rows_* variants in nn/gemm_kernels*.cpp, each certified.
+                 rows(i_begin, i_end, *c->g);
                });
 }
 

@@ -1,8 +1,8 @@
 // gemm.h — single-precision matrix multiply kernels.
 //
-// All heavy layers (Conv2D via im2col, Linear) lower to these routines,
-// so the engine's latency-vs-pruning behaviour is concentrated in one place
-// that the platform model can reason about (cost ∝ M·N·K).
+// All heavy layers (Conv2D as an implicit GEMM, Linear) lower to these
+// routines, so the engine's latency-vs-pruning behaviour is concentrated in
+// one place that the platform model can reason about (cost ∝ M·N·K).
 //
 // Threading: every variant parallelizes over disjoint blocks of C rows on
 // the process-wide ThreadPool (util/thread_pool.h).  Each row of C is
@@ -42,5 +42,35 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
              std::int64_t ldb, float beta, float* c, std::int64_t ldc);
+
+/// One sample of a convolution as an implicit GEMM, C = epilogue(A * B):
+///   * A is the weight [M, K], K = cin * kernel * kernel, row stride lda;
+///   * B [K, N], N = oh * ow, is never materialized: B(kk = (c, ki, kj),
+///     j = (oi, oj)) is read from the zero-padded input `xp` [cin, hp, wp]
+///     at xp[c*hp*wp + ki*wp + kj + (oi*wp + oj) * stride];
+///   * every stored element of row i is epilogue(acc) =
+///     max(0, (acc + bias[i]) * scale[i] + shift[i]), where a null `bias`
+///     or `scale` drops its term (`shift` goes with `scale`) and `relu`
+///     false drops the max, which is std::max(v, 0.0f).
+/// It accumulates like gemm with alpha = 1 and beta = 0, so it equals
+/// im2col + gemm + the epilogue's separate passes bit for bit.
+struct ConvGemm {
+  const float* a = nullptr;
+  std::int64_t lda = 0;
+  const float* xp = nullptr;
+  int cin = 0, kernel = 0, stride = 1;
+  int hp = 0, wp = 0;  ///< padded plane extents
+  int oh = 0, ow = 0;  ///< output plane extents
+  const float* bias = nullptr;
+  const float* scale = nullptr;
+  const float* shift = nullptr;
+  bool relu = false;
+  float* c = nullptr;
+  std::int64_t ldc = 0;
+};
+
+/// Rows [0, m) of `g` on the pool, with gemm's bookkeeping: one "gemm"
+/// span and the gemm.calls / gemm.flops counters (M·N·K FMAs).
+void conv_gemm(std::int64_t m, const ConvGemm& g);
 
 }  // namespace rrp::nn

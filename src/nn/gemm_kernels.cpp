@@ -88,6 +88,29 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
   }
 }
 
+// rrp-frame-path: scalar implicit-GEMM conv rows (the conv oracle).
+void conv_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+                         const ConvGemm& g) {
+  const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
+  const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
+  for (std::int64_t i = i_begin; i < i_end; ++i) {
+    const float* arow = g.a + i * g.lda;
+    float* crow = g.c + i * g.ldc;
+    std::fill(crow, crow + n, 0.0f);
+    std::int64_t kk = 0;
+    for (int c = 0; c < g.cin; ++c)
+      for (int ki = 0; ki < g.kernel; ++ki)
+        for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+          const float av = arow[kk];
+          if (av == 0.0f) continue;  // pruned weights short-circuit
+          const float* brow = g.xp + c * plane + ki * g.wp + kj;
+          for (std::int64_t j = 0; j < n; ++j)
+            crow[j] += av * brow[conv_col_offset(g, j)];
+        }
+    for (std::int64_t j = 0; j < n; ++j) crow[j] = conv_epilogue(g, i, crow[j]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // blocked — register-tiled portable micro-kernels.  The accumulator tile
 // acc[kRegM][kRegN] stays in registers (or baseline vector lanes) across a
@@ -142,6 +165,31 @@ void micro_tile_at(std::int64_t i, std::int64_t ri, std::int64_t j,
       c[(i + r) * ldc + j + jj] = acc[r][jj];
 }
 
+// The blocked register tile for the implicit-GEMM conv: rows [i, i+ri) x
+// columns [j, j+jn) over the full K, B read through per-column offsets.
+void conv_micro_tile(const ConvGemm& g, std::int64_t i, std::int64_t ri,
+                     std::int64_t j, std::int64_t jn) {
+  float acc[kRegM][kRegN] = {};
+  std::int64_t col[kRegN];
+  for (std::int64_t jj = 0; jj < jn; ++jj) col[jj] = conv_col_offset(g, j + jj);
+  const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
+  std::int64_t kk = 0;
+  for (int c = 0; c < g.cin; ++c)
+    for (int ki = 0; ki < g.kernel; ++ki)
+      for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+        const float* brow = g.xp + c * plane + ki * g.wp + kj;
+        for (std::int64_t r = 0; r < ri; ++r) {
+          const float av = g.a[(i + r) * g.lda + kk];
+          if (av == 0.0f) continue;  // pruned weights short-circuit
+          for (std::int64_t jj = 0; jj < jn; ++jj)
+            acc[r][jj] += av * brow[col[jj]];
+        }
+      }
+  for (std::int64_t r = 0; r < ri; ++r)
+    for (std::int64_t jj = 0; jj < jn; ++jj)
+      g.c[(i + r) * g.ldc + j + jj] = conv_epilogue(g, i + r, acc[r][jj]);
+}
+
 }  // namespace
 
 // rrp-frame-path: register-tiled cache-blocked micro-kernel.
@@ -188,6 +236,17 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
   }
 }
 
+// rrp-frame-path: register-tiled implicit-GEMM conv rows.
+void conv_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+                       const ConvGemm& g) {
+  const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
+  for (std::int64_t i = i_begin; i < i_end; i += kRegM) {
+    const std::int64_t ri = std::min(kRegM, i_end - i);
+    for (std::int64_t j = 0; j < n; j += kRegN)
+      conv_micro_tile(g, i, ri, j, std::min(kRegN, n - j));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // dispatch
 // ---------------------------------------------------------------------------
@@ -225,6 +284,20 @@ GemmRowsFn active_gemm_at_rows() {
   return fn;
 #else
   return &gemm_at_rows_reference;
+#endif
+}
+
+ConvRowsFn active_conv_rows() {
+#if defined(RRP_SIMD)
+#if defined(RRP_HAVE_AVX2)
+  static const ConvRowsFn fn =
+      avx2_usable() ? &conv_rows_avx2 : &conv_rows_blocked;
+#else
+  static const ConvRowsFn fn = &conv_rows_blocked;
+#endif
+  return fn;
+#else
+  return &conv_rows_reference;
 #endif
 }
 

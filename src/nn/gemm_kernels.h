@@ -22,13 +22,21 @@
 // the result (DESIGN.md invariant 13), which keeps golden traces and
 // bench baselines independent of the RRP_SIMD build configuration.
 //
+// Each variant also has an implicit-GEMM conv row function (ConvRowsFn,
+// nn/gemm.h ConvGemm) under the same contract: it reads B from the padded
+// input instead of an im2col buffer, and applies the conv epilogue as it
+// stores each tile.  The scalar reference again is the oracle.
+//
 // The -DRRP_SIMD CMake option picks which variant the active_* dispatch
 // returns (OFF -> reference, ON -> avx2 when usable, else blocked); every
 // compiled-in variant stays callable so tests can compare them directly
 // within one build.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+
+#include "nn/gemm.h"
 
 namespace rrp::nn::kernels {
 
@@ -38,6 +46,24 @@ using GemmRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
                             const float* a, std::int64_t lda, const float* b,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
+
+/// Rows [i_begin, i_end) of the implicit-GEMM conv `g`.
+using ConvRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
+                            const ConvGemm& g);
+
+/// Offset of output column j in the padded plane: (oi * wp + oj) * stride.
+inline std::int64_t conv_col_offset(const ConvGemm& g, std::int64_t j) {
+  return (j / g.ow * g.wp + j % g.ow) * g.stride;
+}
+
+/// The epilogue of row i on one accumulated value (the scalar form every
+/// variant's vector store must match).
+inline float conv_epilogue(const ConvGemm& g, std::int64_t i, float v) {
+  if (g.bias != nullptr) v = v + g.bias[i];
+  if (g.scale != nullptr) v = v * g.scale[i] + g.shift[i];
+  if (g.relu) v = std::max(v, 0.0f);
+  return v;
+}
 
 // --- reference (scalar oracle; always available) ---------------------------
 void gemm_rows_reference(std::int64_t i_begin, std::int64_t i_end,
@@ -50,6 +76,8 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
                             const float* a, std::int64_t lda, const float* b,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
+void conv_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+                         const ConvGemm& g);
 
 // --- blocked (register-tiled portable; always available) -------------------
 void gemm_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
@@ -62,6 +90,8 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
                           const float* a, std::int64_t lda, const float* b,
                           std::int64_t ldb, float beta, float* c,
                           std::int64_t ldc);
+void conv_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+                       const ConvGemm& g);
 
 // --- avx2 (hand-vectorized; present only when the toolchain has -mavx2) ----
 #if defined(RRP_HAVE_AVX2)
@@ -74,6 +104,8 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        const float* a, std::int64_t lda, const float* b,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t ldc);
+void conv_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
+                    const ConvGemm& g);
 #endif
 
 /// Height of the tallest register tile of any variant (blocked: 4 rows,
@@ -88,6 +120,7 @@ bool avx2_usable();
 /// per process; the choice never changes after the first call).
 GemmRowsFn active_gemm_rows();
 GemmRowsFn active_gemm_at_rows();
+ConvRowsFn active_conv_rows();
 
 /// "scalar" (RRP_SIMD=OFF), "blocked" or "avx2" — for bench report configs
 /// and diagnostics.

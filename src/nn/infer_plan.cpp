@@ -42,9 +42,28 @@ struct Builder {
   }
 };
 
+// Folds the BatchNorm and/or ReLU directly after layers[i] (a Conv2D)
+// into `fused`; returns the index of the last layer the step covers.
+std::size_t fuse_after_conv(const std::vector<std::unique_ptr<Layer>>& layers,
+                            std::size_t i, ConvFusion& fused) {
+  const int channels = static_cast<const Conv2D&>(*layers[i]).out_channels();
+  const auto next_is = [&](LayerKind kind) {
+    return i + 1 < layers.size() && layers[i + 1]->kind() == kind;
+  };
+  if (next_is(LayerKind::BatchNorm) &&
+      static_cast<const BatchNorm&>(*layers[i + 1]).channels() == channels)
+    fused.bn = static_cast<const BatchNorm*>(layers[++i].get());
+  if (next_is(LayerKind::ReLU)) {
+    fused.relu = true;
+    ++i;
+  }
+  return i;
+}
+
 void flatten(const Network& net, Shape& shape, int& cur, Builder& b) {
-  for (const auto& owned : net.layers()) {
-    const Layer& layer = *owned;
+  const auto& layers = net.layers();
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const Layer& layer = *layers[li];
     if (layer.kind() == LayerKind::Residual) {
       const Shape in = shape;
       const int skip = cur;
@@ -71,6 +90,8 @@ void flatten(const Network& net, Shape& shape, int& cur, Builder& b) {
     InferStep st;
     st.layer = &layer;
     st.in = shape;
+    if (layer.kind() == LayerKind::Conv2D)
+      li = fuse_after_conv(layers, li, st.fused);
     StepBuffers sb;
     sb.x = cur;
     b.read(cur);

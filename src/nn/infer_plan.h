@@ -3,7 +3,7 @@
 //
 // The plan flattens the network (Residual bodies inline, each block closed
 // by an identity-add step) and assigns every intermediate activation and
-// every layer's scratch (the conv im2col slots) an offset in one float
+// every layer's scratch (a conv's padded-sample slots) an offset in one float
 // arena.  Offsets come from liveness over that flat sequence: a buffer is
 // live from the step that writes it to the last step that reads it, and a
 // new buffer takes the lowest offset that overlaps no live one (first
@@ -14,6 +14,10 @@
 // read-only, and the last value is written straight into the caller's
 // output.
 //
+// A Conv2D step absorbs the BatchNorm and/or ReLU that directly follow it
+// in the same Network: they run in the conv's tile store (Conv2D::
+// forward_fused_into) and get no step and no buffer of their own.
+//
 // A plan is immutable and holds no activation memory, so any number of
 // arenas (one per level cursor, DESIGN.md "Activation arena") can run it
 // concurrently.
@@ -22,19 +26,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/tensor.h"
+#include "nn/layers.h"
 
 namespace rrp::nn {
 
-class Layer;
 class Network;
 
 /// Step locations: an arena offset (>= 0) or one of these.
 inline constexpr std::int64_t kPlanInput = -1;   ///< the caller's input
 inline constexpr std::int64_t kPlanOutput = -2;  ///< the caller's output
 
-/// One planned operation: a layer's forward_into, or (layer == nullptr)
-/// the identity add that closes a Residual block, y = x + skip.
+/// One planned operation: a layer's forward_into, a Conv2D with the
+/// layers in `fused` folded into it, or (layer == nullptr) the identity
+/// add that closes a Residual block, y = x + skip.
 struct InferStep {
   const Layer* layer = nullptr;
   Shape in;                  ///< input shape of this step
@@ -43,6 +47,7 @@ struct InferStep {
   std::int64_t scratch = 0;  ///< arena offset of the layer's scratch
   std::int64_t skip = 0;     ///< residual add: location of the block input
   std::int64_t numel = 0;    ///< residual add: elements added
+  ConvFusion fused;          ///< Conv2D step: layers run in its tile store
 };
 
 struct InferPlan {

@@ -52,8 +52,21 @@ class Linear : public Layer {
   Tensor cached_input_;
 };
 
-/// 2-D convolution (NCHW), implemented as im2col + GEMM.  The im2col
-/// buffer is caller scratch: one [in_ch*k*k, oh*ow] slot per sample.
+class BatchNorm;
+
+/// The layers a planned Conv2D step folds into its tile store
+/// (nn/infer_plan.h): a following BatchNorm (eval) and/or ReLU.
+struct ConvFusion {
+  const BatchNorm* bn = nullptr;
+  bool relu = false;
+};
+
+/// 2-D convolution (NCHW).  The eval forward is an implicit GEMM
+/// (nn/gemm.h conv_gemm) over a zero-padded copy of each sample; there is
+/// no im2col buffer.  Caller scratch holds 2*out_ch floats for a fused
+/// BatchNorm's scale and shift, then min(N, 8) padded [in_ch, h+2p, w+2p]
+/// slots, one per pool chunk slot (none when padding is 0: the input is
+/// read in place).  im2col/col2im serve the training backward only.
 class Conv2D : public Layer {
  public:
   Conv2D(std::string name, int in_ch, int out_ch, int kernel, int stride = 1,
@@ -64,6 +77,11 @@ class Conv2D : public Layer {
   void forward_into(const float* x, const Shape& in, float* y,
                     float* scratch) const override;
   std::int64_t scratch_floats(const Shape& in) const override;
+  /// forward_into with the layers in `fuse` applied as each tile is
+  /// stored; equals forward_into followed by those layers bit for bit.
+  /// Reads the BatchNorm's running statistics at every call.
+  void forward_fused_into(const float* x, const Shape& in, float* y,
+                          float* scratch, const ConvFusion& fuse) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;
@@ -89,6 +107,7 @@ class Conv2D : public Layer {
   std::pair<int, int> out_hw(int h, int w) const;
 
  private:
+  void pad_into(const float* src, int h, int w, float* dst) const;
   void im2col(const float* src, int h, int w, float* col) const;
   void col2im(const float* col, int h, int w, float* dst) const;
 
@@ -275,6 +294,10 @@ class BatchNorm : public Layer {
   const Tensor& beta() const { return beta_; }
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
+
+  /// Eval-mode affine of channel `c` from the running statistics:
+  /// y = x * scale + shift, returned as {scale, shift}.
+  std::pair<float, float> eval_affine(int c) const;
 
  private:
   int channels_;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <tuple>
 
 #include "nn/gemm.h"
 #include "nn/layers.h"
@@ -116,7 +117,7 @@ Tensor Conv2D::forward(const Tensor& x, bool training) {
 
 namespace {
 
-// im2col slots of one conv call: at most this many threads take its
+// Padded-sample slots of one conv call: at most this many threads take its
 // sample chunks, each through the slot of its ThreadPool::chunk_slot(), so
 // a batch of N needs min(N, kConvSlots) slots, not N.
 constexpr std::int64_t kConvSlots = 8;
@@ -127,56 +128,102 @@ struct ConvSamples {
   const Conv2D* conv;
   const float* x;
   float* y;
-  float* col;  // [col_rows, col_cols] im2col slots, one per chunk_slot()
+  float* slots;  // padded samples, one per chunk_slot(); null: no padding
   int h, w;
-  std::int64_t col_rows, col_cols;
+  std::int64_t slot_floats;
+  ConvGemm g;  // everything but the sample's xp and c
 };
 
 }  // namespace
 
 std::int64_t Conv2D::scratch_floats(const Shape& in) const {
-  const Shape out = output_shape(in);
-  return std::min<std::int64_t>(in[0], kConvSlots) * in_ch_ * kernel_ *
-         kernel_ * out[2] * out[3];
+  if (padding_ == 0) return 2 * out_ch_;
+  const std::int64_t slot = static_cast<std::int64_t>(in_ch_) *
+                            (in[2] + 2 * padding_) * (in[3] + 2 * padding_);
+  return 2 * out_ch_ + std::min<std::int64_t>(in[0], kConvSlots) * slot;
 }
 
-// rrp-frame-path: im2col-GEMM conv — the dominant per-frame inference cost.
+// Copies one sample [in_ch, h, w] into dst [in_ch, h+2p, w+2p] with zeroed
+// borders (every border float is written: the slot is reused arena).
+void Conv2D::pad_into(const float* src, int h, int w, float* dst) const {
+  const int p = padding_, wp = w + 2 * p;
+  for (int c = 0; c < in_ch_; ++c) {
+    std::fill(dst, dst + p * wp + p, 0.0f);  // top rows, first left edge
+    dst += p * wp + p;
+    for (int r = 0; r < h; ++r, src += w) {
+      dst = std::copy(src, src + w, dst);
+      // right edge of this row, left edge of the next
+      std::fill(dst, dst + 2 * p, 0.0f);
+      dst += 2 * p;
+    }
+    std::fill(dst, dst + p * wp - p, 0.0f);  // bottom rows
+    dst += p * wp - p;
+  }
+}
+
 void Conv2D::forward_into(const float* x, const Shape& in, float* y,
                           float* scratch) const {
+  forward_fused_into(x, in, y, scratch, ConvFusion{});
+}
+
+// rrp-frame-path: implicit-GEMM conv — the dominant per-frame inference cost.
+void Conv2D::forward_fused_into(const float* x, const Shape& in, float* y,
+                                float* scratch,
+                                const ConvFusion& fuse) const {
   RRP_CHECK_MSG(in.size() == 4 && in[1] == in_ch_,
                 "Conv2D '" << name() << "' expects [N, " << in_ch_
                            << ", H, W], got " << shape_str(in));
   const int n = in[0], h = in[2], w = in[3];
   const auto [oh, ow] = out_hw(h, w);
-  const std::int64_t col_rows = static_cast<std::int64_t>(in_ch_) * kernel_ *
-                                kernel_;
-  const std::int64_t col_cols = static_cast<std::int64_t>(oh) * ow;
 
   static metrics::Counter& calls = metrics::counter("conv.calls");
   calls.add(1);
   RRP_SPAN_VAR(span, "conv.forward");
-  span.add_items(static_cast<std::int64_t>(n) * out_ch_ * col_rows *
-                 col_cols);  // im2col-GEMM FMAs
+  span.add_items(static_cast<std::int64_t>(n) * out_ch_ * in_ch_ * kernel_ *
+                 kernel_ * oh * ow);  // implicit-GEMM FMAs
+
+  // The fused BatchNorm's per-channel affine, from its live statistics.
+  float* scale = scratch;
+  float* shift = scratch + out_ch_;
+  if (fuse.bn != nullptr)
+    for (int c = 0; c < out_ch_; ++c)
+      std::tie(scale[c], shift[c]) = fuse.bn->eval_affine(c);
+
+  ConvSamples args{this, x, y, nullptr, h, w, 0, {}};
+  if (padding_ > 0) {
+    args.slots = scratch + 2 * out_ch_;
+    args.slot_floats = static_cast<std::int64_t>(in_ch_) * (h + 2 * padding_) *
+                       (w + 2 * padding_);
+  }
+  ConvGemm& g = args.g;
+  g.a = weight_.raw();
+  g.lda = static_cast<std::int64_t>(in_ch_) * kernel_ * kernel_;
+  g.cin = in_ch_;
+  g.kernel = kernel_;
+  g.stride = stride_;
+  g.hp = h + 2 * padding_;
+  g.wp = w + 2 * padding_;
+  g.oh = oh;
+  g.ow = ow;
+  g.bias = with_bias_ ? bias_.raw() : nullptr;
+  g.scale = fuse.bn != nullptr ? scale : nullptr;
+  g.shift = shift;
+  g.relu = fuse.relu;
+  g.ldc = static_cast<std::int64_t>(oh) * ow;
   // Samples write disjoint output planes: fan the batch out over the pool
-  // (each taking thread unrolls into its own im2col slot; nested GEMMs
-  // stay serial).
-  const ConvSamples args{this, x, y, scratch, h, w, col_rows, col_cols};
+  // (each taking thread pads into its own slot; nested GEMMs stay serial).
   const auto body = [a = &args](std::int64_t s_begin, std::int64_t s_end) {
     const Conv2D& conv = *a->conv;
-    float* col = a->col + ThreadPool::chunk_slot() * a->col_rows * a->col_cols;
+    const std::int64_t in_plane =
+        static_cast<std::int64_t>(conv.in_ch_) * a->h * a->w;
+    float* slot = a->slots + ThreadPool::chunk_slot() * a->slot_floats;
+    ConvGemm g = a->g;
     for (std::int64_t s = s_begin; s < s_end; ++s) {
-      conv.im2col(a->x + s * conv.in_ch_ * a->h * a->w, a->h, a->w, col);
-      float* out = a->y + s * conv.out_ch_ * a->col_cols;
-      // y[out_ch, oh*ow] = W[out_ch, col_rows] * col[col_rows, oh*ow]
-      gemm(conv.out_ch_, a->col_cols, a->col_rows, 1.0f, conv.weight_.raw(),
-           a->col_rows, col, a->col_cols, 0.0f, out, a->col_cols);
-      if (conv.with_bias_) {
-        for (int c = 0; c < conv.out_ch_; ++c) {
-          float* plane = out + static_cast<std::int64_t>(c) * a->col_cols;
-          const float b = conv.bias_.raw()[c];
-          for (std::int64_t i = 0; i < a->col_cols; ++i) plane[i] += b;
-        }
-      }
+      const float* sample = a->x + s * in_plane;
+      if (a->slots != nullptr) conv.pad_into(sample, a->h, a->w, slot);
+      g.xp = a->slots != nullptr ? slot : sample;
+      g.c = a->y + s * conv.out_ch_ * g.ldc;
+      conv_gemm(conv.out_ch_, g);
     }
   };
   parallel_for(0, n, 1, body,

@@ -27,7 +27,7 @@ const char* layer_kind_name(LayerKind kind) {
 Tensor Layer::forward_eval(const Tensor& x) const {
   Tensor y(output_shape(x.shape()));
   // Uninitialized, so only the scratch a forward uses gets touched (a
-  // batched conv has min(N, 8) im2col slots, but only one per thread
+  // batched conv has min(N, 8) padded slots, but only one per thread
   // taking chunks is written); every layer writes its scratch before
   // reading it.
   const std::int64_t n = scratch_floats(x.shape());

@@ -37,15 +37,19 @@ NchwView view_of(const Shape& in, int channels) {
 }
 }  // namespace
 
+std::pair<float, float> BatchNorm::eval_affine(int c) const {
+  const float inv_std = 1.0f / std::sqrt(running_var_.raw()[c] + eps_);
+  const float scale = gamma_.raw()[c] * inv_std;
+  return {scale, beta_.raw()[c] - running_mean_.raw()[c] * scale};
+}
+
 void BatchNorm::forward_into(const float* x, const Shape& in, float* y,
                              float* scratch) const {
   (void)scratch;
   const NchwView v = view_of(in, channels_);
   for (int s = 0; s < v.n; ++s) {
     for (int c = 0; c < v.c; ++c) {
-      const float inv_std = 1.0f / std::sqrt(running_var_.raw()[c] + eps_);
-      const float scale = gamma_.raw()[c] * inv_std;
-      const float shift = beta_.raw()[c] - running_mean_.raw()[c] * scale;
+      const auto [scale, shift] = eval_affine(c);
       const std::int64_t off = (static_cast<std::int64_t>(s) * v.c + c) * v.hw;
       const float* src = x + off;
       float* dst = y + off;

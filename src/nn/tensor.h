@@ -1,7 +1,7 @@
 // tensor.h — dense float32 tensor, row-major, NCHW convention for 4-D.
 //
 // This is deliberately a small owning value type (not an expression
-// template library): the inference engine gets its speed from im2col+GEMM,
+// template library): the inference engine gets its speed from its GEMMs,
 // and the pruning runtime needs direct, simple access to weight storage so
 // masks and restores are trivial memcpy-level operations.
 #pragma once

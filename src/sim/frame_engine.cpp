@@ -151,12 +151,15 @@ void FrameEngine::step(StreamState& s) const {
   const bool blackout = (config.sensor_blackout_prob > 0.0 &&
                          s.noise.bernoulli(config.sensor_blackout_prob)) ||
                         faults.blackout;
-  Scene sensed_view = scene;
-  if (blackout) sensed_view.actors.clear();  // empty road, noise only
+  // A blackout renders an empty road (noise only): the scene without its
+  // actors, built only then, so a normal frame copies nothing.
+  Scene empty_road;
+  if (blackout)
+    empty_road = Scene{scene.time_s, scene.ego_speed_mps, scene.visibility, {}};
   nn::Tensor frame;
   {
     RRP_SPAN("render");
-    frame = render_scene(sensed_view, config.vision, s.noise);
+    frame = render_scene(blackout ? empty_road : scene, config.vision, s.noise);
   }
   double infer_wall_us = 0.0;
   {

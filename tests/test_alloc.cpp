@@ -258,7 +258,7 @@ TEST(AllocForwardInto, EqualsForwardForEveryKindWithAndWithoutAliasing) {
 }
 
 TEST(AllocForwardInto, PlannedForwardEqualsForwardOnBatches) {
-  // Plans for batch > 1 (im2col slots shared by chunk_slot) and for a
+  // Plans for batch > 1 (padded slots shared by chunk_slot) and for a
   // residual net (skip slots, in-place aliasing around them).
   std::vector<std::pair<nn::Network, nn::Shape>> nets;
   nets.emplace_back(testing::tiny_residual_net(3), testing::tiny_input_shape());

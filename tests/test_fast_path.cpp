@@ -22,7 +22,12 @@
 //       and parameter storage addresses are stable across swaps;
 //   F4  kernel variants are bit-identical — reference / blocked / avx2
 //       produce byte-equal C for any row partition, and the public gemm
-//       entry points are bit-exact across thread counts (1/2/8).
+//       entry points are bit-exact across thread counts (1/2/8);
+//   F5  fused conv steps are exact — on every zoo model, the planned
+//       infer_into (BatchNorm and ReLU folded into the conv store) equals
+//       the unfused layer chain bit for bit at every level, through a
+//       ladder view and the masked arm, along a level walk and after a
+//       weight bit flip.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "core/reversible_pruner.h"
+#include "models/zoo.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
 #include "prune/levels.h"
@@ -511,6 +517,85 @@ TEST(FastPath, ActiveDispatchIsCoherent) {
   }
   EXPECT_NE(nn::kernels::active_gemm_rows(), nullptr);
   EXPECT_NE(nn::kernels::active_gemm_at_rows(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// F5: fused conv steps
+// ---------------------------------------------------------------------------
+
+/// Flips bit 30 (the exponent's top bit) of the first nonzero weight of
+/// the first Conv2D in `net`; flipping again restores it.
+void flip_conv_weight(nn::Network& net) {
+  for (nn::Layer* l : net.leaf_layers()) {
+    if (l->kind() != nn::LayerKind::Conv2D) continue;
+    for (float& w : static_cast<nn::Conv2D*>(l)->weight().data()) {
+      if (w == 0.0f) continue;
+      w = std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ (1u << 30));
+      return;
+    }
+  }
+}
+
+TEST(FastPath, FusedConvStepsEqualTheUnfusedChainOnEveryZooModel) {
+  const std::vector<double> ratios = {0.0, 0.3, 0.5, 0.7, 0.85};
+  const std::vector<int> walk = {0, 3, 1, 4, 2, 4, 0};
+  const nn::Shape shape = models::zoo_input_shape();
+  for (const models::ModelKind kind : models::all_model_kinds()) {
+    const std::string model = models::model_kind_name(kind);
+    Rng rng(static_cast<std::uint64_t>(kind) + 900);
+    nn::Network net = models::build_model(kind, rng);
+    // Non-trivial BatchNorm statistics, so the folded affine matters.
+    std::uint64_t seed = 1;
+    for (nn::Layer* l : net.leaf_layers()) {
+      if (l->kind() != nn::LayerKind::BatchNorm) continue;
+      auto& bn = static_cast<nn::BatchNorm&>(*l);
+      const nn::Shape c{bn.channels()};
+      bn.gamma() = random_tensor(c, ++seed);
+      bn.beta() = random_tensor(c, ++seed);
+      bn.running_mean() = random_tensor(c, ++seed);
+      bn.running_var() = random_tensor(c, ++seed);
+      for (float& v : bn.running_var().data()) v = 0.5f + std::abs(v);
+    }
+    bool any_fused = false;
+    for (const nn::InferStep& st : nn::plan_inference(net, shape).steps)
+      any_fused = any_fused || st.fused.bn != nullptr || st.fused.relu;
+    const bool has_conv = net.find("conv1") != nullptr ||
+                          net.find("stem") != nullptr;
+    EXPECT_EQ(any_fused, has_conv) << model;
+
+    CompactedLadderProvider fast(net,
+                                 prune::PruneLevelLibrary::build_structured(
+                                     net, ratios, shape,
+                                     prune::ImportanceMetric::L1, 2),
+                                 shape);
+    CompactedLadderView view(fast);
+    ReversiblePruner& masked = fast.masked();
+    const nn::Tensor x = random_tensor(shape, 77);
+    nn::Tensor out;
+    const auto check = [&](int k, const std::string& when) {
+      const std::string what = model + " L" + std::to_string(k) + " " + when;
+      view.infer_into(x, out);
+      EXPECT_EQ(testing::float_bits(out.data()),
+                testing::float_bits(fast.network_at(k).forward(x, false).data()))
+          << "view " << what;
+      masked.infer_into(x, out);
+      EXPECT_EQ(testing::float_bits(out.data()),
+                testing::float_bits(masked.network().forward(x, false).data()))
+          << "masked " << what;
+    };
+    for (const int k : walk) {
+      view.set_level(k);
+      masked.set_level(k);
+      check(k, "walk");
+    }
+    const int k = walk.back();
+    flip_conv_weight(fast.network_at(k));
+    flip_conv_weight(masked.network());
+    check(k, "bit flip");
+    flip_conv_weight(fast.network_at(k));
+    flip_conv_weight(masked.network());
+    check(k, "restored");
+  }
 }
 
 }  // namespace

@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
 #include "nn/layers.h"
 #include "test_support.h"
 #include "util/checks.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rrp::nn {
 namespace {
@@ -144,48 +148,146 @@ void reference_im2col(const float* src, int in_ch, int h, int w, int k,
   }
 }
 
-TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
-  const int n = 2, in_ch = 3, out_ch = 5;
-  for (const auto& [h, w] : {std::pair{7, 6}, std::pair{5, 9}}) {
-    for (int k : {1, 3, 5}) {
-      for (int stride : {1, 2}) {
-        for (int pad : {0, 1, 2}) {
-          const std::string tag = std::to_string(h) + "x" + std::to_string(w) +
-                                  " k=" + std::to_string(k) +
-                                  " s=" + std::to_string(stride) +
-                                  " p=" + std::to_string(pad);
-          Conv2D conv("c", in_ch, out_ch, k, stride, pad);
-          conv.weight() = random_tensor({out_ch, in_ch, k, k}, 11);
-          for (std::int64_t i = 0; i < conv.weight().numel(); i += 3)
-            conv.weight()[i] = 0.0f;  // exercise the zero-skip
-          conv.bias() = random_tensor({out_ch}, 12);
-          const Tensor x = random_tensor({n, in_ch, h, w}, 13);
-          const Tensor y = conv.forward(x, false);
+/// im2col + gemm_rows_reference, then the bias, BatchNorm (`scale`,
+/// `shift`, may be empty) and ReLU passes of the unfused layer chain.
+Tensor im2col_gemm_reference(const Conv2D& conv, const Tensor& x,
+                             const std::vector<float>& scale = {},
+                             const std::vector<float>& shift = {},
+                             bool relu = false) {
+  const int n = x.size(0), in_ch = x.size(1), h = x.size(2), w = x.size(3);
+  const int k = conv.kernel(), out_ch = conv.out_channels();
+  const auto [oh, ow] = conv.out_hw(h, w);
+  const std::int64_t rows = static_cast<std::int64_t>(in_ch) * k * k;
+  const std::int64_t cols = static_cast<std::int64_t>(oh) * ow;
+  std::vector<float> col(static_cast<std::size_t>(rows * cols));
+  Tensor want({n, out_ch, oh, ow});
+  for (int s = 0; s < n; ++s) {
+    reference_im2col(x.raw() + s * in_ch * h * w, in_ch, h, w, k,
+                     conv.stride(), conv.padding(), oh, ow, col.data());
+    float* out = want.raw() + s * out_ch * cols;
+    kernels::gemm_rows_reference(0, out_ch, cols, rows, 1.0f,
+                                 conv.weight().raw(), rows, col.data(), cols,
+                                 0.0f, out, cols);
+    for (int c = 0; c < out_ch; ++c)
+      for (std::int64_t i = 0; i < cols; ++i) {
+        float& v = out[c * cols + i];
+        if (conv.with_bias()) v += conv.bias()[c];
+        if (!scale.empty()) v = v * scale[c] + shift[c];
+        if (relu) v = std::max(v, 0.0f);
+      }
+  }
+  return want;
+}
 
-          const int oh = (h + 2 * pad - k) / stride + 1;
-          const int ow = (w + 2 * pad - k) / stride + 1;
-          const std::int64_t rows = static_cast<std::int64_t>(in_ch) * k * k;
-          const std::int64_t cols = static_cast<std::int64_t>(oh) * ow;
-          std::vector<float> col(static_cast<std::size_t>(rows * cols));
-          Tensor want({n, out_ch, oh, ow});
-          for (int s = 0; s < n; ++s) {
-            reference_im2col(x.raw() + s * in_ch * h * w, in_ch, h, w, k,
-                             stride, pad, oh, ow, col.data());
-            float* out = want.raw() + s * out_ch * cols;
-            kernels::gemm_rows_reference(0, out_ch, cols, rows, 1.0f,
-                                         conv.weight().raw(), rows, col.data(),
-                                         cols, 0.0f, out, cols);
-            for (int c = 0; c < out_ch; ++c)
-              for (std::int64_t i = 0; i < cols; ++i)
-                out[c * cols + i] += conv.bias()[c];
-          }
-          ASSERT_EQ(y.shape(), want.shape()) << tag;
-          EXPECT_EQ(float_bits(y.data()), float_bits(want.data()))
-              << tag;
-        }
+/// One implicit-conv parity case: weights with +0 and -0 (zero-skip), the
+/// first sample seeded with NaN, +inf and -inf.
+struct ConvCase {
+  std::unique_ptr<Conv2D> conv;
+  Tensor x;
+  std::string tag;
+};
+
+ConvCase make_conv_case(int k, int stride, int pad, int w, int batch) {
+  const int in_ch = 3, out_ch = 5, h = 5;
+  ConvCase c{std::make_unique<Conv2D>("c", in_ch, out_ch, k, stride, pad),
+             random_tensor({batch, in_ch, h, w}, 13 + w),
+             std::to_string(h) + "x" + std::to_string(w) +
+                 " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                 " p=" + std::to_string(pad) + " n=" + std::to_string(batch)};
+  c.conv->weight() = random_tensor({out_ch, in_ch, k, k}, 11 + k);
+  for (std::int64_t i = 0; i < c.conv->weight().numel(); i += 3)
+    c.conv->weight()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  c.conv->bias() = random_tensor({out_ch}, 12);
+  c.x[3] = std::numeric_limits<float>::quiet_NaN();
+  c.x[10] = std::numeric_limits<float>::infinity();
+  c.x[17] = -std::numeric_limits<float>::infinity();
+  return c;
+}
+
+/// The implicit-conv parity grid: k x stride x pad x W x batch, skipping
+/// kernels wider than the padded input.
+template <typename Fn>
+void for_each_conv_case(Fn&& fn) {
+  for (int k : {1, 3, 5})
+    for (int stride : {1, 2})
+      for (int pad : {0, 1, 2})
+        for (int w : {4, 6, 7, 8, 16, 24})
+          for (int batch : {1, 3, 11})
+            if (w + 2 * pad >= k) {
+              ConvCase c = make_conv_case(k, stride, pad, w, batch);
+              fn(c);
+            }
+}
+
+TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
+  // The implicit-GEMM eval conv, through the active kernel and the pool,
+  // equals im2col + the reference GEMM + bias bit for bit.
+  for (const int threads : {1, 2, 8}) {
+    const ThreadCountGuard guard(threads);
+    for_each_conv_case([&](ConvCase& c) {
+      const Tensor y = c.conv->forward(c.x, false);
+      const Tensor want = im2col_gemm_reference(*c.conv, c.x);
+      ASSERT_EQ(y.shape(), want.shape()) << c.tag;
+      EXPECT_EQ(float_bits(y.data()), float_bits(want.data()))
+          << c.tag << " threads " << threads;
+    });
+  }
+}
+
+TEST(Conv2D, EveryConvKernelVariantMatchesIm2colGemm) {
+  // Each compiled conv row function, on a hand-padded sample, equals
+  // im2col + the reference GEMM and the epilogue's separate passes.
+  std::vector<std::pair<std::string, kernels::ConvRowsFn>> fns = {
+      {"reference", kernels::conv_rows_reference},
+      {"blocked", kernels::conv_rows_blocked},
+      {"active", kernels::active_conv_rows()},
+  };
+#if defined(RRP_HAVE_AVX2)
+  if (kernels::avx2_usable()) fns.push_back({"avx2", kernels::conv_rows_avx2});
+#endif
+  const std::vector<float> scale = {0.5f, -1.25f, 2.0f, 1.0f, -0.75f};
+  const std::vector<float> shift = {0.1f, -0.2f, 0.0f, -0.0f, 0.3f};
+  for_each_conv_case([&](ConvCase& c) {
+    if (c.x.size(0) != 1) return;
+    const Conv2D& conv = *c.conv;
+    const int in_ch = conv.in_channels(), h = c.x.size(2), w = c.x.size(3);
+    const int p = conv.padding(), hp = h + 2 * p, wp = w + 2 * p;
+    std::vector<float> xp(static_cast<std::size_t>(in_ch) * hp * wp, 0.0f);
+    for (int ch = 0; ch < in_ch; ++ch)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j)
+          xp[static_cast<std::size_t>((ch * hp + i + p) * wp + j + p)] =
+              c.x.at(0, ch, i, j);
+    const auto [oh, ow] = conv.out_hw(h, w);
+    ConvGemm g;
+    g.a = conv.weight().raw();
+    g.lda = static_cast<std::int64_t>(in_ch) * conv.kernel() * conv.kernel();
+    g.xp = xp.data();
+    g.cin = in_ch;
+    g.kernel = conv.kernel();
+    g.stride = conv.stride();
+    g.hp = hp;
+    g.wp = wp;
+    g.oh = oh;
+    g.ow = ow;
+    g.bias = conv.bias().raw();
+    g.ldc = static_cast<std::int64_t>(oh) * ow;
+    for (const bool fused : {false, true}) {
+      g.scale = fused ? scale.data() : nullptr;
+      g.shift = shift.data();
+      g.relu = fused;
+      const Tensor want = fused ? im2col_gemm_reference(conv, c.x, scale,
+                                                        shift, true)
+                                : im2col_gemm_reference(conv, c.x);
+      for (const auto& [name, fn] : fns) {
+        Tensor got(want.shape());
+        g.c = got.raw();
+        fn(0, conv.out_channels(), g);
+        EXPECT_EQ(float_bits(got.data()), float_bits(want.data()))
+            << c.tag << " " << name << (fused ? " fused" : "");
       }
     }
-  }
+  });
 }
 
 TEST(ReLU, ClampsNegatives) {

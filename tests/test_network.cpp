@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "nn/network.h"
 #include "test_support.h"
 #include "util/checks.h"
@@ -7,6 +11,7 @@
 namespace rrp::nn {
 namespace {
 
+using rrp::testing::float_bits;
 using rrp::testing::random_tensor;
 using rrp::testing::tiny_residual_net;
 
@@ -144,6 +149,76 @@ TEST(Network, MoveSemantics) {
   Network b = std::move(a);
   const Tensor y2 = b.forward(x, false);
   EXPECT_TRUE(y1.equals(y2));
+}
+
+TEST(InferPlan, FusedConvBnReluKeepsNaNAndNegativeZero) {
+  // Conv -> BatchNorm -> ReLU plans as one fused conv step whose output
+  // equals the unfused layer chain bit for bit.  Channel 0 has zero
+  // weights, a +0 bias and a BatchNorm with scale -1 and shift -0, so it
+  // stores +0 * -1 + -0 = -0, which the ReLU must keep; channel 1 reads
+  // a NaN pixel, which the ReLU must pass through.
+  Network net("fused");
+  auto& conv = net.emplace<Conv2D>("conv", 1, 2, 3, 1, 1);
+  auto& bn = net.emplace<BatchNorm>("bn", 2, 0.1f, 0.0f);
+  net.emplace<ReLU>("relu");
+  net.emplace<Flatten>("flatten");
+  conv.weight() = random_tensor({2, 1, 3, 3}, 5);
+  for (int i = 0; i < 9; ++i) conv.weight()[i] = 0.0f;
+  conv.bias() = Tensor({2}, {0.0f, 0.25f});
+  bn.gamma() = Tensor({2}, {-1.0f, 1.5f});
+  bn.beta() = Tensor({2}, {-0.0f, -0.1f});
+  bn.running_mean() = Tensor({2}, {-0.0f, 0.2f});
+  bn.running_var() = Tensor({2}, {1.0f, 0.5f});
+
+  const Shape in{1, 1, 6, 6};
+  const InferPlan plan = plan_inference(net, in);
+  ASSERT_EQ(plan.steps.size(), 2u) << "conv+bn+relu fused, then flatten";
+  EXPECT_EQ(plan.steps[0].fused.bn, &bn);
+  EXPECT_TRUE(plan.steps[0].fused.relu);
+
+  Tensor x = random_tensor(in, 6);
+  x[14] = std::numeric_limits<float>::quiet_NaN();
+  const Tensor want = net.forward(x, false);
+  std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
+  Tensor got(plan.output_shape);
+  net.forward_into(plan, x, got, arena.data());
+  EXPECT_EQ(float_bits(got.data()), float_bits(want.data()));
+  EXPECT_TRUE(std::signbit(got[0]) && got[0] == 0.0f) << "channel 0 is -0";
+  EXPECT_TRUE(std::isnan(got[36 + 14])) << "channel 1 keeps the NaN";
+}
+
+TEST(InferPlan, FusesOnlyWhatDirectlyFollowsAConv) {
+  // BatchNorm and ReLU fold into the conv they directly follow: a ReLU
+  // alone folds, a BatchNorm behind a pool does not, and a conv closing a
+  // Residual body fuses nothing across the add.
+  Network net("partial");
+  net.emplace<Conv2D>("c1", 1, 2, 3, 1, 1);
+  net.emplace<ReLU>("r1");
+  net.emplace<MaxPool>("pool", 2, 2);
+  net.emplace<BatchNorm>("bn_pool", 2);
+  net.emplace<Conv2D>("c2", 2, 3, 3, 1, 1);
+  net.emplace<BatchNorm>("bn2", 3);
+  Network body("body");
+  body.emplace<Conv2D>("body.conv", 3, 3, 3, 1, 1);
+  net.emplace<Residual>("res", std::move(body));
+  net.emplace<ReLU>("r3");
+  const Shape in{2, 1, 8, 8};
+  const InferPlan plan = plan_inference(net, in);
+  std::vector<std::string> steps;
+  for (const InferStep& st : plan.steps) {
+    std::string name = st.layer != nullptr ? st.layer->name() : "add";
+    if (st.fused.bn != nullptr) name += "+" + st.fused.bn->name();
+    if (st.fused.relu) name += "+relu";
+    steps.push_back(name);
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{"c1+relu", "pool", "bn_pool",
+                                             "c2+bn2", "body.conv", "add",
+                                             "r3"}));
+  const Tensor x = random_tensor(in, 8);
+  std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
+  Tensor got(plan.output_shape);
+  net.forward_into(plan, x, got, arena.data());
+  EXPECT_EQ(float_bits(got.data()), float_bits(net.forward(x, false).data()));
 }
 
 }  // namespace

@@ -426,7 +426,12 @@ TEST(RrpLintFramePath, IoRule) {
   EXPECT_FALSE(has(v, 8, "frame-path-unresolved"));
   // The per-file logging rule fires on the same line independently.
   EXPECT_TRUE(has(v, 8, "hygiene-logging"));
-  EXPECT_EQ(v.size(), 3u);
+  // A parameter named `cin` is not IO; std::cout << and std::cin >> are.
+  EXPECT_FALSE(has(v, 19, "frame-path-io")) << "local 'cin'";
+  EXPECT_TRUE(has(v, 23, "frame-path-io")) << "std::cout <<";
+  EXPECT_TRUE(has(v, 23, "hygiene-logging"));
+  EXPECT_TRUE(has(v, 27, "frame-path-io")) << "std::cin >>";
+  EXPECT_EQ(v.size(), 6u);
 }
 
 TEST(RrpLintFramePath, ThrowRule) {

@@ -1,7 +1,7 @@
 // TSan/ASan smoke suite (ctest -L tsan) — a fast pass over every code path
 // that fans work out on the thread pool: raw pool mechanics, the parallel
-// GEMM kernels, clone-based batched evaluation, and multi-model zoo
-// provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
+// GEMM kernels, the planned implicit-GEMM conv, clone-based batched
+// evaluation, and multi-model zoo provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
 // `ctest -L tsan`; any data race in the execution layer surfaces here.
 #include <gtest/gtest.h>
 
@@ -44,6 +44,37 @@ TEST(TsanSmoke, ParallelGemm) {
   for (int round = 0; round < 10; ++round)
     nn::gemm(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(), n);
   SUCCEED();
+}
+
+TEST(TsanSmoke, ParallelImplicitConv) {
+  // A planned Conv -> BatchNorm -> ReLU (one fused implicit-GEMM step):
+  // batch 11 fans samples out over per-thread padded slots; batch 1 with
+  // 64 output channels fans the rows of one implicit GEMM out instead.
+  // Either way the output equals the serial run's.
+  Rng rng(2);
+  nn::Network net("conv");
+  net.emplace<nn::Conv2D>("conv", 8, 64, 3, 1, 1);
+  net.emplace<nn::BatchNorm>("bn", 64);
+  net.emplace<nn::ReLU>("relu");
+  nn::init_network(net, rng);
+  for (const int batch : {11, 1}) {
+    const nn::Shape in{batch, 8, 16, 16};
+    const nn::InferPlan plan = nn::plan_inference(net, in);
+    std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
+    const nn::Tensor x = rrp::testing::random_tensor(in, 3);
+    nn::Tensor serial(plan.output_shape), out(plan.output_shape);
+    {
+      ThreadCountGuard guard(1);
+      net.forward_into(plan, x, serial, arena.data());
+    }
+    ThreadCountGuard guard(4);
+    for (int round = 0; round < 5; ++round) {
+      net.forward_into(plan, x, out, arena.data());
+      ASSERT_EQ(rrp::testing::float_bits(out.data()),
+                rrp::testing::float_bits(serial.data()))
+          << "batch " << batch;
+    }
+  }
 }
 
 TEST(TsanSmoke, ParallelEvaluation) {

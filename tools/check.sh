@@ -20,6 +20,10 @@
 #   (e) a UBSan build of the unit tests and the scenario-DSL/campaign
 #       suite, -fno-sanitize-recover=all, with float-cast-overflow (not
 #       part of GCC's -fsanitize=undefined);
+#   (e') an AddressSanitizer build of the conv parity tests and the
+#       allocation-free inference suite — the implicit-GEMM conv reads its
+#       B operand straight out of a padded slot, and an out-of-bounds read
+#       there is the failure mode neither TSan nor UBSan reports;
 #   (f) a line-coverage summary of the unit tests (-DRRP_COVERAGE=ON +
 #       gcovr or llvm-cov), skipped gracefully when no coverage tool is
 #       installed — informational, not a gate;
@@ -34,8 +38,8 @@
 #       stay allocation-free, and the frame-path pass must hold with the
 #       AVX2 TU out of the build.
 # Build trees are kept per-configuration (build-check, build-check-tsan,
-# build-check-ubsan, build-check-cov, build-check-nosimd) so re-runs are
-# incremental.
+# build-check-ubsan, build-check-asan, build-check-cov, build-check-nosimd)
+# so re-runs are incremental.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -96,6 +100,13 @@ cmake --build build-check-ubsan -j "$JOBS" --target rrp_tests \
 ./build-check-ubsan/tests/rrp_tests
 # The scenario-DSL suite feeds malformed spec lines (outside input).
 ./build-check-ubsan/tests/rrp_campaign_suite
+
+step "(e') AddressSanitizer conv parity + allocation-free inference"
+cmake -B build-check-asan -S . -DRRP_SANITIZE=address
+cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
+./build-check-asan/tests/rrp_tests \
+  --gtest_filter='Conv2D.*:InferPlan.*:FastPath.FusedConv*'
+./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"
 if command -v gcovr >/dev/null 2>&1; then

@@ -555,13 +555,33 @@ void index_file(const ParsedFile& pf, int file_index,
 
 const char* const kLockTokens[] = {"lock_guard", "unique_lock", "scoped_lock",
                                    "shared_lock"};
-const char* const kIoTokens[] = {"cout",     "cerr",     "cin",
-                                 "clog",     "ofstream", "ifstream",
-                                 "fstream",  "filebuf"};
+// Stream objects share their names with ordinary identifiers (`cin` is
+// also an input-channel count), so they count as IO only when qualified
+// (`std::cout`) or used as a stream-operator operand (`cin >> x`); the
+// stream types are unambiguous tokens.
+const char* const kIoStreams[] = {"cout", "cerr", "cin", "clog"};
+const char* const kIoTypes[] = {"ofstream", "ifstream", "fstream", "filebuf"};
 const char* const kIoCalls[] = {"printf", "fprintf", "sprintf", "snprintf",
                                 "fopen",  "fwrite",  "fread",   "fputs",
                                 "fgets",  "puts",    "putchar", "fflush",
                                 "fclose", "getline", "scanf",   "fscanf"};
+
+/// True when `s` uses the stream object `tok` as `std::tok` or as
+/// `tok << ...` / `tok >> ...`.
+bool has_stream_use(const std::string& s, const std::string& tok) {
+  for (std::size_t pos = s.find(tok); pos != kNposT;
+       pos = s.find(tok, pos + 1)) {
+    const std::size_t end = pos + tok.size();
+    if ((pos > 0 && ident_char(s[pos - 1])) ||
+        (end < s.size() && ident_char(s[end])))
+      continue;
+    if (pos >= 5 && s.compare(pos - 5, 5, "std::") == 0) return true;
+    const std::size_t op = skip_spaces(s, end);
+    if (s.compare(op, 2, "<<") == 0 || s.compare(op, 2, ">>") == 0)
+      return true;
+  }
+  return false;
+}
 
 /// The body scan above owns the diagnostic for these names; the resolver
 /// skips them so one printf is one frame-path-io finding, not an
@@ -644,7 +664,8 @@ void scan_body_lines(const ParsedFile& pf, const FunctionDef& d,
                         "path" + ctx + ": only the deterministic pool may "
                         "block (DESIGN.md invariant 14)"});
     bool io = false;
-    for (const char* t : kIoTokens) io = io || has_token(s, t);
+    for (const char* t : kIoStreams) io = io || has_stream_use(s, t);
+    for (const char* t : kIoTypes) io = io || has_token(s, t);
     for (const char* t : kIoCalls) io = io || has_call(s, t);
     if (io)
       out->push_back({pf.rel_path, l, "frame-path-io",
