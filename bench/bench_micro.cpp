@@ -14,19 +14,24 @@
 // provisioned compacted ladder (warmup + median-of-repeats, repeat count
 // recorded in the report config), the real speedup per ladder level, and
 // an affine-in-MACs fit showing the measured ladder tracks the modeled
-// `infer_modeled_us` ladder (DESIGN.md invariant 13 tolerance).
+// `infer_modeled_us` ladder (DESIGN.md invariant 13 tolerance), and the
+// wall time of one clean integrity scrub of the masked arm
+// (`wall_scrub_us`, timed round-robin with the level blocks).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 
 #include "bench_common.h"
 #include "bench_report.h"
+#include "core/integrity.h"
 #include "core/reversible_pruner.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "util/checks.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -211,51 +216,45 @@ constexpr WallRecipe kFullWall{};
 // (tens-of-µs) level.
 constexpr double kWallFitTolerance = 0.5;
 
-// Median-of-repeats per-inference wall time of every level of each
-// provider, result[p][k].  `warmup` untimed calls per level, then
-// `repeats` rounds; each round times one block of `iters` inferences
-// (sized so a block lasts ~block_ms) for every (provider, level) in turn.
-// Round-robin keeps a host slowdown from landing on one level's block of
+// One block of the round-robin: `prepare` runs untimed before every block
+// (a level switch), `call` is the unit whose wall time is reported.
+struct TimedJob {
+  std::function<void()> prepare;
+  std::function<void()> call;
+};
+
+// Median-of-repeats wall time per call of every job.  `warmup` untimed
+// calls per job, then `repeats` rounds; each round times one block of
+// `iters` calls (sized so a block lasts ~block_ms) for every job in turn.
+// Round-robin keeps a host slowdown from landing on one job's block of
 // repeats alone, which skews the per-level curve the MACs fit reads.
-std::vector<std::vector<double>> measure_levels_us(
-    const std::vector<core::InferenceProvider*>& providers, int levels,
-    const nn::Tensor& x, const WallRecipe& recipe) {
-  const auto run = [&](core::InferenceProvider& p, int calls) {
-    for (int i = 0; i < calls; ++i) {
-      auto y = p.infer(x);
-      benchmark::DoNotOptimize(y.raw());
-    }
+std::vector<double> measure_jobs_us(const std::vector<TimedJob>& jobs,
+                                    const WallRecipe& recipe) {
+  const auto run = [](const TimedJob& job, int calls) {
+    for (int i = 0; i < calls; ++i) job.call();
   };
-  std::vector<std::vector<int>> iters(providers.size());
-  for (std::size_t p = 0; p < providers.size(); ++p) {
-    for (int k = 0; k < levels; ++k) {
-      providers[p]->set_level(k);
-      run(*providers[p], recipe.warmup);
-      Timer probe;
-      run(*providers[p], 1);
-      const double probe_us = std::max(1.0, probe.elapsed_us());
-      iters[p].push_back(static_cast<int>(
-          std::clamp(recipe.block_ms * 1000.0 / probe_us, 1.0, 200.0)));
-    }
+  std::vector<int> iters;
+  for (const TimedJob& job : jobs) {
+    job.prepare();
+    run(job, recipe.warmup);
+    Timer probe;
+    run(job, 1);
+    const double probe_us = std::max(1.0, probe.elapsed_us());
+    iters.push_back(static_cast<int>(
+        std::clamp(recipe.block_ms * 1000.0 / probe_us, 1.0, 200.0)));
   }
-  std::vector<std::vector<std::vector<double>>> samples(
-      providers.size(), std::vector<std::vector<double>>(
-                            static_cast<std::size_t>(levels)));
+  std::vector<std::vector<double>> samples(jobs.size());
   for (int r = 0; r < recipe.repeats; ++r) {
-    for (int k = 0; k < levels; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      for (std::size_t p = 0; p < providers.size(); ++p) {
-        providers[p]->set_level(k);
-        Timer t;
-        run(*providers[p], iters[p][kk]);
-        samples[p][kk].push_back(t.elapsed_us() / iters[p][kk]);
-      }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].prepare();
+      Timer t;
+      run(jobs[j], iters[j]);
+      samples[j].push_back(t.elapsed_us() / iters[j]);
     }
   }
-  std::vector<std::vector<double>> us(providers.size());
-  for (std::size_t p = 0; p < providers.size(); ++p)
-    for (const std::vector<double>& level : samples[p])
-      us[p].push_back(quantile(level, 0.5));
+  std::vector<double> us;
+  for (const std::vector<double>& job : samples)
+    us.push_back(quantile(job, 0.5));
   return us;
 }
 
@@ -273,15 +272,43 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
 
   core::ReversiblePruner masked = pm.make_pruner();
   core::CompactedLadderProvider fast = pm.make_fast_provider(in);
+  const core::IntegrityChecker checker(masked.store());
+  const prune::NetworkMask& scrub_mask = masked.levels().mask(0);
 
   report.config("wall_warmup", static_cast<std::int64_t>(recipe.warmup));
   report.config("wall_repeats", static_cast<std::int64_t>(recipe.repeats));
 
+  // Jobs in round order: each level of the masked and the compacted
+  // provider, then one clean scrub of the masked arm at level 0 against
+  // golden ⊙ mask(0), the pass the runner issues on its scrub cadence.
   const int levels = masked.level_count();
-  const std::vector<std::vector<double>> us =
-      measure_levels_us({&masked, &fast}, levels, x, recipe);
-  const std::vector<double>& masked_us = us[0];
-  const std::vector<double>& compact_us = us[1];
+  std::vector<TimedJob> jobs;
+  for (int k = 0; k < levels; ++k)
+    for (core::InferenceProvider* p :
+         std::initializer_list<core::InferenceProvider*>{&masked, &fast})
+      jobs.push_back({[p, k] { p->set_level(k); },
+                      [p, &x] {
+                        auto y = p->infer(x);
+                        benchmark::DoNotOptimize(y.raw());
+                      }});
+  std::int64_t scrub_elements = 0;
+  jobs.push_back({[&masked] { masked.set_level(0); },
+                  [&] {
+                    const core::ScrubReport r =
+                        checker.scrub(masked.network(), scrub_mask);
+                    RRP_CHECK_MSG(r.clean(), "scrub of the masked arm found "
+                                                 << r.diverged_elements()
+                                                 << " diverged element(s)");
+                    scrub_elements = r.elements_checked;
+                  }});
+  const std::vector<double> us = measure_jobs_us(jobs, recipe);
+  std::vector<double> masked_us, compact_us;
+  for (int k = 0; k < levels; ++k) {
+    masked_us.push_back(us[static_cast<std::size_t>(2 * k)]);
+    compact_us.push_back(us[static_cast<std::size_t>(2 * k + 1)]);
+  }
+  const double scrub_us = us.back();
+  report.set_wall("wall_scrub_us", scrub_us, "us");
   std::vector<double> macs(static_cast<std::size_t>(levels));
   std::vector<double> modeled_us(static_cast<std::size_t>(levels));
   for (int k = 0; k < levels; ++k) {
@@ -347,6 +374,9 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
                 "residual %.3f (tolerance %.2f, DESIGN.md invariant 13)%s\n",
                 max_resid, kWallFitTolerance,
                 max_resid <= kWallFitTolerance ? "" : " — EXCEEDED");
+    std::printf("clean integrity scrub of the masked arm (l0, %lld "
+                "elements): %.1f us\n",
+                static_cast<long long>(scrub_elements), scrub_us);
   }
 }
 
