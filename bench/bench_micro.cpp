@@ -16,7 +16,9 @@
 // an affine-in-MACs fit showing the measured ladder tracks the modeled
 // `infer_modeled_us` ladder (DESIGN.md invariant 13 tolerance), and the
 // wall time of one clean integrity scrub of the masked arm
-// (`wall_scrub_us`, timed round-robin with the level blocks).
+// (`wall_scrub_us`, timed round-robin with the level blocks).  The pool
+// size the wall numbers ran at is recorded as `wall_threads`: the masked
+// and compacted rows move with it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -309,6 +311,8 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
   }
   const double scrub_us = us.back();
   report.set_wall("wall_scrub_us", scrub_us, "us");
+  const int threads = ThreadPool::global_thread_count();
+  report.set_wall("wall_threads", threads, "threads");
   std::vector<double> macs(static_cast<std::size_t>(levels));
   std::vector<double> modeled_us(static_cast<std::size_t>(levels));
   for (int k = 0; k < levels; ++k) {
@@ -359,9 +363,10 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
                   "us");
 
   if (print_table) {
-    std::printf("\nmeasured inference wall-clock (kernel=%s, warmup=%d, "
-                "median of %d repeats)\n",
-                nn::kernels::active_variant(), recipe.warmup, recipe.repeats);
+    std::printf("\nmeasured inference wall-clock (kernel=%s, threads=%d, "
+                "warmup=%d, median of %d repeats)\n",
+                nn::kernels::active_variant(), threads, recipe.warmup,
+                recipe.repeats);
     std::printf("%-6s %14s %14s %12s %12s %14s\n", "level", "masked_us",
                 "compact_us", "speedup", "vs_dense", "modeled_us");
     for (int k = 0; k < levels; ++k) {

@@ -1,6 +1,7 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/gemm_kernels.h"
 #include "util/metrics.h"
@@ -87,6 +88,32 @@ struct ConvArgs {
   const ConvGemm* g;
 };
 
+// rrp-frame-path: true when any of n weights is not ±0 (NaN and Inf are
+// nonzero).  The first weight is tested alone, so a dense row or channel
+// costs one compare.  After it, without its sign bit a ±0 is all zero
+// bits, so a block's bits are OR-ed branch-free (the compiler vectorizes
+// it) and the scan stops at the first block holding a nonzero.
+bool any_nonzero(const float* w, std::int64_t n) {
+  constexpr std::int64_t kBlock = 32;
+  constexpr std::uint32_t kMagnitude = 0x7fffffffu;
+  if (n > 0 && !(w[0] == 0.0f)) return true;
+  std::int64_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::uint32_t bits[kBlock];
+    std::memcpy(bits, w + i, sizeof bits);
+    std::uint32_t any = 0;
+    for (const std::uint32_t b : bits) any |= b & kMagnitude;
+    if (any != 0) return true;
+  }
+  std::uint32_t any = 0;
+  for (; i < n; ++i) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, w + i, sizeof b);
+    any |= b & kMagnitude;
+  }
+  return any != 0;
+}
+
 }  // namespace
 
 // rrp-frame-path: row-major GEMM entry point.
@@ -137,14 +164,45 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                });
 }
 
+// rrp-frame-path: live rows and input channels of a conv, once per call.
+void conv_liveness(std::int64_t m, ConvGemm& g, float* rows, float* chans) {
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
+  std::int64_t live = 0, dead = m;
+  for (std::int64_t i = 0; i < m; ++i) {
+    const bool on = any_nonzero(g.a + i * g.lda, g.cin * taps);
+    rows[on ? live++ : --dead] = static_cast<float>(i);
+  }
+  int runs = 0, run_end = -1, live_chans = 0;
+  for (int c = 0; c < g.cin; ++c) {
+    bool on = false;
+    for (std::int64_t t = 0; t < live && !on; ++t)
+      on = any_nonzero(g.a + conv_index(rows, t) * g.lda + c * taps, taps);
+    if (!on) continue;
+    // A live channel right after the last run extends it.
+    if (c != run_end) chans[2 * runs++] = static_cast<float>(c);
+    run_end = c + 1;
+    chans[2 * runs - 1] = static_cast<float>(run_end);
+    ++live_chans;
+  }
+  g.rows = rows;
+  g.live_rows = live;
+  g.chans = chans;
+  g.chan_runs = runs;
+  g.live_chans = live_chans;
+}
+
 // rrp-frame-path: every per-frame conv lands here (Conv2D eval forward).
 void conv_gemm(std::int64_t m, const ConvGemm& g) {
   const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
-  const std::int64_t k = static_cast<std::int64_t>(g.cin) * g.kernel *
-                         g.kernel;
-  GemmScope scope("gemm", m, n, k);
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
+  GemmScope scope("gemm", m, n, g.cin * taps);
+  for (std::int64_t t = g.live_rows; t < m; ++t) {
+    const std::int64_t i = conv_index(g.rows, t);
+    std::fill_n(g.c + i * g.ldc, n, kernels::conv_epilogue(g, i, 0.0f));
+  }
+  // The grain comes from the live work, as for the compacted twin.
   const ConvArgs args{kernels::active_conv_rows(), &g};
-  parallel_for(0, m, row_grain(n, k),
+  parallel_for(0, g.live_rows, row_grain(n, g.live_chans * taps),
                [c = &args](std::int64_t i_begin, std::int64_t i_end) {
                  const kernels::ConvRowsFn rows = c->rows;
                  // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated conv_rows_* variants in nn/gemm_kernels*.cpp, each certified.

@@ -54,6 +54,18 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 ///     false drops the max, which is std::max(v, 0.0f).
 /// It accumulates like gemm with alpha = 1 and beta = 0, so it equals
 /// im2col + gemm + the epilogue's separate passes bit for bit.
+///
+/// Liveness (conv_liveness, once per call from the weights as they are):
+/// a row is live when any of its weights is not ±0, an input channel when
+/// any live row has a weight in it that is not ±0 (NaN and Inf are live).
+/// The tiles walk only the live rows and, inside them, only the live
+/// channels; every term they drop has a ±0 weight, which the per-(row, k)
+/// zero-skip already drops, so a dead row's accumulator stays +0 and its
+/// plane is stored as epilogue(+0).  The live channels come as runs of
+/// consecutive channels, so a tile walks each run's K range the way it
+/// walks a dense conv's (a dense conv has one run, [0, cin)).  The lists
+/// are float arrays holding exact integer indices (they live in a plan's
+/// float scratch).
 struct ConvGemm {
   const float* a = nullptr;
   std::int64_t lda = 0;
@@ -67,10 +79,31 @@ struct ConvGemm {
   bool relu = false;
   float* c = nullptr;
   std::int64_t ldc = 0;
+  /// The M rows, live ones first (ascending), then the dead ones.
+  const float* rows = nullptr;
+  std::int64_t live_rows = 0;
+  /// The live input channels as `chan_runs` runs [chans[2q], chans[2q+1])
+  /// of consecutive channels, ascending; `live_chans` counts them.
+  const float* chans = nullptr;
+  int chan_runs = 0;
+  int live_chans = 0;
 };
 
-/// Rows [0, m) of `g` on the pool, with gemm's bookkeeping: one "gemm"
-/// span and the gemm.calls / gemm.flops counters (M·N·K FMAs).
+/// Entry t of a ConvGemm row or channel list.
+inline std::int64_t conv_index(const float* list, std::int64_t t) {
+  return static_cast<std::int64_t>(list[t]);
+}
+
+/// Finds the live rows of the m-row weight g.a and the live input
+/// channels, writes them to `rows` (m floats) and `chans` (g.cin + 1
+/// floats: runs are separated by a dead channel, so there are at most
+/// (cin + 1) / 2) and points g at them.  Each scan stops at its first
+/// nonzero weight, so a dense conv pays O(m + cin).
+void conv_liveness(std::int64_t m, ConvGemm& g, float* rows, float* chans);
+
+/// Every row of the m-row conv `g`: the live ones on the pool, the dead
+/// ones stored as epilogue(+0), with gemm's bookkeeping: one "gemm" span
+/// and the gemm.calls / gemm.flops counters (dense M·N·K FMAs).
 void conv_gemm(std::int64_t m, const ConvGemm& g);
 
 }  // namespace rrp::nn

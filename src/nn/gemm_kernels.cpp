@@ -88,12 +88,15 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
   }
 }
 
-// rrp-frame-path: scalar implicit-GEMM conv rows (the conv oracle).
-void conv_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+// rrp-frame-path: scalar implicit-GEMM conv rows (the conv oracle).  It
+// walks the listed rows over EVERY input channel, so tests comparing the
+// tiles against it prove the live-channel skip exact.
+void conv_rows_reference(std::int64_t t_begin, std::int64_t t_end,
                          const ConvGemm& g) {
   const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
   const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
+  for (std::int64_t t = t_begin; t < t_end; ++t) {
+    const std::int64_t i = conv_index(g.rows, t);
     const float* arow = g.a + i * g.lda;
     float* crow = g.c + i * g.ldc;
     std::fill(crow, crow + n, 0.0f);
@@ -165,29 +168,35 @@ void micro_tile_at(std::int64_t i, std::int64_t ri, std::int64_t j,
       c[(i + r) * ldc + j + jj] = acc[r][jj];
 }
 
-// The blocked register tile for the implicit-GEMM conv: rows [i, i+ri) x
-// columns [j, j+jn) over the full K, B read through per-column offsets.
-void conv_micro_tile(const ConvGemm& g, std::int64_t i, std::int64_t ri,
-                     std::int64_t j, std::int64_t jn) {
+// The blocked register tile for the implicit-GEMM conv: the ri listed
+// rows `row` x columns [j, j+jn) over the live channel runs' K, B read
+// through per-column offsets.
+void conv_micro_tile(const ConvGemm& g, const std::int64_t* row,
+                     std::int64_t ri, std::int64_t j, std::int64_t jn) {
   float acc[kRegM][kRegN] = {};
   std::int64_t col[kRegN];
   for (std::int64_t jj = 0; jj < jn; ++jj) col[jj] = conv_col_offset(g, j + jj);
   const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
-  std::int64_t kk = 0;
-  for (int c = 0; c < g.cin; ++c)
-    for (int ki = 0; ki < g.kernel; ++ki)
-      for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
-        const float* brow = g.xp + c * plane + ki * g.wp + kj;
-        for (std::int64_t r = 0; r < ri; ++r) {
-          const float av = g.a[(i + r) * g.lda + kk];
-          if (av == 0.0f) continue;  // pruned weights short-circuit
-          for (std::int64_t jj = 0; jj < jn; ++jj)
-            acc[r][jj] += av * brow[col[jj]];
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
+  for (int q = 0; q < g.chan_runs; ++q) {
+    const std::int64_t c_end = conv_index(g.chans, 2 * q + 1);
+    std::int64_t c = conv_index(g.chans, 2 * q);
+    std::int64_t kk = c * taps;
+    for (; c < c_end; ++c)
+      for (int ki = 0; ki < g.kernel; ++ki)
+        for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+          const float* brow = g.xp + c * plane + ki * g.wp + kj;
+          for (std::int64_t r = 0; r < ri; ++r) {
+            const float av = g.a[row[r] * g.lda + kk];
+            if (av == 0.0f) continue;  // pruned weights short-circuit
+            for (std::int64_t jj = 0; jj < jn; ++jj)
+              acc[r][jj] += av * brow[col[jj]];
+          }
         }
-      }
+  }
   for (std::int64_t r = 0; r < ri; ++r)
     for (std::int64_t jj = 0; jj < jn; ++jj)
-      g.c[(i + r) * g.ldc + j + jj] = conv_epilogue(g, i + r, acc[r][jj]);
+      g.c[row[r] * g.ldc + j + jj] = conv_epilogue(g, row[r], acc[r][jj]);
 }
 
 }  // namespace
@@ -237,13 +246,15 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
 }
 
 // rrp-frame-path: register-tiled implicit-GEMM conv rows.
-void conv_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
                        const ConvGemm& g) {
   const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
-  for (std::int64_t i = i_begin; i < i_end; i += kRegM) {
-    const std::int64_t ri = std::min(kRegM, i_end - i);
+  for (std::int64_t t = t_begin; t < t_end; t += kRegM) {
+    const std::int64_t ri = std::min(kRegM, t_end - t);
+    std::int64_t row[kRegM];
+    for (std::int64_t r = 0; r < ri; ++r) row[r] = conv_index(g.rows, t + r);
     for (std::int64_t j = 0; j < n; j += kRegN)
-      conv_micro_tile(g, i, ri, j, std::min(kRegN, n - j));
+      conv_micro_tile(g, row, ri, j, std::min(kRegN, n - j));
   }
 }
 

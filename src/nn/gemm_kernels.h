@@ -25,7 +25,10 @@
 // Each variant also has an implicit-GEMM conv row function (ConvRowsFn,
 // nn/gemm.h ConvGemm) under the same contract: it reads B from the padded
 // input instead of an im2col buffer, and applies the conv epilogue as it
-// stores each tile.  The scalar reference again is the oracle.
+// stores each tile.  It walks the conv's live-row list and, in the blocked
+// and avx2 tiles, only its live input channels; the scalar reference
+// walks every channel of the listed rows, so it stays the oracle for the
+// channel skip.
 //
 // The -DRRP_SIMD CMake option picks which variant the active_* dispatch
 // returns (OFF -> reference, ON -> avx2 when usable, else blocked); every
@@ -47,8 +50,9 @@ using GemmRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
 
-/// Rows [i_begin, i_end) of the implicit-GEMM conv `g`.
-using ConvRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
+/// The rows at positions [t_begin, t_end) of the live-row list of the
+/// implicit-GEMM conv `g` (t_end <= g.live_rows).
+using ConvRowsFn = void (*)(std::int64_t t_begin, std::int64_t t_end,
                             const ConvGemm& g);
 
 /// Offset of output column j in the padded plane: (oi * wp + oj) * stride.
@@ -76,7 +80,7 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
                             const float* a, std::int64_t lda, const float* b,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
-void conv_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+void conv_rows_reference(std::int64_t t_begin, std::int64_t t_end,
                          const ConvGemm& g);
 
 // --- blocked (register-tiled portable; always available) -------------------
@@ -90,7 +94,7 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
                           const float* a, std::int64_t lda, const float* b,
                           std::int64_t ldb, float beta, float* c,
                           std::int64_t ldc);
-void conv_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
                        const ConvGemm& g);
 
 // --- avx2 (hand-vectorized; present only when the toolchain has -mavx2) ----
@@ -104,7 +108,7 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        const float* a, std::int64_t lda, const float* b,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t ldc);
-void conv_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
+void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
                     const ConvGemm& g);
 #endif
 

@@ -126,23 +126,25 @@ void gemm_rows_strided(std::int64_t i_begin, std::int64_t i_end,
 }
 
 // ---------------------------------------------------------------------------
-// Implicit-GEMM conv.  The same 2 x 32 register tile, over the full K (the
-// padded sample B is read from is small enough to stay in cache, so there
-// is no K block and each tile is stored once, through the epilogue).  An
-// 8-lane group of B is one unaligned load when its columns are unit-stride
-// in the padded plane (stride 1, one output row); otherwise it is loaded
-// lane by lane.  Either way each lane holds the value im2col would have
-// written, so the arithmetic is the explicit tile's.
+// Implicit-GEMM conv.  The same 2 x 32 register tile, over the K of the
+// live channel runs (the padded sample B is read from is small enough to
+// stay in cache, so there is no K block and each tile is stored once,
+// through the epilogue).  A tile's R rows are R consecutive entries of the
+// live-row list, not necessarily adjacent rows of A.  An 8-lane group of
+// B is one unaligned load when its columns are unit-stride in the padded
+// plane (stride 1, one output row); otherwise it is loaded lane by lane.
+// Either way each lane holds the value im2col would have written, so the
+// arithmetic is the explicit tile's.
 // ---------------------------------------------------------------------------
 
 // rrp-frame-path: stores R rows x 8V columns of accumulators through the
 // conv epilogue, with conv_epilogue's operation order.
 template <int R, int V>
-void conv_store(const ConvGemm& g, std::int64_t i, std::int64_t j,
-                __m256 (&acc)[R][V]) {
+void conv_store(const ConvGemm& g, const std::int64_t (&rows)[R],
+                std::int64_t j, __m256 (&acc)[R][V]) {
   const __m256 zero = _mm256_setzero_ps();
   for (int r = 0; r < R; ++r) {
-    const std::int64_t row = i + r;
+    const std::int64_t row = rows[r];
     for (int v = 0; v < V; ++v) {
       __m256 y = acc[r][v];
       if (g.bias != nullptr) y = _mm256_add_ps(y, _mm256_set1_ps(g.bias[row]));
@@ -159,86 +161,113 @@ void conv_store(const ConvGemm& g, std::int64_t i, std::int64_t j,
 
 // rrp-frame-path: R rows x 8V columns of the implicit conv from column j.
 template <int R, int V, bool kUnitStride>
-void conv_vec_tile(const ConvGemm& g, std::int64_t i, std::int64_t j) {
+void conv_vec_tile(const ConvGemm& g, const std::int64_t (&rows)[R],
+                   std::int64_t j, const std::int64_t (&first)[V]) {
   // Per 8-lane group: its first column's offset (unit-stride groups) or
   // every lane's offset.
   std::int64_t lane[V][8] = {};
-  for (int v = 0; v < V; ++v)
-    for (int l = 0; l < (kUnitStride ? 1 : 8); ++l)
-      lane[v][l] = conv_col_offset(g, j + v * 8 + l);
+  for (int v = 0; v < V; ++v) {
+    lane[v][0] = first[v];
+    if (!kUnitStride)
+      for (int l = 1; l < 8; ++l)
+        lane[v][l] = conv_col_offset(g, j + v * 8 + l);
+  }
   __m256 acc[R][V];
   for (int r = 0; r < R; ++r)
     for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
-  const float* arow = g.a + i * g.lda;
+  // Row r's weights start at arow + roff[r]: one base pointer keeps every
+  // weight load base + index addressed, as for adjacent rows.
+  const float* arow = g.a + rows[0] * g.lda;
+  std::int64_t roff[R];
+  for (int r = 0; r < R; ++r) roff[r] = (rows[r] - rows[0]) * g.lda;
   const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
-  std::int64_t kk = 0;
-  for (int c = 0; c < g.cin; ++c)
-    for (int ki = 0; ki < g.kernel; ++ki) {
-      const float* bbase = g.xp + c * plane + ki * g.wp;
-      for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
-        const float* brow = bbase + kj;
-        __m256 bv[V];
-        for (int v = 0; v < V; ++v) {
-          const std::int64_t* o = lane[v];
-          bv[v] = kUnitStride
-                      ? _mm256_loadu_ps(brow + o[0])
-                      : _mm256_setr_ps(brow[o[0]], brow[o[1]], brow[o[2]],
-                                       brow[o[3]], brow[o[4]], brow[o[5]],
-                                       brow[o[6]], brow[o[7]]);
-        }
-        for (int r = 0; r < R; ++r) {
-          const float av = arow[r * g.lda + kk];
-          if (av == 0.0f) continue;  // pruned weights short-circuit
-          const __m256 va = _mm256_set1_ps(av);
-          for (int v = 0; v < V; ++v)
-            acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, bv[v]));
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
+  for (int q = 0; q < g.chan_runs; ++q) {
+    const std::int64_t c_end = conv_index(g.chans, 2 * q + 1);
+    std::int64_t c = conv_index(g.chans, 2 * q);
+    std::int64_t kk = c * taps;
+    for (; c < c_end; ++c)
+      for (int ki = 0; ki < g.kernel; ++ki) {
+        const float* bbase = g.xp + c * plane + ki * g.wp;
+        for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+          const float* brow = bbase + kj;
+          __m256 bv[V];
+          for (int v = 0; v < V; ++v) {
+            const std::int64_t* o = lane[v];
+            bv[v] = kUnitStride
+                        ? _mm256_loadu_ps(brow + o[0])
+                        : _mm256_setr_ps(brow[o[0]], brow[o[1]], brow[o[2]],
+                                         brow[o[3]], brow[o[4]], brow[o[5]],
+                                         brow[o[6]], brow[o[7]]);
+          }
+          for (int r = 0; r < R; ++r) {
+            const float av = arow[roff[r] + kk];
+            if (av == 0.0f) continue;  // pruned weights short-circuit
+            const __m256 va = _mm256_set1_ps(av);
+            for (int v = 0; v < V; ++v)
+              acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, bv[v]));
+          }
         }
       }
-    }
-  conv_store<R, V>(g, i, j, acc);
+  }
+  conv_store<R, V>(g, rows, j, acc);
 }
 
 // rrp-frame-path: picks the unit-stride or lane-by-lane load for a tile.
 template <int R, int V>
-void conv_tile(const ConvGemm& g, std::int64_t i, std::int64_t j) {
+void conv_tile(const ConvGemm& g, const std::int64_t (&rows)[R],
+               std::int64_t j) {
+  // One division per tile (a per-group j / ow, j % ow cost small convs
+  // more than their MACs): group v starts 8v output columns after j.
+  std::int64_t oi = j / g.ow, oj = j % g.ow;
+  std::int64_t first[V];
   bool unit = g.stride == 1;
-  for (int v = 0; v < V && unit; ++v) unit = (j + v * 8) % g.ow + 8 <= g.ow;
-  if (unit) conv_vec_tile<R, V, true>(g, i, j);
-  else conv_vec_tile<R, V, false>(g, i, j);
+  for (int v = 0; v < V; ++v) {
+    first[v] = (oi * g.wp + oj) * g.stride;
+    unit = unit && oj + 8 <= g.ow;
+    for (oj += 8; oj >= g.ow; oj -= g.ow) ++oi;
+  }
+  if (unit) conv_vec_tile<R, V, true>(g, rows, j, first);
+  else conv_vec_tile<R, V, false>(g, rows, j, first);
 }
 
 // rrp-frame-path: scalar column tail [j, n) of an R-row conv tile.
 template <int R>
-void conv_scalar_tile(const ConvGemm& g, std::int64_t i, std::int64_t j,
-                      std::int64_t n) {
+void conv_scalar_tile(const ConvGemm& g, const std::int64_t (&rows)[R],
+                      std::int64_t j, std::int64_t n) {
   const std::int64_t plane = static_cast<std::int64_t>(g.hp) * g.wp;
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
   for (int r = 0; r < R; ++r) {
-    const float* arow = g.a + (i + r) * g.lda;
-    float* crow = g.c + (i + r) * g.ldc;
+    const float* arow = g.a + rows[r] * g.lda;
+    float* crow = g.c + rows[r] * g.ldc;
     for (std::int64_t jj = j; jj < n; ++jj) {
       const std::int64_t col = conv_col_offset(g, jj);
       crow[jj] = 0.0f;
-      std::int64_t kk = 0;
-      for (int c = 0; c < g.cin; ++c)
-        for (int ki = 0; ki < g.kernel; ++ki)
-          for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
-            const float av = arow[kk];
-            if (av == 0.0f) continue;  // pruned weights short-circuit
-            crow[jj] += av * g.xp[c * plane + ki * g.wp + kj + col];
-          }
-      crow[jj] = conv_epilogue(g, i + r, crow[jj]);
+      for (int q = 0; q < g.chan_runs; ++q) {
+        const std::int64_t c_end = conv_index(g.chans, 2 * q + 1);
+        std::int64_t c = conv_index(g.chans, 2 * q);
+        std::int64_t kk = c * taps;
+        for (; c < c_end; ++c)
+          for (int ki = 0; ki < g.kernel; ++ki)
+            for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+              const float av = arow[kk];
+              if (av == 0.0f) continue;  // pruned weights short-circuit
+              crow[jj] += av * g.xp[c * plane + ki * g.wp + kj + col];
+            }
+      }
+      crow[jj] = conv_epilogue(g, rows[r], crow[jj]);
     }
   }
 }
 
-// rrp-frame-path: R rows x all N columns of the implicit conv.
+// rrp-frame-path: R listed rows x all N columns of the implicit conv.
 template <int R>
-void conv_panel(const ConvGemm& g, std::int64_t i) {
+void conv_panel(const ConvGemm& g, const std::int64_t (&rows)[R]) {
   const std::int64_t n = static_cast<std::int64_t>(g.oh) * g.ow;
   std::int64_t j = 0;
-  for (; j + kRegN <= n; j += kRegN) conv_tile<R, kRegN / 8>(g, i, j);
-  for (; j + 8 <= n; j += 8) conv_tile<R, 1>(g, i, j);
-  if (j < n) conv_scalar_tile<R>(g, i, j, n);
+  for (; j + kRegN <= n; j += kRegN) conv_tile<R, kRegN / 8>(g, rows, j);
+  for (; j + 8 <= n; j += 8) conv_tile<R, 1>(g, rows, j);
+  if (j < n) conv_scalar_tile<R>(g, rows, j, n);
 }
 
 }  // namespace
@@ -264,11 +293,18 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
 }
 
 // rrp-frame-path: hand-vectorized AVX2 implicit-GEMM conv rows.
-void conv_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
+void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
                     const ConvGemm& g) {
-  std::int64_t i = i_begin;
-  for (; i + kRegM <= i_end; i += kRegM) conv_panel<kRegM>(g, i);
-  for (; i < i_end; ++i) conv_panel<1>(g, i);
+  std::int64_t t = t_begin;
+  for (; t + kRegM <= t_end; t += kRegM) {
+    std::int64_t rows[kRegM];
+    for (int r = 0; r < kRegM; ++r) rows[r] = conv_index(g.rows, t + r);
+    conv_panel<kRegM>(g, rows);
+  }
+  for (; t < t_end; ++t) {
+    const std::int64_t rows[1] = {conv_index(g.rows, t)};
+    conv_panel<1>(g, rows);
+  }
 }
 
 }  // namespace rrp::nn::kernels

@@ -64,9 +64,11 @@ struct ConvFusion {
 /// 2-D convolution (NCHW).  The eval forward is an implicit GEMM
 /// (nn/gemm.h conv_gemm) over a zero-padded copy of each sample; there is
 /// no im2col buffer.  Caller scratch holds 2*out_ch floats for a fused
-/// BatchNorm's scale and shift, then min(N, 8) padded [in_ch, h+2p, w+2p]
-/// slots, one per pool chunk slot (none when padding is 0: the input is
-/// read in place).  im2col/col2im serve the training backward only.
+/// BatchNorm's scale and shift, out_ch + in_ch + 1 floats for the
+/// per-call live-row list and live-channel runs (nn/gemm.h
+/// conv_liveness), then min(N, 8) padded [in_ch, h+2p, w+2p] slots, one
+/// per pool chunk slot (none when padding is 0: the input is read in
+/// place).  im2col/col2im serve the training backward only.
 class Conv2D : public Layer {
  public:
   Conv2D(std::string name, int in_ch, int out_ch, int kernel, int stride = 1,

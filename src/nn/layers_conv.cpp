@@ -25,6 +25,8 @@ Conv2D::Conv2D(std::string name, int in_ch, int out_ch, int kernel, int stride,
       bias_grad_(with_bias ? Tensor({out_ch}) : Tensor()) {
   RRP_CHECK(in_ch > 0 && out_ch > 0 && kernel > 0 && stride > 0 &&
             padding >= 0);
+  // The eval forward's liveness lists hold channel indices as floats.
+  RRP_CHECK(in_ch <= (1 << 24) && out_ch <= (1 << 24));
 }
 
 std::pair<int, int> Conv2D::out_hw(int h, int w) const {
@@ -136,11 +138,14 @@ struct ConvSamples {
 
 }  // namespace
 
+// Scratch layout: BN scale and shift (out_ch each), the live-row list
+// (out_ch), the live-channel runs (in_ch + 1), then the padded-sample slots.
 std::int64_t Conv2D::scratch_floats(const Shape& in) const {
-  if (padding_ == 0) return 2 * out_ch_;
+  const std::int64_t fixed = 3 * out_ch_ + in_ch_ + 1;
+  if (padding_ == 0) return fixed;
   const std::int64_t slot = static_cast<std::int64_t>(in_ch_) *
                             (in[2] + 2 * padding_) * (in[3] + 2 * padding_);
-  return 2 * out_ch_ + std::min<std::int64_t>(in[0], kConvSlots) * slot;
+  return fixed + std::min<std::int64_t>(in[0], kConvSlots) * slot;
 }
 
 // Copies one sample [in_ch, h, w] into dst [in_ch, h+2p, w+2p] with zeroed
@@ -191,7 +196,7 @@ void Conv2D::forward_fused_into(const float* x, const Shape& in, float* y,
 
   ConvSamples args{this, x, y, nullptr, h, w, 0, {}};
   if (padding_ > 0) {
-    args.slots = scratch + 2 * out_ch_;
+    args.slots = scratch + 3 * out_ch_ + in_ch_ + 1;
     args.slot_floats = static_cast<std::int64_t>(in_ch_) * (h + 2 * padding_) *
                        (w + 2 * padding_);
   }
@@ -210,6 +215,9 @@ void Conv2D::forward_fused_into(const float* x, const Shape& in, float* y,
   g.shift = shift;
   g.relu = fuse.relu;
   g.ldc = static_cast<std::int64_t>(oh) * ow;
+  // Liveness from the weights as they are now (a fault in a pruned slot
+  // makes its row and channel live until repair), shared by every sample.
+  conv_liveness(out_ch_, g, scratch + 2 * out_ch_, scratch + 3 * out_ch_);
   // Samples write disjoint output planes: fan the batch out over the pool
   // (each taking thread pads into its own slot; nested GEMMs stay serial).
   const auto body = [a = &args](std::int64_t s_begin, std::int64_t s_end) {

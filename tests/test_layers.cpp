@@ -3,15 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/integrity.h"
+#include "core/reversible_pruner.h"
+#include "models/zoo.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
 #include "nn/layers.h"
+#include "nn/network.h"
+#include "prune/levels.h"
 #include "test_support.h"
 #include "util/checks.h"
 #include "util/rng.h"
@@ -179,33 +185,89 @@ Tensor im2col_gemm_reference(const Conv2D& conv, const Tensor& x,
   return want;
 }
 
+/// A liveness pattern laid over a parity case's 5-row x 3-channel weight:
+/// the listed rows and input channels are set dead (slots alternating +0
+/// and -0, which must count as dead), then one "poke" value may land in a
+/// dead slot (last tap of that row and channel) and must make it live.
+/// Every dead channel's input planes hold NaN, +inf and -inf, which must
+/// not reach the output.
+struct LivenessPattern {
+  const char* name;
+  std::vector<int> dead_rows, dead_chans;
+  int poke_row = -1, poke_chan = -1;
+  float poke = 0.0f;
+};
+
+const std::vector<LivenessPattern>& liveness_patterns() {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  static const std::vector<LivenessPattern> patterns = {
+      {"dense", {}, {}},
+      {"every row dead", {0, 1, 2, 3, 4}, {}},
+      {"one live row", {0, 1, 3, 4}, {}},
+      {"dead rows and channel", {1, 3}, {0}},
+      {"lone element in dead channel", {1, 3}, {0}, 4, 0, 0.5f},
+      {"NaN weight in dead channel", {1, 3}, {0}, 0, 0, kNaN},
+      {"Inf weight in dead channel", {1, 3}, {0}, 2, 0, kInf},
+      {"Inf weight in dead row", {1, 3}, {0}, 1, 2, -kInf},
+  };
+  return patterns;
+}
+
 /// One implicit-conv parity case: weights with +0 and -0 (zero-skip), the
-/// first sample seeded with NaN, +inf and -inf.
+/// first sample seeded with NaN, +inf and -inf, then a liveness pattern.
 struct ConvCase {
   std::unique_ptr<Conv2D> conv;
   Tensor x;
   std::string tag;
 };
 
-ConvCase make_conv_case(int k, int stride, int pad, int w, int batch) {
+ConvCase make_conv_case(int k, int stride, int pad, int w, int batch,
+                        const LivenessPattern& pattern) {
   const int in_ch = 3, out_ch = 5, h = 5;
   ConvCase c{std::make_unique<Conv2D>("c", in_ch, out_ch, k, stride, pad),
              random_tensor({batch, in_ch, h, w}, 13 + w),
              std::to_string(h) + "x" + std::to_string(w) +
                  " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
-                 " p=" + std::to_string(pad) + " n=" + std::to_string(batch)};
-  c.conv->weight() = random_tensor({out_ch, in_ch, k, k}, 11 + k);
-  for (std::int64_t i = 0; i < c.conv->weight().numel(); i += 3)
-    c.conv->weight()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+                 " p=" + std::to_string(pad) + " n=" + std::to_string(batch) +
+                 " " + pattern.name};
+  Tensor& wt = c.conv->weight();
+  wt = random_tensor({out_ch, in_ch, k, k}, 11 + k);
+  for (std::int64_t i = 0; i < wt.numel(); i += 3)
+    wt[i] = i % 2 == 0 ? 0.0f : -0.0f;
   c.conv->bias() = random_tensor({out_ch}, 12);
   c.x[3] = std::numeric_limits<float>::quiet_NaN();
   c.x[10] = std::numeric_limits<float>::infinity();
   c.x[17] = -std::numeric_limits<float>::infinity();
+
+  const std::int64_t taps = static_cast<std::int64_t>(k) * k;
+  const auto kill = [&](int row, int ch) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const std::int64_t e = (row * in_ch + ch) * taps + t;
+      wt[e] = e % 2 == 0 ? 0.0f : -0.0f;
+    }
+  };
+  for (const int row : pattern.dead_rows)
+    for (int ch = 0; ch < in_ch; ++ch) kill(row, ch);
+  for (const int ch : pattern.dead_chans)
+    for (int row = 0; row < out_ch; ++row) kill(row, ch);
+  if (pattern.poke_row >= 0)
+    wt[(pattern.poke_row * in_ch + pattern.poke_chan) * taps + taps - 1] =
+        pattern.poke;
+  const float poison[] = {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), 1.0f};
+  const std::int64_t plane = static_cast<std::int64_t>(h) * w;
+  for (const int ch : pattern.dead_chans)
+    if (ch != pattern.poke_chan)
+      for (int s = 0; s < batch; ++s)
+        for (std::int64_t i = 0; i < plane; ++i)
+          c.x[(s * in_ch + ch) * plane + i] = poison[i % 4];
   return c;
 }
 
-/// The implicit-conv parity grid: k x stride x pad x W x batch, skipping
-/// kernels wider than the padded input.
+/// The implicit-conv parity grid: k x stride x pad x W x batch x liveness
+/// pattern, skipping kernels wider than the padded input.
 template <typename Fn>
 void for_each_conv_case(Fn&& fn) {
   for (int k : {1, 3, 5})
@@ -213,15 +275,36 @@ void for_each_conv_case(Fn&& fn) {
       for (int pad : {0, 1, 2})
         for (int w : {4, 6, 7, 8, 16, 24})
           for (int batch : {1, 3, 11})
-            if (w + 2 * pad >= k) {
-              ConvCase c = make_conv_case(k, stride, pad, w, batch);
-              fn(c);
-            }
+            if (w + 2 * pad >= k)
+              for (const LivenessPattern& pattern : liveness_patterns()) {
+                ConvCase c = make_conv_case(k, stride, pad, w, batch, pattern);
+                fn(c);
+              }
 }
 
+/// A BatchNorm over the parity cases' 5 channels with non-trivial running
+/// statistics, and its eval affine as the reference's scale/shift.
+struct ParityBn {
+  BatchNorm bn{"bn", 5};
+  std::vector<float> scale, shift;
+  ParityBn() {
+    bn.running_mean() = Tensor({5}, {0.1f, -0.3f, 0.0f, 0.7f, -0.0f});
+    bn.running_var() = Tensor({5}, {1.0f, 0.5f, 2.0f, 0.25f, 1.5f});
+    bn.gamma() = Tensor({5}, {0.5f, -1.25f, 2.0f, 1.0f, -0.75f});
+    bn.beta() = Tensor({5}, {0.1f, -0.2f, 0.0f, -0.0f, 0.3f});
+    for (int c = 0; c < 5; ++c) {
+      const auto [sc, sh] = bn.eval_affine(c);
+      scale.push_back(sc);
+      shift.push_back(sh);
+    }
+  }
+};
+
 TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
-  // The implicit-GEMM eval conv, through the active kernel and the pool,
-  // equals im2col + the reference GEMM + bias bit for bit.
+  // The implicit-GEMM eval conv, through the active kernel, the pool and
+  // the per-call liveness lists, equals im2col + the reference GEMM + bias
+  // (+ BatchNorm + ReLU when fused) bit for bit.
+  const ParityBn pbn;
   for (const int threads : {1, 2, 8}) {
     const ThreadCountGuard guard(threads);
     for_each_conv_case([&](ConvCase& c) {
@@ -230,13 +313,86 @@ TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
       ASSERT_EQ(y.shape(), want.shape()) << c.tag;
       EXPECT_EQ(float_bits(y.data()), float_bits(want.data()))
           << c.tag << " threads " << threads;
+
+      Tensor fused(want.shape());
+      std::vector<float> scratch(
+          static_cast<std::size_t>(c.conv->scratch_floats(c.x.shape())));
+      c.conv->forward_fused_into(c.x.raw(), c.x.shape(), fused.raw(),
+                                 scratch.data(), ConvFusion{&pbn.bn, true});
+      const Tensor want_fused =
+          im2col_gemm_reference(*c.conv, c.x, pbn.scale, pbn.shift, true);
+      EXPECT_EQ(float_bits(fused.data()), float_bits(want_fused.data()))
+          << c.tag << " fused threads " << threads;
     });
   }
 }
 
+/// Live rows and live channels of a weight by full scan (no early exit):
+/// the oracle for conv_liveness.
+std::pair<std::vector<float>, std::vector<float>> scan_liveness(
+    const Conv2D& conv) {
+  const int out_ch = conv.out_channels(), in_ch = conv.in_channels();
+  const std::int64_t taps =
+      static_cast<std::int64_t>(conv.kernel()) * conv.kernel();
+  const float* wt = conv.weight().raw();
+  const auto nonzero = [&](int row, int ch) {
+    bool any = false;
+    for (std::int64_t t = 0; t < taps; ++t)
+      any = any || !(wt[(row * in_ch + ch) * taps + t] == 0.0f);
+    return any;
+  };
+  std::vector<float> rows, chans;
+  for (int row = 0; row < out_ch; ++row) {
+    bool any = false;
+    for (int ch = 0; ch < in_ch; ++ch) any = any || nonzero(row, ch);
+    if (any) rows.push_back(static_cast<float>(row));
+  }
+  for (int ch = 0; ch < in_ch; ++ch) {
+    bool any = false;
+    for (const float row : rows) any = any || nonzero(static_cast<int>(row), ch);
+    if (any) chans.push_back(static_cast<float>(ch));
+  }
+  return {rows, chans};
+}
+
+/// The live rows and the live channels (runs expanded) `g` points at,
+/// after checking the runs are ascending, maximal and add up to
+/// g.live_chans.
+std::pair<std::vector<float>, std::vector<float>> expand_lists(
+    const ConvGemm& g) {
+  std::vector<float> rows(g.rows, g.rows + g.live_rows), chans;
+  for (int q = 0; q < g.chan_runs; ++q) {
+    const float begin = g.chans[2 * q], end = g.chans[2 * q + 1];
+    EXPECT_LT(begin, end);
+    if (q > 0) {
+      EXPECT_LT(g.chans[2 * q - 1], begin) << "runs not maximal";
+    }
+    for (float c = begin; c < end; c += 1.0f) chans.push_back(c);
+  }
+  EXPECT_EQ(chans.size(), static_cast<std::size_t>(g.live_chans));
+  return {rows, chans};
+}
+
+/// conv_liveness's live rows and channels for the weights of `conv`.
+std::pair<std::vector<float>, std::vector<float>> conv_lists(
+    const Conv2D& conv) {
+  ConvGemm g;
+  g.a = conv.weight().raw();
+  g.lda = static_cast<std::int64_t>(conv.in_channels()) * conv.kernel() *
+          conv.kernel();
+  g.cin = conv.in_channels();
+  g.kernel = conv.kernel();
+  std::vector<float> rows(static_cast<std::size_t>(conv.out_channels()));
+  std::vector<float> chans(static_cast<std::size_t>(conv.in_channels() + 1));
+  conv_liveness(conv.out_channels(), g, rows.data(), chans.data());
+  return expand_lists(g);
+}
+
 TEST(Conv2D, EveryConvKernelVariantMatchesIm2colGemm) {
-  // Each compiled conv row function, on a hand-padded sample, equals
-  // im2col + the reference GEMM and the epilogue's separate passes.
+  // Each compiled conv row function, on a hand-padded sample and the
+  // conv_liveness lists, equals im2col + the reference GEMM and the
+  // epilogue's separate passes, with every dead row stored as
+  // epilogue(+0) and the live rows cut into 1, 2 or 8 chunks.
   std::vector<std::pair<std::string, kernels::ConvRowsFn>> fns = {
       {"reference", kernels::conv_rows_reference},
       {"blocked", kernels::conv_rows_blocked},
@@ -245,12 +401,12 @@ TEST(Conv2D, EveryConvKernelVariantMatchesIm2colGemm) {
 #if defined(RRP_HAVE_AVX2)
   if (kernels::avx2_usable()) fns.push_back({"avx2", kernels::conv_rows_avx2});
 #endif
-  const std::vector<float> scale = {0.5f, -1.25f, 2.0f, 1.0f, -0.75f};
-  const std::vector<float> shift = {0.1f, -0.2f, 0.0f, -0.0f, 0.3f};
+  const ParityBn pbn;
   for_each_conv_case([&](ConvCase& c) {
     if (c.x.size(0) != 1) return;
     const Conv2D& conv = *c.conv;
     const int in_ch = conv.in_channels(), h = c.x.size(2), w = c.x.size(3);
+    const int out_ch = conv.out_channels();
     const int p = conv.padding(), hp = h + 2 * p, wp = w + 2 * p;
     std::vector<float> xp(static_cast<std::size_t>(in_ch) * hp * wp, 0.0f);
     for (int ch = 0; ch < in_ch; ++ch)
@@ -272,22 +428,155 @@ TEST(Conv2D, EveryConvKernelVariantMatchesIm2colGemm) {
     g.ow = ow;
     g.bias = conv.bias().raw();
     g.ldc = static_cast<std::int64_t>(oh) * ow;
+    std::vector<float> rows(static_cast<std::size_t>(out_ch));
+    std::vector<float> chans(static_cast<std::size_t>(in_ch + 1));
+    conv_liveness(out_ch, g, rows.data(), chans.data());
+    ASSERT_EQ(expand_lists(g), scan_liveness(conv)) << c.tag;
+    std::vector<float> all_rows = rows;
+    std::sort(all_rows.begin(), all_rows.end());
+    for (int i = 0; i < out_ch; ++i)
+      ASSERT_EQ(all_rows[static_cast<std::size_t>(i)], static_cast<float>(i))
+          << c.tag;
+
     for (const bool fused : {false, true}) {
-      g.scale = fused ? scale.data() : nullptr;
-      g.shift = shift.data();
+      g.scale = fused ? pbn.scale.data() : nullptr;
+      g.shift = pbn.shift.data();
       g.relu = fused;
-      const Tensor want = fused ? im2col_gemm_reference(conv, c.x, scale,
-                                                        shift, true)
+      const Tensor want = fused ? im2col_gemm_reference(conv, c.x, pbn.scale,
+                                                        pbn.shift, true)
                                 : im2col_gemm_reference(conv, c.x);
-      for (const auto& [name, fn] : fns) {
-        Tensor got(want.shape());
-        g.c = got.raw();
-        fn(0, conv.out_channels(), g);
-        EXPECT_EQ(float_bits(got.data()), float_bits(want.data()))
-            << c.tag << " " << name << (fused ? " fused" : "");
-      }
+      for (const auto& [name, fn] : fns)
+        for (const std::int64_t chunks : {1, 2, 8}) {
+          Tensor got(want.shape());
+          got.fill(std::numeric_limits<float>::quiet_NaN());
+          g.c = got.raw();
+          for (std::int64_t t = g.live_rows; t < out_ch; ++t) {
+            const std::int64_t i = conv_index(g.rows, t);
+            std::fill_n(got.raw() + i * g.ldc, g.ldc,
+                        kernels::conv_epilogue(g, i, 0.0f));
+          }
+          const std::int64_t step =
+              std::max<std::int64_t>(1, (g.live_rows + chunks - 1) / chunks);
+          for (std::int64_t t = 0; t < g.live_rows; t += step)
+            fn(t, std::min(t + step, g.live_rows), g);
+          EXPECT_EQ(float_bits(got.data()), float_bits(want.data()))
+              << c.tag << " " << name << (fused ? " fused" : "") << " chunks "
+              << chunks;
+        }
     }
   });
+}
+
+TEST(ConvLiveness, ListsFollowTheWeights) {
+  // Pinned lists for the 3x3 patterns: ±0 slots are dead; a lone nonzero,
+  // NaN or Inf weight makes its row and channel live.
+  const std::vector<std::pair<std::vector<float>, std::vector<float>>> want =
+      {{{0, 1, 2, 3, 4}, {0, 1, 2}},  // dense
+       {{}, {}},                      // every row dead
+       {{2}, {0, 1, 2}},              // one live row
+       {{0, 2, 4}, {1, 2}},           // dead rows and channel
+       {{0, 2, 4}, {0, 1, 2}},        // lone element in dead channel
+       {{0, 2, 4}, {0, 1, 2}},        // NaN weight in dead channel
+       {{0, 2, 4}, {0, 1, 2}},        // Inf weight in dead channel
+       {{0, 1, 2, 4}, {1, 2}}};       // Inf weight in dead row
+  ASSERT_EQ(want.size(), liveness_patterns().size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const ConvCase c = make_conv_case(3, 1, 1, 8, 1, liveness_patterns()[i]);
+    const auto [rows, chans] = conv_lists(*c.conv);
+    EXPECT_EQ(rows, want[i].first) << c.tag;
+    EXPECT_EQ(chans, want[i].second) << c.tag;
+  }
+}
+
+void flip_bit(float& v, int bit) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  u ^= 1u << bit;
+  std::memcpy(&v, &u, sizeof v);
+}
+
+/// Unskipped reference forward of a sequential network: every conv through
+/// im2col + the reference GEMM over all rows and channels, every other
+/// layer through its eval forward.
+Tensor reference_forward(const Network& net, const Tensor& x) {
+  Tensor h = x;
+  for (const auto& layer : net.layers())
+    h = layer->kind() == LayerKind::Conv2D
+            ? im2col_gemm_reference(static_cast<const Conv2D&>(*layer), h)
+            : layer->forward(h, false);
+  return h;
+}
+
+// A flipped exponent bit in a pruned slot of a masked level is live for
+// every call until repair, and dead again after it: liveness is read from
+// the weights on each call, never cached per level.
+TEST(ConvLiveness, PrunedSlotFlipIsLiveUntilRepair) {
+  Rng rng(21);
+  Network net = models::build_model(models::ModelKind::DetNet, rng);
+  const Shape shape = models::zoo_input_shape();
+  const prune::PruneLevelLibrary lib =
+      prune::PruneLevelLibrary::build_structured(
+          net, {0.0, 0.3, 0.5, 0.7, 0.85}, shape);
+  core::ReversiblePruner pruner(net, lib);
+  pruner.set_level(3);
+  const core::IntegrityChecker checker(pruner.store());
+  Network& live = pruner.network();
+  auto& conv = dynamic_cast<Conv2D&>(*live.find("conv2"));
+  const Tensor x = random_tensor(shape, 22);
+  // conv2's own input: nonzero in every channel, so a skipped live channel
+  // would show.
+  const Tensor h = random_tensor({1, conv.in_channels(), shape[2], shape[3]},
+                                 23);
+
+  const auto [rows, chans] = conv_lists(conv);
+  ASSERT_FALSE(rows.empty());
+  ASSERT_LT(rows.size(), static_cast<std::size_t>(conv.out_channels()));
+  ASSERT_LT(chans.size(), static_cast<std::size_t>(conv.in_channels()));
+  int dead_row = 0, dead_chan = 0;
+  while (std::count(rows.begin(), rows.end(), static_cast<float>(dead_row)))
+    ++dead_row;
+  while (std::count(chans.begin(), chans.end(), static_cast<float>(dead_chan)))
+    ++dead_chan;
+  const std::int64_t taps =
+      static_cast<std::int64_t>(conv.kernel()) * conv.kernel();
+  const std::int64_t row_len = conv.in_channels() * taps;
+  const std::int64_t live_row = static_cast<std::int64_t>(rows.front());
+  const std::int64_t slots[] = {live_row * row_len + dead_chan * taps + 4,
+                                dead_row * row_len + row_len / 2};
+
+  Tensor out;
+  const auto expect_reference = [&](const std::string& what) {
+    pruner.infer_into(x, out);
+    EXPECT_EQ(float_bits(out.data()),
+              float_bits(reference_forward(live, x).data()))
+        << what;
+    EXPECT_EQ(float_bits(conv.forward(h, false).data()),
+              float_bits(im2col_gemm_reference(conv, h).data()))
+        << what;
+  };
+  expect_reference("clean");
+  const Tensor clean_conv = conv.forward(h, false);
+  for (const std::int64_t slot : slots) {
+    const std::string what = "slot " + std::to_string(slot);
+    float& wv = conv.weight()[slot];
+    ASSERT_EQ(wv, 0.0f) << what;
+    flip_bit(wv, 30);  // +0 -> 2.0f
+    for (int call = 0; call < 2; ++call) expect_reference(what + " flipped");
+    EXPECT_NE(float_bits(conv.forward(h, false).data()),
+              float_bits(clean_conv.data()))
+        << what;
+    const auto [frows, fchans] = conv_lists(conv);
+    EXPECT_TRUE(frows.size() > rows.size() || fchans.size() > chans.size())
+        << what;
+
+    core::ScrubReport scrub;
+    const core::RepairReport fix =
+        checker.scrub_and_repair(live, lib.mask(3), &scrub);
+    EXPECT_EQ(scrub.diverged_elements(), 1) << what;
+    EXPECT_EQ(fix.elements_repaired, 1) << what;
+    expect_reference(what + " repaired");
+    EXPECT_EQ(conv_lists(conv), std::make_pair(rows, chans)) << what;
+  }
 }
 
 TEST(ReLU, ClampsNegatives) {

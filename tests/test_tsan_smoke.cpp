@@ -50,29 +50,41 @@ TEST(TsanSmoke, ParallelImplicitConv) {
   // A planned Conv -> BatchNorm -> ReLU (one fused implicit-GEMM step):
   // batch 11 fans samples out over per-thread padded slots; batch 1 with
   // 64 output channels fans the rows of one implicit GEMM out instead.
+  // Then again with every third row and three input channels dead, so the
+  // rows fan out from the live-row list and dead planes are filled.
   // Either way the output equals the serial run's.
   Rng rng(2);
   nn::Network net("conv");
-  net.emplace<nn::Conv2D>("conv", 8, 64, 3, 1, 1);
+  auto& conv = net.emplace<nn::Conv2D>("conv", 8, 64, 3, 1, 1);
   net.emplace<nn::BatchNorm>("bn", 64);
   net.emplace<nn::ReLU>("relu");
   nn::init_network(net, rng);
-  for (const int batch : {11, 1}) {
-    const nn::Shape in{batch, 8, 16, 16};
-    const nn::InferPlan plan = nn::plan_inference(net, in);
-    std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
-    const nn::Tensor x = rrp::testing::random_tensor(in, 3);
-    nn::Tensor serial(plan.output_shape), out(plan.output_shape);
-    {
-      ThreadCountGuard guard(1);
-      net.forward_into(plan, x, serial, arena.data());
+  for (const bool masked : {false, true}) {
+    if (masked) {
+      nn::Tensor& w = conv.weight();
+      for (std::int64_t e = 0; e < w.numel(); ++e) {
+        const std::int64_t row = e / (8 * 9), chan = e / 9 % 8;
+        if (row % 3 == 0 || chan == 1 || chan == 4 || chan == 6)
+          w[e] = e % 2 == 0 ? 0.0f : -0.0f;
+      }
     }
-    ThreadCountGuard guard(4);
-    for (int round = 0; round < 5; ++round) {
-      net.forward_into(plan, x, out, arena.data());
-      ASSERT_EQ(rrp::testing::float_bits(out.data()),
-                rrp::testing::float_bits(serial.data()))
-          << "batch " << batch;
+    for (const int batch : {11, 1}) {
+      const nn::Shape in{batch, 8, 16, 16};
+      const nn::InferPlan plan = nn::plan_inference(net, in);
+      std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
+      const nn::Tensor x = rrp::testing::random_tensor(in, 3);
+      nn::Tensor serial(plan.output_shape), out(plan.output_shape);
+      {
+        ThreadCountGuard guard(1);
+        net.forward_into(plan, x, serial, arena.data());
+      }
+      ThreadCountGuard guard(4);
+      for (int round = 0; round < 5; ++round) {
+        net.forward_into(plan, x, out, arena.data());
+        ASSERT_EQ(rrp::testing::float_bits(out.data()),
+                  rrp::testing::float_bits(serial.data()))
+            << "batch " << batch << (masked ? " masked" : "");
+      }
     }
   }
 }

@@ -20,12 +20,13 @@
 #   (e) a UBSan build of the unit tests and the scenario-DSL/campaign
 #       suite, -fno-sanitize-recover=all, with float-cast-overflow (not
 #       part of GCC's -fsanitize=undefined);
-#   (e') an AddressSanitizer build of the conv parity tests, the integrity
-#       digest / scrub / repair tests and the allocation-free inference
-#       suite — the implicit-GEMM conv reads its B operand straight out of
-#       a padded slot and the word digest reads a zero-padded tail word,
-#       and an out-of-bounds read there is the failure mode neither TSan
-#       nor UBSan reports;
+#   (e') an AddressSanitizer build of the conv parity and liveness tests,
+#       the integrity digest / scrub / repair tests and the
+#       allocation-free inference suite — the implicit-GEMM conv reads its
+#       B operand straight out of a padded slot and indexes it through the
+#       live-row and live-channel lists, and the word digest reads a
+#       zero-padded tail word; an out-of-bounds read there is the failure
+#       mode neither TSan nor UBSan reports;
 #   (f) a line-coverage summary of the unit tests (-DRRP_COVERAGE=ON +
 #       gcovr or llvm-cov), skipped gracefully when no coverage tool is
 #       installed — informational, not a gate;
@@ -107,7 +108,7 @@ step "(e') AddressSanitizer conv parity + integrity + allocation-free inference"
 cmake -B build-check-asan -S . -DRRP_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
 ./build-check-asan/tests/rrp_tests \
-  --gtest_filter='Conv2D.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*'
+  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*'
 ./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"
