@@ -16,9 +16,11 @@
 // an affine-in-MACs fit showing the measured ladder tracks the modeled
 // `infer_modeled_us` ladder (DESIGN.md invariant 13 tolerance), and the
 // wall time of one clean integrity scrub of the masked arm
-// (`wall_scrub_us`, timed round-robin with the level blocks).  The pool
-// size the wall numbers ran at is recorded as `wall_threads`: the masked
-// and compacted rows move with it.
+// (`wall_scrub_us`, timed round-robin with the level blocks).  Lenet's
+// compacted ladder rides along as `wall_infer_compact_us.lenet.l<k>`
+// (planned infer_into, outside the fit): its forward is mostly Linear.
+// The pool size the wall numbers ran at is recorded as `wall_threads`:
+// the masked and compacted rows move with it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,6 +46,12 @@ namespace {
 models::ProvisionedModel& detnet() {
   static models::ProvisionedModel pm =
       bench::provision(models::ModelKind::DetNet);
+  return pm;
+}
+
+models::ProvisionedModel& lenet() {
+  static models::ProvisionedModel pm =
+      bench::provision(models::ModelKind::LeNet);
   return pm;
 }
 
@@ -293,6 +301,18 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
                         auto y = p->infer(x);
                         benchmark::DoNotOptimize(y.raw());
                       }});
+  // Every level of lenet's compacted ladder through a view's planned
+  // infer_into (the frame path): its forward is mostly Linear.
+  core::CompactedLadderProvider lenet_fast =
+      lenet().make_fast_provider(in);
+  core::CompactedLadderView lenet_view(lenet_fast);
+  nn::Tensor lenet_out;
+  for (int k = 0; k < lenet_view.level_count(); ++k)
+    jobs.push_back({[&lenet_view, k] { lenet_view.set_level(k); },
+                    [&] {
+                      lenet_view.infer_into(x, lenet_out);
+                      benchmark::DoNotOptimize(lenet_out.raw());
+                    }});
   std::int64_t scrub_elements = 0;
   jobs.push_back({[&masked] { masked.set_level(0); },
                   [&] {
@@ -308,6 +328,12 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
   for (int k = 0; k < levels; ++k) {
     masked_us.push_back(us[static_cast<std::size_t>(2 * k)]);
     compact_us.push_back(us[static_cast<std::size_t>(2 * k + 1)]);
+  }
+  std::vector<double> lenet_us;
+  for (int k = 0; k < lenet_view.level_count(); ++k) {
+    lenet_us.push_back(us[static_cast<std::size_t>(2 * levels + k)]);
+    report.set_wall("wall_infer_compact_us.lenet.l" + std::to_string(k),
+                    lenet_us.back(), "us");
   }
   const double scrub_us = us.back();
   report.set_wall("wall_scrub_us", scrub_us, "us");
@@ -379,6 +405,10 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
                 "residual %.3f (tolerance %.2f, DESIGN.md invariant 13)%s\n",
                 max_resid, kWallFitTolerance,
                 max_resid <= kWallFitTolerance ? "" : " — EXCEEDED");
+    std::printf("lenet compacted ladder (planned infer_into) us:");
+    for (std::size_t k = 0; k < lenet_us.size(); ++k)
+      std::printf(" l%zu %.1f", k, lenet_us[k]);
+    std::printf("\n");
     std::printf("clean integrity scrub of the masked arm (l0, %lld "
                 "elements): %.1f us\n",
                 static_cast<long long>(scrub_elements), scrub_us);

@@ -204,7 +204,12 @@ void ReversiblePruner::set_bn_states(std::vector<BnState> states) {
   apply_bn_state(*net_, bn_states_[static_cast<std::size_t>(current_level_)]);
 }
 
+// Per-frame MAC accounting of the masked arm.  The plan infer_into made
+// for this shape already holds every step's input shape, so the count
+// walks no shapes and allocates nothing; an unplanned shape walks them.
 std::int64_t ReversiblePruner::active_macs(const nn::Shape& input_shape) {
+  if (input_shape == plan_.input_shape)
+    return nn::plan_effective_macs(plan_);
   return net_->effective_macs(input_shape);
 }
 

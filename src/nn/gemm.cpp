@@ -44,33 +44,12 @@ std::int64_t row_grain(std::int64_t n, std::int64_t k) {
   return tiles * kernels::kTileRows;
 }
 
-// Rows [i_begin, i_end) of the B-transposed kernel; rows are fully
-// independent dot-product sweeps.  Stays scalar in every RRP_SIMD
-// configuration: its contract accumulates each dot product in DOUBLE and
-// rounds once, which a j-lane float vectorization cannot reproduce.
-void gemm_bt_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a,
-                  std::int64_t lda, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t ldc) {
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * ldb;  // B is [N, K]
-      double acc = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += static_cast<double>(arow[kk]) * brow[kk];
-      crow[j] = alpha * static_cast<float>(acc) +
-                (beta == 0.0f ? 0.0f : beta * crow[j]);
-    }
-  }
-}
-
 // Everything a GEMM row chunk reads: the parallel_for bodies capture one
 // pointer to it, so their std::function stays in the small-object buffer
 // (a by-reference capture of every argument would heap-allocate per call).
 struct GemmArgs {
-  kernels::GemmRowsFn rows;  // nullptr: gemm_bt_rows
+  kernels::GemmRowsFn rows;       // gemm, gemm_at
+  kernels::GemmBtRowsFn bt_rows;  // gemm_bt
   std::int64_t n, k;
   float alpha;
   const float* a;
@@ -80,6 +59,8 @@ struct GemmArgs {
   float beta;
   float* c;
   std::int64_t ldc;
+  const float* bias;  // gemm_bt's store epilogue
+  bool relu;
 };
 
 // What a conv_gemm row chunk reads, behind one captured pointer.
@@ -124,8 +105,8 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // Row-range micro-kernel selected once by the RRP_SIMD configuration;
   // every variant is bit-identical (nn/gemm_kernels.h), so the choice is
   // invisible to traces, goldens and bench baselines.
-  const GemmArgs args{kernels::active_gemm_rows(), n, k, alpha, a, lda, b,
-                      ldb, beta, c, ldc};
+  const GemmArgs args{kernels::active_gemm_rows(), nullptr, n, k, alpha, a,
+                      lda, b, ldb, beta, c, ldc, nullptr, false};
   parallel_for(0, m, row_grain(n, k),
                [g = &args](std::int64_t i_begin, std::int64_t i_end) {
                  const kernels::GemmRowsFn rows = g->rows;
@@ -140,8 +121,8 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
              std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
   GemmScope scope("gemm_at", m, n, k);
-  const GemmArgs args{kernels::active_gemm_at_rows(), n, k, alpha, a, lda, b,
-                      ldb, beta, c, ldc};
+  const GemmArgs args{kernels::active_gemm_at_rows(), nullptr, n, k, alpha,
+                      a, lda, b, ldb, beta, c, ldc, nullptr, false};
   parallel_for(0, m, row_grain(n, k),
                [g = &args](std::int64_t i_begin, std::int64_t i_end) {
                  const kernels::GemmRowsFn rows = g->rows;
@@ -151,16 +132,20 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                });
 }
 
-// rrp-frame-path: B-transposed variant of the per-frame GEMM.
+// rrp-frame-path: B-transposed GEMM — every eval Linear lands here.
 void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
-             std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
+             std::int64_t ldb, float beta, float* c, std::int64_t ldc,
+             const float* bias, bool relu) {
   GemmScope scope("gemm_bt", m, n, k);
-  const GemmArgs args{nullptr, n, k, alpha, a, lda, b, ldb, beta, c, ldc};
+  const GemmArgs args{nullptr, kernels::active_gemm_bt_rows(), n, k, alpha,
+                      a, lda, b, ldb, beta, c, ldc, bias, relu};
   parallel_for(0, m, row_grain(n, k),
                [g = &args](std::int64_t i_begin, std::int64_t i_end) {
-                 gemm_bt_rows(i_begin, i_end, g->n, g->k, g->alpha, g->a,
-                              g->lda, g->b, g->ldb, g->beta, g->c, g->ldc);
+                 const kernels::GemmBtRowsFn rows = g->bt_rows;
+                 // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated gemm_bt_rows_* variants in nn/gemm_kernels*.cpp, each certified.
+                 rows(i_begin, i_end, g->n, g->k, g->alpha, g->a, g->lda, g->b,
+                      g->ldb, g->beta, g->c, g->ldc, g->bias, g->relu);
                });
 }
 

@@ -12,16 +12,25 @@
 //
 // Accumulation contract (intentional, relied on by tests/test_gemm.cpp):
 //   * `gemm` and `gemm_at` accumulate C in float, adding scaled A-values
-//     into the output row in k-ascending order (pure float FMA streams —
-//     fastest for the row-broadcast loop structure they use).
-//   * `gemm_bt` accumulates each dot product in double, then rounds once
-//     to float.  Its inner loop is a [K]-contiguous dot product, where the
-//     double accumulator is free and buys precision for the gradient
-//     (dW += g · colᵀ) accumulations that dominate its call sites.
-// Consequently the three variants agree only to float rounding tolerance
-// (~1e-4 relative for the sizes used here), never bitwise; cross-variant
-// consistency is covered by tolerance-bounded tests, while bit-exactness
-// guarantees apply per-variant across thread counts.
+//     into the output row in k-ascending order (one rounded multiply, then
+//     one rounded add per term — never FMA-contracted).
+//   * `gemm_bt` accumulates each dot product in double, k ascending, then
+//     rounds once to float.  The double accumulator buys precision for the
+//     gradient (dW += g · colᵀ) reductions among its call sites.  A float x
+//     float product is exact in double, so a vectorization with one double
+//     lane per output column j — each lane its column's own k-ascending
+//     chain — reproduces the scalar loop bit for bit; every gemm_bt variant
+//     does (nn/gemm_kernels.h).  There is no zero-skip: a NaN or Inf in B
+//     reaches C even where A is 0.  Where two NaNs meet in a multiply or
+//     an add, the first operand's propagates (A's before B's, the
+//     accumulator's before the product's): x86's rule, written out
+//     (kernels::bt_settle) so no compiler's operand order changes a NaN's
+//     bits.
+// Consequently gemm/gemm_at and gemm_bt agree only to float rounding
+// tolerance (~1e-4 relative for the sizes used here), never bitwise;
+// cross-routine consistency is covered by tolerance-bounded tests, while
+// bit-exactness guarantees apply per routine across kernel variants and
+// thread counts.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +47,13 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
              std::int64_t ldb, float beta, float* c, std::int64_t ldc);
 
-/// C[M,N] = alpha * A[M,K] * B^T (B is [N,K]) + beta * C  (row-major)
+/// C[M,N] = alpha * A[M,K] * B^T (B is [N,K]) + beta * C  (row-major),
+/// then, in the same store, + bias[j] when `bias` is given ([N]) and
+/// std::max(v, 0.0f) when `relu` (Linear's bias and a fused ReLU).
 void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a, std::int64_t lda, const float* b,
-             std::int64_t ldb, float beta, float* c, std::int64_t ldc);
+             std::int64_t ldb, float beta, float* c, std::int64_t ldc,
+             const float* bias = nullptr, bool relu = false);
 
 /// One sample of a convolution as an implicit GEMM, C = epilogue(A * B):
 ///   * A is the weight [M, K], K = cin * kernel * kernel, row stride lda;

@@ -22,6 +22,9 @@ constexpr std::int64_t kRegM = 4;
 constexpr std::int64_t kRegN = 16;
 static_assert(kTileRows % kRegM == 0);
 
+// Columns of C (rows of B) one blocked gemm_bt step accumulates at once.
+constexpr std::int64_t kBtLanes = 8;
+
 void scale_rows(std::int64_t i_begin, std::int64_t i_end, std::int64_t n,
                 float beta, float* c, std::int64_t ldc) {
   for (std::int64_t i = i_begin; i < i_end; ++i) {
@@ -84,6 +87,27 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
       if (av == 0.0f) continue;
       float* crow = c + i * ldc;
       for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// rrp-frame-path: scalar B-transposed rows (the gemm_bt oracle): one
+// double dot product per C element, k ascending, rounded once in the store.
+void gemm_bt_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+                            std::int64_t n, std::int64_t k, float alpha,
+                            const float* a, std::int64_t lda, const float* b,
+                            std::int64_t ldb, float beta, float* c,
+                            std::int64_t ldc, const float* bias, bool relu) {
+  for (std::int64_t i = i_begin; i < i_end; ++i) {
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* brow = b + j * ldb;  // B is [N, K]
+      double acc = 0.0;
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        acc += static_cast<double>(arow[kk]) * brow[kk];
+      crow[j] = bt_store(bt_settle(acc, arow, brow, k), alpha, beta, crow + j,
+                         bias, j, relu);
     }
   }
 }
@@ -245,6 +269,38 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
   }
 }
 
+// rrp-frame-path: B-transposed rows with kBtLanes independent per-column
+// double accumulators, each its column's k-ascending chain (the scalar
+// dot product is one latency-bound chain); the column tail is the
+// reference loop.
+void gemm_bt_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+                          std::int64_t n, std::int64_t k, float alpha,
+                          const float* a, std::int64_t lda, const float* b,
+                          std::int64_t ldb, float beta, float* c,
+                          std::int64_t ldc, const float* bias, bool relu) {
+  for (std::int64_t i = i_begin; i < i_end; ++i) {
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    std::int64_t j = 0;
+    for (; j + kBtLanes <= n; j += kBtLanes) {
+      const float* bblock = b + j * ldb;
+      double acc[kBtLanes] = {};
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const double av = arow[kk];
+        for (std::int64_t l = 0; l < kBtLanes; ++l)
+          acc[l] += av * bblock[l * ldb + kk];
+      }
+      for (std::int64_t l = 0; l < kBtLanes; ++l)
+        crow[j + l] = bt_store(bt_settle(acc[l], arow, bblock + l * ldb, k),
+                               alpha, beta, crow + j + l, bias, j + l, relu);
+    }
+    if (j < n)
+      gemm_bt_rows_reference(0, 1, n - j, k, alpha, arow, lda, b + j * ldb,
+                             ldb, beta, crow + j, ldc,
+                             bias != nullptr ? bias + j : nullptr, relu);
+  }
+}
+
 // rrp-frame-path: register-tiled implicit-GEMM conv rows.
 void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
                        const ConvGemm& g) {
@@ -295,6 +351,20 @@ GemmRowsFn active_gemm_at_rows() {
   return fn;
 #else
   return &gemm_at_rows_reference;
+#endif
+}
+
+GemmBtRowsFn active_gemm_bt_rows() {
+#if defined(RRP_SIMD)
+#if defined(RRP_HAVE_AVX2)
+  static const GemmBtRowsFn fn =
+      avx2_usable() ? &gemm_bt_rows_avx2 : &gemm_bt_rows_blocked;
+#else
+  static const GemmBtRowsFn fn = &gemm_bt_rows_blocked;
+#endif
+  return fn;
+#else
+  return &gemm_bt_rows_reference;
 #endif
 }
 

@@ -30,6 +30,18 @@
 // walks every channel of the listed rows, so it stays the oracle for the
 // channel skip.
 //
+// Each variant also has a gemm_bt row function (GemmBtRowsFn, C = A*B^T,
+// B [N, K]) under gemm_bt's own contract (nn/gemm.h): every C element is
+// one double dot product, k ascending, no zero-skip, rounded once in the
+// store (bt_store: alpha, beta, then an optional bias and ReLU).  A
+// float x float product is exact in double, so one double lane per
+// output column reproduces the scalar loop bit for bit: the blocked rows
+// keep 8 per-column double accumulators, the avx2 rows a 2-row x 8-column
+// tile whose B rows are widened and transposed 4 k at a time.  NaN bits
+// match too: a dot product that comes out NaN is settled by the scalar
+// rule of bt_settle, and the store takes the first NaN operand of each
+// multiply and add (nan_first_*).
+//
 // The -DRRP_SIMD CMake option picks which variant the active_* dispatch
 // returns (OFF -> reference, ON -> avx2 when usable, else blocked); every
 // compiled-in variant stays callable so tests can compare them directly
@@ -50,6 +62,16 @@ using GemmRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
 
+/// Rows [i_begin, i_end) of C = alpha*A*B^T + beta*C (A [M,K], B [N,K]),
+/// each element stored through bt_store with `bias` (nullptr: none) and
+/// `relu`.
+using GemmBtRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
+                              std::int64_t n, std::int64_t k, float alpha,
+                              const float* a, std::int64_t lda,
+                              const float* b, std::int64_t ldb, float beta,
+                              float* c, std::int64_t ldc, const float* bias,
+                              bool relu);
+
 /// The rows at positions [t_begin, t_end) of the live-row list of the
 /// implicit-GEMM conv `g` (t_end <= g.live_rows).
 using ConvRowsFn = void (*)(std::int64_t t_begin, std::int64_t t_end,
@@ -69,6 +91,48 @@ inline float conv_epilogue(const ConvGemm& g, std::int64_t i, float v) {
   return v;
 }
 
+// Where both operands of a multiply or an add are NaN, x86 returns the
+// first operand's NaN.  The compiler may swap the operands of a
+// commutative op, so gemm_bt spells the rule out: these return x's NaN
+// whenever x is NaN, and y's (or the op's own) otherwise — the same bits
+// whatever order an instruction takes them in.
+template <typename T>
+inline T nan_first_mul(T x, T y) {
+  return x != x ? x : x * y;
+}
+template <typename T>
+inline T nan_first_add(T x, T y) {
+  return x != x ? x : x + y;
+}
+
+/// The gemm_bt dot product of a[0..k) and b[0..k) given `fast`, the same
+/// chain computed with plain operations.  NaN + x and NaN * x are NaN,
+/// so a non-NaN `fast` saw no NaN and no operand order could change it.
+/// A NaN one is recomputed taking the first NaN operand of each multiply
+/// (A's before B's) and add (the accumulator's before the product's).
+inline double bt_settle(double fast, const float* a, const float* b,
+                        std::int64_t k) {
+  if (fast == fast) return fast;
+  double acc = 0.0;
+  for (std::int64_t kk = 0; kk < k; ++kk)
+    acc = nan_first_add(acc, nan_first_mul(static_cast<double>(a[kk]),
+                                           static_cast<double>(b[kk])));
+  return acc;
+}
+
+/// gemm_bt's store of the dot product `acc` into *c, column j (the scalar
+/// form every variant's store must match): alpha * float(acc) +
+/// (beta == 0 ? 0 : beta * *c), then + bias[j] when `bias` is given, then
+/// std::max(v, 0.0f) when `relu`.  *c is read only when beta != 0.
+inline float bt_store(double acc, float alpha, float beta, const float* c,
+                      const float* bias, std::int64_t j, bool relu) {
+  float v = nan_first_add(nan_first_mul(alpha, static_cast<float>(acc)),
+                          beta == 0.0f ? 0.0f : nan_first_mul(beta, *c));
+  if (bias != nullptr) v = nan_first_add(v, bias[j]);
+  if (relu) v = std::max(v, 0.0f);
+  return v;
+}
+
 // --- reference (scalar oracle; always available) ---------------------------
 void gemm_rows_reference(std::int64_t i_begin, std::int64_t i_end,
                          std::int64_t n, std::int64_t k, float alpha,
@@ -80,6 +144,11 @@ void gemm_at_rows_reference(std::int64_t i_begin, std::int64_t i_end,
                             const float* a, std::int64_t lda, const float* b,
                             std::int64_t ldb, float beta, float* c,
                             std::int64_t ldc);
+void gemm_bt_rows_reference(std::int64_t i_begin, std::int64_t i_end,
+                            std::int64_t n, std::int64_t k, float alpha,
+                            const float* a, std::int64_t lda, const float* b,
+                            std::int64_t ldb, float beta, float* c,
+                            std::int64_t ldc, const float* bias, bool relu);
 void conv_rows_reference(std::int64_t t_begin, std::int64_t t_end,
                          const ConvGemm& g);
 
@@ -94,6 +163,11 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
                           const float* a, std::int64_t lda, const float* b,
                           std::int64_t ldb, float beta, float* c,
                           std::int64_t ldc);
+void gemm_bt_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+                          std::int64_t n, std::int64_t k, float alpha,
+                          const float* a, std::int64_t lda, const float* b,
+                          std::int64_t ldb, float beta, float* c,
+                          std::int64_t ldc, const float* bias, bool relu);
 void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
                        const ConvGemm& g);
 
@@ -108,6 +182,11 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        const float* a, std::int64_t lda, const float* b,
                        std::int64_t ldb, float beta, float* c,
                        std::int64_t ldc);
+void gemm_bt_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
+                       std::int64_t n, std::int64_t k, float alpha,
+                       const float* a, std::int64_t lda, const float* b,
+                       std::int64_t ldb, float beta, float* c,
+                       std::int64_t ldc, const float* bias, bool relu);
 void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
                     const ConvGemm& g);
 #endif
@@ -120,10 +199,11 @@ inline constexpr std::int64_t kTileRows = 4;
 /// True when the AVX2 kernels are compiled in AND the CPU supports AVX2.
 bool avx2_usable();
 
-/// The kernel pair the RRP_SIMD build configuration selects (resolved once
-/// per process; the choice never changes after the first call).
+/// The kernels the RRP_SIMD build configuration selects (resolved once per
+/// process; the choice never changes after the first call).
 GemmRowsFn active_gemm_rows();
 GemmRowsFn active_gemm_at_rows();
+GemmBtRowsFn active_gemm_bt_rows();
 ConvRowsFn active_conv_rows();
 
 /// "scalar" (RRP_SIMD=OFF), "blocked" or "avx2" — for bench report configs

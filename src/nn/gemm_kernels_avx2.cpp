@@ -1,6 +1,7 @@
 // AVX2 micro-kernels.  This translation unit is the only one compiled with
 // -mavx2 (and -ffp-contract=off so mul+add never fuses into FMA); callers
-// reach it through kernels::active_gemm_rows() after a runtime CPU check.
+// reach it through the kernels::active_* dispatch after a runtime CPU
+// check.
 //
 // Register tile: kRegM C rows x kRegN C columns (2 x 32 = 8 ymm
 // accumulators), so every B vector loaded for a k-step feeds kRegM rows.
@@ -270,6 +271,97 @@ void conv_panel(const ConvGemm& g, const std::int64_t (&rows)[R]) {
   if (j < n) conv_scalar_tile<R>(g, rows, j, n);
 }
 
+// ---------------------------------------------------------------------------
+// B-transposed rows under gemm_bt's double contract.  Each double lane is
+// one output column j and keeps that column's k-ascending chain: a
+// float x float product is exact in double, so _mm256_mul_pd then
+// _mm256_add_pd rounds exactly like the scalar
+// `acc += double(a[k]) * b[j][k]`, and lanes never interact.  A tile is
+// R rows of A x 8 rows of B: per 4 k, each B row's 4 floats are widened
+// to doubles and two 4 x 4 transposes turn them into one ymm per (k, lane
+// half), which every tile row reuses.  The k tail continues each lane's
+// chain in scalar code; the column tail is the scalar reference.
+// A lane that comes out NaN is settled by the scalar rule (bt_settle), so
+// the operand order the compiler picks for the vector ops cannot show.
+// ---------------------------------------------------------------------------
+
+// rrp-frame-path: B[l][0..3] for l < 8 as doubles, transposed so that
+// out[s] holds k-step s of lanes 0..3 and out[4 + s] of lanes 4..7.
+[[gnu::always_inline]] inline void bt_load4(const float* b, std::int64_t ldb,
+                                            __m256d (&out)[8]) {
+  for (int h = 0; h < 2; ++h) {
+    const float* p = b + 4 * h * ldb;
+    const __m256d r0 = _mm256_cvtps_pd(_mm_loadu_ps(p));
+    const __m256d r1 = _mm256_cvtps_pd(_mm_loadu_ps(p + ldb));
+    const __m256d r2 = _mm256_cvtps_pd(_mm_loadu_ps(p + 2 * ldb));
+    const __m256d r3 = _mm256_cvtps_pd(_mm_loadu_ps(p + 3 * ldb));
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+    out[4 * h + 0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    out[4 * h + 1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    out[4 * h + 2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    out[4 * h + 3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
+}
+
+// rrp-frame-path: R rows of A x 8 rows of B (C columns j..j+7), stored
+// through bt_store.
+template <int R>
+void bt_tile(std::int64_t k, float alpha, const float* a, std::int64_t lda,
+             const float* b, std::int64_t ldb, float beta, float* c,
+             std::int64_t ldc, const float* bias, std::int64_t j, bool relu) {
+  __m256d lo[R], hi[R];  // lanes 0..3 and 4..7 of each row
+  for (int r = 0; r < R; ++r) lo[r] = hi[r] = _mm256_setzero_pd();
+  std::int64_t kk = 0;
+  for (; kk + 4 <= k; kk += 4) {
+    __m256d bv[8];
+    bt_load4(b + kk, ldb, bv);
+    // A's 4 values as doubles in memory, so each broadcast is a load.
+    alignas(32) double ad[R][4];
+    for (int r = 0; r < R; ++r)
+      _mm256_store_pd(ad[r], _mm256_cvtps_pd(_mm_loadu_ps(a + r * lda + kk)));
+    for (int r = 0; r < R; ++r)
+      for (int s = 0; s < 4; ++s) {
+        const __m256d av = _mm256_broadcast_sd(&ad[r][s]);
+        lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(av, bv[s]));
+        hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(av, bv[4 + s]));
+      }
+  }
+  double acc[R][8];
+  for (int r = 0; r < R; ++r) {
+    _mm256_storeu_pd(acc[r], lo[r]);
+    _mm256_storeu_pd(acc[r] + 4, hi[r]);
+  }
+  for (int r = 0; r < R; ++r) {
+    const float* arow = a + r * lda;
+    float* crow = c + r * ldc;
+    for (int l = 0; l < 8; ++l) {
+      const float* brow = b + l * ldb;
+      for (std::int64_t t = kk; t < k; ++t)
+        acc[r][l] += static_cast<double>(arow[t]) * brow[t];
+      crow[l] = bt_store(bt_settle(acc[r][l], arow, brow, k), alpha, beta,
+                         crow + l, bias, j + l, relu);
+    }
+  }
+}
+
+// rrp-frame-path: R rows of A x all n columns of C.
+template <int R>
+void bt_panel(std::int64_t n, std::int64_t k, float alpha, const float* a,
+              std::int64_t lda, const float* b, std::int64_t ldb, float beta,
+              float* c, std::int64_t ldc, const float* bias, bool relu) {
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8)
+    bt_tile<R>(k, alpha, a, lda, b + j * ldb, ldb, beta, c + j, ldc, bias, j,
+               relu);
+  if (j < n)
+    gemm_bt_rows_reference(0, R, n - j, k, alpha, a, lda, b + j * ldb, ldb,
+                           beta, c + j, ldc,
+                           bias != nullptr ? bias + j : nullptr, relu);
+}
+
 }  // namespace
 
 // rrp-frame-path: hand-vectorized AVX2 micro-kernel (runtime-dispatched).
@@ -290,6 +382,21 @@ void gemm_at_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
   // A is [K, M]: A elements for row i sit at a[kk * lda + i].
   gemm_rows_strided(i_begin, i_end, n, k, alpha, a, 1, lda, b, ldb, beta, c,
                     ldc);
+}
+
+// rrp-frame-path: hand-vectorized AVX2 B-transposed rows (double lanes).
+void gemm_bt_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
+                       std::int64_t n, std::int64_t k, float alpha,
+                       const float* a, std::int64_t lda, const float* b,
+                       std::int64_t ldb, float beta, float* c,
+                       std::int64_t ldc, const float* bias, bool relu) {
+  std::int64_t i = i_begin;
+  for (; i + kRegM <= i_end; i += kRegM)
+    bt_panel<kRegM>(n, k, alpha, a + i * lda, lda, b, ldb, beta, c + i * ldc,
+                    ldc, bias, relu);
+  for (; i < i_end; ++i)
+    bt_panel<1>(n, k, alpha, a + i * lda, lda, b, ldb, beta, c + i * ldc, ldc,
+                bias, relu);
 }
 
 // rrp-frame-path: hand-vectorized AVX2 implicit-GEMM conv rows.

@@ -42,16 +42,19 @@ struct Builder {
   }
 };
 
-// Folds the BatchNorm and/or ReLU directly after layers[i] (a Conv2D)
-// into `fused`; returns the index of the last layer the step covers.
-std::size_t fuse_after_conv(const std::vector<std::unique_ptr<Layer>>& layers,
-                            std::size_t i, ConvFusion& fused) {
-  const int channels = static_cast<const Conv2D&>(*layers[i]).out_channels();
-  const auto next_is = [&](LayerKind kind) {
-    return i + 1 < layers.size() && layers[i + 1]->kind() == kind;
+// Folds what directly follows layers[i] into `fused`: after a Conv2D a
+// BatchNorm (same channel count) and/or a ReLU, after a Linear a ReLU.
+// Returns the index of the last layer the step covers.
+std::size_t fuse_following(const std::vector<std::unique_ptr<Layer>>& layers,
+                           std::size_t i, StepFusion& fused) {
+  const LayerKind kind = layers[i]->kind();
+  if (kind != LayerKind::Conv2D && kind != LayerKind::Linear) return i;
+  const auto next_is = [&](LayerKind next) {
+    return i + 1 < layers.size() && layers[i + 1]->kind() == next;
   };
-  if (next_is(LayerKind::BatchNorm) &&
-      static_cast<const BatchNorm&>(*layers[i + 1]).channels() == channels)
+  if (kind == LayerKind::Conv2D && next_is(LayerKind::BatchNorm) &&
+      static_cast<const BatchNorm&>(*layers[i + 1]).channels() ==
+          static_cast<const Conv2D&>(*layers[i]).out_channels())
     fused.bn = static_cast<const BatchNorm*>(layers[++i].get());
   if (next_is(LayerKind::ReLU)) {
     fused.relu = true;
@@ -90,8 +93,7 @@ void flatten(const Network& net, Shape& shape, int& cur, Builder& b) {
     InferStep st;
     st.layer = &layer;
     st.in = shape;
-    if (layer.kind() == LayerKind::Conv2D)
-      li = fuse_after_conv(layers, li, st.fused);
+    li = fuse_following(layers, li, st.fused);
     StepBuffers sb;
     sb.x = cur;
     b.read(cur);
@@ -178,6 +180,15 @@ InferPlan plan_inference(const Network& net, const Shape& in) {
   }
   plan.steps = std::move(b.steps);
   return plan;
+}
+
+// Fused layers and residual adds count no MACs, so the steps' sum is the
+// layer walk's.
+std::int64_t plan_effective_macs(const InferPlan& plan) {
+  std::int64_t total = 0;
+  for (const InferStep& st : plan.steps)
+    if (st.layer != nullptr) total += st.layer->effective_macs(st.in);
+  return total;
 }
 
 }  // namespace rrp::nn

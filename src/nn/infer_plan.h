@@ -15,8 +15,9 @@
 // output.
 //
 // A Conv2D step absorbs the BatchNorm and/or ReLU that directly follow it
-// in the same Network: they run in the conv's tile store (Conv2D::
-// forward_fused_into) and get no step and no buffer of their own.
+// in the same Network, and a Linear step the ReLU that directly follows
+// it: they run in the layer's store (Conv2D::forward_fused_into,
+// Linear::forward_fused_into) and get no step and no buffer of their own.
 //
 // A plan is immutable and holds no activation memory, so any number of
 // arenas (one per level cursor, DESIGN.md "Activation arena") can run it
@@ -36,9 +37,9 @@ class Network;
 inline constexpr std::int64_t kPlanInput = -1;   ///< the caller's input
 inline constexpr std::int64_t kPlanOutput = -2;  ///< the caller's output
 
-/// One planned operation: a layer's forward_into, a Conv2D with the
-/// layers in `fused` folded into it, or (layer == nullptr) the identity
-/// add that closes a Residual block, y = x + skip.
+/// One planned operation: a layer's forward_into, a Conv2D or Linear with
+/// the layers in `fused` folded into it, or (layer == nullptr) the
+/// identity add that closes a Residual block, y = x + skip.
 struct InferStep {
   const Layer* layer = nullptr;
   Shape in;                  ///< input shape of this step
@@ -47,7 +48,7 @@ struct InferStep {
   std::int64_t scratch = 0;  ///< arena offset of the layer's scratch
   std::int64_t skip = 0;     ///< residual add: location of the block input
   std::int64_t numel = 0;    ///< residual add: elements added
-  ConvFusion fused;          ///< Conv2D step: layers run in its tile store
+  StepFusion fused;          ///< layers run in a Conv2D/Linear's store
 };
 
 struct InferPlan {
@@ -60,5 +61,10 @@ struct InferPlan {
 
 /// Plans `net`'s eval forward for inputs of shape `in` (provision time).
 InferPlan plan_inference(const Network& net, const Shape& in);
+
+/// plan.network->effective_macs(plan.input_shape) from the input shape
+/// each step recorded, so the weights are counted as they are now with
+/// no shape walk and no allocation.
+std::int64_t plan_effective_macs(const InferPlan& plan);
 
 }  // namespace rrp::nn

@@ -24,6 +24,10 @@ class Linear : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   void forward_into(const float* x, const Shape& in, float* y,
                     float* scratch) const override;
+  /// forward_into with the bias and, when `relu`, a following ReLU
+  /// applied in gemm_bt's store (bit-identical to the separate passes).
+  void forward_fused_into(const float* x, const Shape& in, float* y,
+                          bool relu) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;
@@ -54,9 +58,10 @@ class Linear : public Layer {
 
 class BatchNorm;
 
-/// The layers a planned Conv2D step folds into its tile store
-/// (nn/infer_plan.h): a following BatchNorm (eval) and/or ReLU.
-struct ConvFusion {
+/// The layers a planned Conv2D or Linear step folds into its store
+/// (nn/infer_plan.h): a following BatchNorm (eval; Conv2D only) and/or
+/// ReLU.
+struct StepFusion {
   const BatchNorm* bn = nullptr;
   bool relu = false;
 };
@@ -83,7 +88,7 @@ class Conv2D : public Layer {
   /// stored; equals forward_into followed by those layers bit for bit.
   /// Reads the BatchNorm's running statistics at every call.
   void forward_fused_into(const float* x, const Shape& in, float* y,
-                          float* scratch, const ConvFusion& fuse) const;
+                          float* scratch, const StepFusion& fuse) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   Shape output_shape(const Shape& in) const override;

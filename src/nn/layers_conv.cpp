@@ -168,13 +168,13 @@ void Conv2D::pad_into(const float* src, int h, int w, float* dst) const {
 
 void Conv2D::forward_into(const float* x, const Shape& in, float* y,
                           float* scratch) const {
-  forward_fused_into(x, in, y, scratch, ConvFusion{});
+  forward_fused_into(x, in, y, scratch, StepFusion{});
 }
 
 // rrp-frame-path: implicit-GEMM conv — the dominant per-frame inference cost.
 void Conv2D::forward_fused_into(const float* x, const Shape& in, float* y,
                                 float* scratch,
-                                const ConvFusion& fuse) const {
+                                const StepFusion& fuse) const {
   RRP_CHECK_MSG(in.size() == 4 && in[1] == in_ch_,
                 "Conv2D '" << name() << "' expects [N, " << in_ch_
                            << ", H, W], got " << shape_str(in));
@@ -326,9 +326,8 @@ std::int64_t Conv2D::macs(const Shape& in) const {
 
 std::int64_t Conv2D::effective_macs(const Shape& in) const {
   const auto [oh, ow] = out_hw(in[2], in[3]);
-  std::int64_t nnz = 0;
-  for (float v : weight_.data()) nnz += (v != 0.0f);
-  return nnz * static_cast<std::int64_t>(oh) * ow;
+  return count_nonzero(weight_.raw(), weight_.numel()) *
+         static_cast<std::int64_t>(oh) * ow;
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {

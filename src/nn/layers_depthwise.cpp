@@ -189,9 +189,8 @@ std::int64_t DepthwiseConv2D::macs(const Shape& in) const {
 
 std::int64_t DepthwiseConv2D::effective_macs(const Shape& in) const {
   const auto [oh, ow] = out_hw(in[2], in[3]);
-  std::int64_t nnz = 0;
-  for (float v : weight_.data()) nnz += (v != 0.0f);
-  return nnz * static_cast<std::int64_t>(oh) * ow;
+  return count_nonzero(weight_.raw(), weight_.numel()) *
+         static_cast<std::int64_t>(oh) * ow;
 }
 
 std::unique_ptr<Layer> DepthwiseConv2D::clone() const {

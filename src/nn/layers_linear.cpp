@@ -65,20 +65,19 @@ Tensor Linear::forward(const Tensor& x, bool training) {
 void Linear::forward_into(const float* x, const Shape& in, float* y,
                           float* scratch) const {
   (void)scratch;
+  forward_fused_into(x, in, y, false);
+}
+
+// rrp-frame-path: every eval Linear (a planned ReLU after it included).
+void Linear::forward_fused_into(const float* x, const Shape& in, float* y,
+                                bool relu) const {
   RRP_CHECK_MSG(in.size() == 2 && in[1] == in_features_,
                 "Linear '" << name() << "' expects [N, " << in_features_
                            << "], got " << shape_str(in));
-  const int n = in[0];
-  // y[N, out] = x[N, in] * W^T (W is [out, in])
-  gemm_bt(n, out_features_, in_features_, 1.0f, x, in_features_,
-          weight_.raw(), in_features_, 0.0f, y, out_features_);
-  if (with_bias_) {
-    const float* b = bias_.raw();
-    for (int i = 0; i < n; ++i) {
-      float* row = y + static_cast<std::int64_t>(i) * out_features_;
-      for (int j = 0; j < out_features_; ++j) row[j] += b[j];
-    }
-  }
+  // y[N, out] = x[N, in] * W^T (W is [out, in]), + bias, then the ReLU.
+  gemm_bt(in[0], out_features_, in_features_, 1.0f, x, in_features_,
+          weight_.raw(), in_features_, 0.0f, y, out_features_,
+          with_bias_ ? bias_.raw() : nullptr, relu);
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -124,9 +123,7 @@ std::int64_t Linear::macs(const Shape& in) const {
 
 std::int64_t Linear::effective_macs(const Shape& in) const {
   (void)in;
-  std::int64_t nnz = 0;
-  for (float w : weight_.data()) nnz += (w != 0.0f);
-  return nnz;
+  return count_nonzero(weight_.raw(), weight_.numel());
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

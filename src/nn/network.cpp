@@ -54,7 +54,7 @@ void Network::forward_into(const InferPlan& plan, const Tensor& x,
 }
 
 // The plan interpreter: one forward_into per layer step (a fused Conv2D
-// step also runs the layers folded into it).
+// or Linear step also runs the layers folded into it).
 // rrp-lint-allow(frame-path-recursion): the same receiver-blind cycle as forward_into above; steps never call back into a Network.
 void Network::run_plan(const InferPlan& plan, const float* x, float* out,
                        float* arena) const {
@@ -67,6 +67,9 @@ void Network::run_plan(const InferPlan& plan, const float* x, float* out,
     if (st.layer == nullptr) {
       const float* skip = st.skip == kPlanInput ? x : at(st.skip);
       residual_add(src, skip, dst, st.numel);
+    } else if (st.layer->kind() == LayerKind::Linear) {
+      static_cast<const Linear*>(st.layer)->forward_fused_into(
+          src, st.in, dst, st.fused.relu);
     } else if (st.fused.bn != nullptr || st.fused.relu) {
       static_cast<const Conv2D*>(st.layer)->forward_fused_into(
           src, st.in, dst, arena + st.scratch, st.fused);

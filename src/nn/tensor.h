@@ -20,6 +20,10 @@ using Shape = std::vector<int>;
 /// (an empty shape denotes a scalar with one element).
 std::int64_t shape_numel(const Shape& shape);
 
+/// Count of the n floats at x that are not ±0 (NaN and Inf count), the
+/// nonzero rule of effective MACs.  Counted on magnitude bits, branch-free.
+std::int64_t count_nonzero(const float* x, std::int64_t n);
+
 /// Human-readable "[2, 3, 4]" form for error messages.
 std::string shape_str(const Shape& shape);
 

@@ -295,10 +295,11 @@ void FrameEngine::step(StreamState& s) const {
     s.result.wall.frames.push_back({rec.frame, rec.executed_level,
                                     infer_wall_us, rec.latency_ms * 1000.0});
     // Per-level measured breakdown for the wall-channel profiler.  Like
-    // RunResult::wall, this never touches telemetry/trace/metrics and
-    // wprof::record is a no-op unless --wall flipped the enable switch.
-    wprof::record("infer.L" + std::to_string(rec.executed_level),
-                  infer_wall_us);
+    // RunResult::wall, this never touches telemetry/trace/metrics; the key
+    // is only built while --wall has the profiler enabled.
+    if (wprof::enabled())
+      wprof::record("infer.L" + std::to_string(rec.executed_level),
+                    infer_wall_us);
   }
 
   const double frame_ms = rec.latency_ms + rec.switch_us / 1000.0;

@@ -5,11 +5,12 @@
 // versions.  Outside a CountScope they only read a flag; inside one every
 // allocation and free from any thread (pool workers included) is counted.
 //
-//   A1  zero allocations — 100 infer_into calls at every level of every zoo
-//       model, through a CompactedLadderView and through the masked
-//       ReversiblePruner, at RRP_THREADS 1, 2 and 8, allocate and free
-//       nothing once the caller's output is sized; each output equals the
-//       allocating forward bit for bit;
+//   A1  zero allocations — 100 infer_into calls, each followed by the
+//       frame's active_macs, at every level of every zoo model, through a
+//       CompactedLadderView and through the masked ReversiblePruner, at
+//       RRP_THREADS 1, 2 and 8, allocate and free nothing once the
+//       caller's output is sized; each output equals the allocating
+//       forward bit for bit;
 //   A2  one eval implementation — forward_into equals forward(x, false)
 //       bitwise for every layer kind, and in-place kinds give the same bits
 //       with y == x;
@@ -124,22 +125,28 @@ bool same_bits(const nn::Tensor& a, const nn::Tensor& b) {
   return a.shape() == b.shape() && float_bits(a.data()) == float_bits(b.data());
 }
 
-/// Runs `provider` kCalls times on `x` (after one sizing call outside the
-/// scope) and expects no allocation, no free, and the reference bits.
+/// Runs `provider` kCalls times on `x`, each inference followed by the
+/// frame's active_macs (after one sizing call outside the scope), and
+/// expects no allocation, no free, and the reference bits.
 void expect_allocation_free(core::InferenceProvider& provider,
                             const nn::Tensor& x, const nn::Tensor& reference,
                             const std::string& what) {
   nn::Tensor out;
   provider.infer_into(x, out);  // plans (masked arm) and sizes `out`
-  std::int64_t allocs = 0, frees = 0;
+  const std::int64_t macs = provider.active_macs(x.shape());
+  std::int64_t allocs = 0, frees = 0, macs_sum = 0;
   {
     const CountScope scope;
-    for (int i = 0; i < kCalls; ++i) provider.infer_into(x, out);
+    for (int i = 0; i < kCalls; ++i) {
+      provider.infer_into(x, out);
+      macs_sum += provider.active_macs(x.shape());
+    }
     allocs = scope.allocs();
     frees = scope.frees();
   }
   EXPECT_EQ(allocs, 0) << what;
   EXPECT_EQ(frees, 0) << what;
+  EXPECT_EQ(macs_sum, kCalls * macs) << what;
   EXPECT_TRUE(same_bits(out, reference)) << what;
 }
 

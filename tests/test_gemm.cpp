@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -245,6 +247,130 @@ TEST(Gemm, ZeroSkipKeepsNegativeZero) {
     fn(0, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, got.data(), n);
     EXPECT_EQ(float_bits(got), float_bits(want)) << name;
   }
+}
+
+/// Every compiled-in gemm_bt row kernel, by name.
+std::vector<std::pair<std::string, kernels::GemmBtRowsFn>> bt_kernels() {
+  std::vector<std::pair<std::string, kernels::GemmBtRowsFn>> fns = {
+      {"reference", kernels::gemm_bt_rows_reference},
+      {"blocked", kernels::gemm_bt_rows_blocked},
+      {"active", kernels::active_gemm_bt_rows()},
+  };
+#if defined(RRP_HAVE_AVX2)
+  if (kernels::avx2_usable())
+    fns.push_back({"avx2", kernels::gemm_bt_rows_avx2});
+#endif
+  return fns;
+}
+
+/// `count` floats in [-1, 1), about one in 16 replaced by a special value:
+/// ±0, NaN, ±Inf or a denormal (whose products underflow float but not
+/// the double accumulator).
+std::vector<float> bt_operand(std::size_t count, Rng& rng) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.5e-39f};
+  std::vector<float> v = random_vec(count, rng);
+  for (float& x : v)
+    if (rng.uniform() < 1.0 / 16)
+      x = specials[static_cast<std::size_t>(rng.uniform(0.0, 7.0))];
+  return v;
+}
+
+TEST(Gemm, BtVariantsMatchTheReferenceBitForBit) {
+  // Every variant keeps one k-ascending double chain per C element, so
+  // each must store exactly the reference's bits: over column counts
+  // around the 8-lane block, K around the 4-deep step, odd M (single-row
+  // tiles), padded leading dimensions, alpha != 1, every beta branch, with
+  // and without the bias + ReLU store, and special values in A and B.
+  std::vector<int> ns;
+  for (int n = 1; n <= 17; ++n) ns.push_back(n);
+  ns.insert(ns.end(), {26, 48, 64});
+  const float alpha = 0.75f;
+  Rng rng(91);
+  for (const int m : {1, 3, 11})
+    for (const int k : {1, 3, 4, 5, 48, 136, 256, 257})
+      for (const int n : ns) {
+        const std::int64_t lda = k + 3, ldb = k + 5, ldc = n + 2;
+        const auto a = bt_operand(static_cast<std::size_t>(m * lda), rng);
+        const auto b = bt_operand(static_cast<std::size_t>(n * ldb), rng);
+        const auto bias = bt_operand(static_cast<std::size_t>(n), rng);
+        const auto c0 = bt_operand(static_cast<std::size_t>(m * ldc), rng);
+        for (const float beta : {0.0f, 0.5f, 1.0f})
+          for (const bool fused : {false, true}) {
+            const float* bp = fused ? bias.data() : nullptr;
+            std::vector<float> want = c0;
+            kernels::gemm_bt_rows_reference(0, m, n, k, alpha, a.data(), lda,
+                                            b.data(), ldb, beta, want.data(),
+                                            ldc, bp, fused);
+            for (const auto& [name, fn] : bt_kernels()) {
+              std::vector<float> got = c0;
+              fn(0, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
+                 got.data(), ldc, bp, fused);
+              ASSERT_EQ(float_bits(got), float_bits(want))
+                  << name << " m " << m << " n " << n << " k " << k
+                  << " beta " << beta << (fused ? " bias+relu" : "");
+            }
+          }
+      }
+}
+
+TEST(Gemm, BtNaNTakesTheFirstNaNOperand) {
+  // Pins gemm_bt's NaN rule in every variant, over an 8-column tile and a
+  // scalar column: A's NaN before B's in a multiply, the accumulator's
+  // before the product's in an add.  Even columns meet A's NaN times B's
+  // (of the other sign) at k = 1; odd ones make Inf * 0 (the default NaN)
+  // at k = 0, then add A's NaN product at k = 1.
+  const float nan_a = std::bit_cast<float>(0x7fc00001u);
+  const float nan_b = std::bit_cast<float>(0xffc00002u);
+  const float inf = std::numeric_limits<float>::infinity();
+  const int n = 9, k = 5;
+  const std::vector<float> a = {0.0f, nan_a, 1.0f, 2.0f, 3.0f};
+  std::vector<float> b(static_cast<std::size_t>(n) * k, 0.5f);
+  for (int j = 0; j < n; ++j)
+    b[static_cast<std::size_t>(j * k + (j % 2 == 0 ? 1 : 0))] =
+        j % 2 == 0 ? nan_b : inf;
+  volatile float zero = 0.0f;  // the machine's default NaN, at run time
+  const float default_nan = zero * inf;
+  for (const auto& [name, fn] : bt_kernels()) {
+    std::vector<float> c(static_cast<std::size_t>(n), 0.0f);
+    fn(0, 1, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f, c.data(), n,
+       nullptr, false);
+    for (int j = 0; j < n; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(c[static_cast<std::size_t>(j)]),
+                std::bit_cast<std::uint32_t>(j % 2 == 0 ? nan_a : default_nan))
+          << name << " column " << j;
+  }
+}
+
+TEST(Gemm, BtWithBiasAndReluIsBitExactAcrossThreadCounts) {
+  // Training-sized (a conv's dW = gout * col^T fans out over its rows),
+  // with the Linear store: rows are independent, so the pool's row
+  // partition cannot change a bit.
+  const int m = 64, n = 72, k = 300;
+  Rng rng(92);
+  const auto a = bt_operand(static_cast<std::size_t>(m) * k, rng);
+  const auto b = bt_operand(static_cast<std::size_t>(n) * k, rng);
+  const auto bias = bt_operand(static_cast<std::size_t>(n), rng);
+  const auto c0 = random_vec(static_cast<std::size_t>(m) * n, rng);
+  std::vector<std::vector<std::uint32_t>> outs;
+  for (const int threads : {1, 2, 8}) {
+    ThreadCountGuard guard(threads);
+    std::vector<float> c = c0;
+    gemm_bt(m, n, k, 0.5f, a.data(), k, b.data(), k, 1.0f, c.data(), n,
+            bias.data(), true);
+    outs.push_back(float_bits(c));
+  }
+  std::vector<float> want = c0;
+  kernels::gemm_bt_rows_reference(0, m, n, k, 0.5f, a.data(), k, b.data(), k,
+                                  1.0f, want.data(), n, bias.data(), true);
+  EXPECT_EQ(outs[0], float_bits(want)) << "threads 1 vs reference";
+  EXPECT_EQ(outs[0], outs[1]) << "threads 2";
+  EXPECT_EQ(outs[0], outs[2]) << "threads 8";
 }
 
 }  // namespace

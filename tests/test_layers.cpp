@@ -15,6 +15,7 @@
 #include "models/zoo.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "nn/infer_plan.h"
 #include "nn/layers.h"
 #include "nn/network.h"
 #include "prune/levels.h"
@@ -71,6 +72,58 @@ TEST(Linear, EffectiveMacsCountsNonzeros) {
   Linear lin("l", 4, 2);
   lin.weight() = Tensor({2, 4}, {1, 0, 0, 2, 0, 0, 0, 3});
   EXPECT_EQ(lin.effective_macs({1, 4}), 3);
+}
+
+/// Linear's eval as three passes: gemm_bt's reference rows with a plain
+/// store, then the bias loop, then (when `relu`) ReLU::forward_into.
+Tensor linear_three_passes(const Linear& lin, const Tensor& x, bool relu) {
+  const int n = x.size(0), in = lin.in_features(), out = lin.out_features();
+  Tensor y({n, out});
+  kernels::gemm_bt_rows_reference(0, n, out, in, 1.0f, x.raw(), in,
+                                  lin.weight().raw(), in, 0.0f, y.raw(), out,
+                                  nullptr, false);
+  if (lin.with_bias())
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < out; ++j) y[i * out + j] += lin.bias()[j];
+  if (relu) ReLU("relu").forward_into(y.raw(), y.shape(), y.raw(), nullptr);
+  return y;
+}
+
+TEST(Linear, FusedBiasAndReluEqualTheSeparatePasses) {
+  // The store adds the bias and clamps after the same rounding as the
+  // three separate passes, so every variant's fused output is theirs bit
+  // for bit: negative, NaN and ±Inf sums, and a -0 bias, included.
+  const int in = 37, out = 21;
+  Tensor w = random_tensor({out, in}, 31);
+  w[5] = std::numeric_limits<float>::quiet_NaN();
+  w[3 * in + 2] = std::numeric_limits<float>::infinity();
+  w[4 * in + 9] = -std::numeric_limits<float>::infinity();
+  for (int c = 0; c < in; ++c) w[7 * in + c] = 0.0f;  // sum +0
+  Tensor bias = random_tensor({out}, 32);
+  bias[7] = -0.0f;
+  for (const bool with_bias : {true, false})
+    for (const int batch : {1, 3, 11}) {
+      Linear lin("l", in, out, with_bias);
+      lin.weight() = w;
+      if (with_bias) lin.bias() = bias;
+      Tensor x = random_tensor({batch, in}, 33);
+      x[batch * in - 1] = std::numeric_limits<float>::quiet_NaN();
+      for (const int threads : {1, 2, 8}) {
+        ThreadCountGuard guard(threads);
+        const std::string what = std::string(with_bias ? "bias" : "no bias") +
+                                 " batch " + std::to_string(batch) +
+                                 " threads " + std::to_string(threads);
+        Tensor got({batch, out});
+        lin.forward_into(x.raw(), x.shape(), got.raw(), nullptr);
+        EXPECT_EQ(float_bits(got.data()),
+                  float_bits(linear_three_passes(lin, x, false).data()))
+            << what;
+        lin.forward_fused_into(x.raw(), x.shape(), got.raw(), true);
+        EXPECT_EQ(float_bits(got.data()),
+                  float_bits(linear_three_passes(lin, x, true).data()))
+            << what << " relu";
+      }
+    }
 }
 
 TEST(Conv2D, IdentityKernelPassesThrough) {
@@ -318,7 +371,7 @@ TEST(Conv2D, ForwardMatchesReferenceIm2colGemm) {
       std::vector<float> scratch(
           static_cast<std::size_t>(c.conv->scratch_floats(c.x.shape())));
       c.conv->forward_fused_into(c.x.raw(), c.x.shape(), fused.raw(),
-                                 scratch.data(), ConvFusion{&pbn.bn, true});
+                                 scratch.data(), StepFusion{&pbn.bn, true});
       const Tensor want_fused =
           im2col_gemm_reference(*c.conv, c.x, pbn.scale, pbn.shift, true);
       EXPECT_EQ(float_bits(fused.data()), float_bits(want_fused.data()))
@@ -577,6 +630,93 @@ TEST(ConvLiveness, PrunedSlotFlipIsLiveUntilRepair) {
     expect_reference(what + " repaired");
     EXPECT_EQ(conv_lists(conv), std::make_pair(rows, chans)) << what;
   }
+}
+
+TEST(EffectiveMacs, CountNonzeroMatchesANaiveCount) {
+  // ±0 count as zero; NaN, ±Inf and denormals count; the lengths cross
+  // the 1024-float block.
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            0.5f};
+  Rng rng(41);
+  for (const std::int64_t n : {0, 1, 7, 1023, 1024, 1025, 3001}) {
+    std::vector<float> v(static_cast<std::size_t>(n));
+    for (float& x : v)
+      x = specials[static_cast<std::size_t>(rng.uniform(0.0, 8.0))];
+    std::int64_t naive = 0;
+    for (const float x : v) naive += x != 0.0f ? 1 : 0;
+    EXPECT_EQ(count_nonzero(v.data(), n), naive) << n;
+  }
+}
+
+// Effective MACs counted naively from the plan's step shapes: a weighted
+// layer's dense MACs per weight times its weights that compare != 0.
+std::int64_t naive_effective_macs(const Network& net, const Shape& shape) {
+  std::int64_t total = 0;
+  for (const InferStep& st : plan_inference(net, shape).steps) {
+    const Tensor* w = nullptr;
+    if (st.layer == nullptr) continue;
+    if (st.layer->kind() == LayerKind::Conv2D)
+      w = &static_cast<const Conv2D*>(st.layer)->weight();
+    else if (st.layer->kind() == LayerKind::Linear)
+      w = &static_cast<const Linear*>(st.layer)->weight();
+    if (w == nullptr) continue;
+    std::int64_t nnz = 0;
+    for (const float v : w->data()) nnz += v != 0.0f ? 1 : 0;
+    total += nnz * (st.layer->macs(st.in) / w->numel());
+  }
+  return total;
+}
+
+// The masked arm's per-frame MAC count reads the weights as they are: a
+// flipped pruned slot counts until the scrub repairs it, a sign flip of a
+// pruned +0 (to -0) never counts.
+TEST(EffectiveMacs, MaskedArmCountsAFlippedPrunedSlotUntilRepair) {
+  Rng rng(21);
+  Network net = models::build_model(models::ModelKind::DetNet, rng);
+  const Shape shape = models::zoo_input_shape();
+  const prune::PruneLevelLibrary lib =
+      prune::PruneLevelLibrary::build_structured(
+          net, {0.0, 0.3, 0.5, 0.7, 0.85}, shape);
+  core::ReversiblePruner pruner(net, lib);
+  pruner.set_level(3);
+  const core::IntegrityChecker checker(pruner.store());
+  Network& live = pruner.network();
+  auto& conv = dynamic_cast<Conv2D&>(*live.find("conv2"));
+  const Tensor x = random_tensor(shape, 22);
+
+  const std::int64_t unplanned = pruner.active_macs(shape);  // shape walk
+  Tensor out;
+  pruner.infer_into(x, out);
+  const std::int64_t clean = pruner.active_macs(shape);  // planned steps
+  EXPECT_EQ(clean, unplanned);
+  EXPECT_EQ(clean, naive_effective_macs(live, shape));
+  EXPECT_LT(clean, live.macs(shape));
+
+  const std::int64_t plane =
+      conv.macs({1, conv.in_channels(), shape[2], shape[3]}) /
+      conv.weight().numel();
+  std::int64_t slot = 0;
+  while (conv.weight()[slot] != 0.0f) ++slot;
+  float& wv = conv.weight()[slot];
+  flip_bit(wv, 31);  // +0 -> -0: still zero
+  EXPECT_EQ(pruner.active_macs(shape), clean);
+  flip_bit(wv, 31);
+  flip_bit(wv, 30);  // +0 -> 2.0f
+  for (int call = 0; call < 2; ++call) {
+    pruner.infer_into(x, out);
+    EXPECT_EQ(pruner.active_macs(shape), clean + plane) << call;
+  }
+  EXPECT_EQ(naive_effective_macs(live, shape), clean + plane);
+  const core::RepairReport fix =
+      checker.scrub_and_repair(live, lib.mask(3), nullptr);
+  EXPECT_EQ(fix.elements_repaired, 1);
+  EXPECT_EQ(pruner.active_macs(shape), clean);
 }
 
 TEST(ReLU, ClampsNegatives) {

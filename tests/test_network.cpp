@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "models/zoo.h"
 #include "nn/network.h"
 #include "test_support.h"
 #include "util/checks.h"
+#include "util/rng.h"
 
 namespace rrp::nn {
 namespace {
@@ -215,6 +218,26 @@ TEST(InferPlan, FusesOnlyWhatDirectlyFollowsAConv) {
                                              "c2+bn2", "body.conv", "add",
                                              "r3"}));
   const Tensor x = random_tensor(in, 8);
+  std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
+  Tensor got(plan.output_shape);
+  net.forward_into(plan, x, got, arena.data());
+  EXPECT_EQ(float_bits(got.data()), float_bits(net.forward(x, false).data()));
+}
+
+TEST(InferPlan, LenetFoldsEachReluIntoTheConvOrLinearBeforeIt) {
+  // Pins lenet's plan: seven steps, both conv ReLUs and fc1's ReLU folded
+  // into their stores; the head (no ReLU after it) stands alone.
+  Rng rng(5);
+  Network net = models::build_model(models::ModelKind::LeNet, rng);
+  const Shape in = models::zoo_input_shape();
+  const InferPlan plan = plan_inference(net, in);
+  std::vector<std::string> steps;
+  for (const InferStep& st : plan.steps)
+    steps.push_back(st.layer->name() + (st.fused.relu ? "+relu" : ""));
+  EXPECT_EQ(steps, (std::vector<std::string>{"conv1+relu", "pool1",
+                                             "conv2+relu", "pool2", "flatten",
+                                             "fc1+relu", "head"}));
+  const Tensor x = random_tensor(in, 9);
   std::vector<float> arena(static_cast<std::size_t>(plan.arena_floats));
   Tensor got(plan.output_shape);
   net.forward_into(plan, x, got, arena.data());

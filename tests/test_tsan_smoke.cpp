@@ -1,7 +1,7 @@
 // TSan/ASan smoke suite (ctest -L tsan) — a fast pass over every code path
 // that fans work out on the thread pool: raw pool mechanics, the parallel
-// GEMM kernels, the planned implicit-GEMM conv, clone-based batched
-// evaluation, and multi-model zoo provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
+// GEMM kernels (gemm_bt included), the planned implicit-GEMM conv,
+// clone-based batched evaluation, and multi-model zoo provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
 // `ctest -L tsan`; any data race in the execution layer surfaces here.
 #include <gtest/gtest.h>
 
@@ -44,6 +44,28 @@ TEST(TsanSmoke, ParallelGemm) {
   for (int round = 0; round < 10; ++round)
     nn::gemm(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(), n);
   SUCCEED();
+}
+
+TEST(TsanSmoke, ParallelGemmBt) {
+  // A training-sized gemm_bt (a conv's dW = gout * col^T) with the Linear
+  // store, fanned out over its rows: 4 threads equal 1 thread bit for bit.
+  const int m = 96, n = 72, k = 300;
+  Rng rng(2);
+  std::vector<float> a(static_cast<std::size_t>(m) * k);
+  std::vector<float> b(static_cast<std::size_t>(n) * k);
+  std::vector<float> bias(static_cast<std::size_t>(n));
+  for (float& x : a) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& x : b) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& x : bias) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const auto run = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+    for (int round = 0; round < 5; ++round)
+      nn::gemm_bt(m, n, k, 1.0f, a.data(), k, b.data(), k, 0.5f, c.data(), n,
+                  bias.data(), true);
+    return testing::float_bits(c);
+  };
+  EXPECT_EQ(run(4), run(1));
 }
 
 TEST(TsanSmoke, ParallelImplicitConv) {

@@ -21,12 +21,13 @@
 #       suite, -fno-sanitize-recover=all, with float-cast-overflow (not
 #       part of GCC's -fsanitize=undefined);
 #   (e') an AddressSanitizer build of the conv parity and liveness tests,
-#       the integrity digest / scrub / repair tests and the
-#       allocation-free inference suite — the implicit-GEMM conv reads its
-#       B operand straight out of a padded slot and indexes it through the
-#       live-row and live-channel lists, and the word digest reads a
-#       zero-padded tail word; an out-of-bounds read there is the failure
-#       mode neither TSan nor UBSan reports;
+#       the gemm_bt / Linear / effective-MAC tests, the integrity digest /
+#       scrub / repair tests and the allocation-free inference suite — the
+#       implicit-GEMM conv reads its B operand straight out of a padded
+#       slot and indexes it through the live-row and live-channel lists,
+#       the AVX2 gemm_bt tile loads 4 floats of 8 B rows per step, and the
+#       word digest reads a zero-padded tail word; an out-of-bounds read
+#       there is the failure mode neither TSan nor UBSan reports;
 #   (f) a line-coverage summary of the unit tests (-DRRP_COVERAGE=ON +
 #       gcovr or llvm-cov), skipped gracefully when no coverage tool is
 #       installed — informational, not a gate;
@@ -104,11 +105,11 @@ cmake --build build-check-ubsan -j "$JOBS" --target rrp_tests \
 # The scenario-DSL suite feeds malformed spec lines (outside input).
 ./build-check-ubsan/tests/rrp_campaign_suite
 
-step "(e') AddressSanitizer conv parity + integrity + allocation-free inference"
+step "(e') AddressSanitizer conv/gemm_bt parity + integrity + allocation-free inference"
 cmake -B build-check-asan -S . -DRRP_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
 ./build-check-asan/tests/rrp_tests \
-  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*'
+  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*'
 ./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"
