@@ -40,6 +40,8 @@ TransitionStats StaticProvider::set_level(int level) {
   return stats;
 }
 
+// rrp-frame-path-stop: the design-time baseline arm walks its network's
+// shapes per call; it is a comparison arm, not a certified frame path.
 std::int64_t StaticProvider::active_macs(const nn::Shape& input_shape) {
   return net_.effective_macs(input_shape);
 }
@@ -165,6 +167,7 @@ TransitionStats ReloadProvider::reload_current() {
   return stats;
 }
 
+// rrp-frame-path-stop: the reload baseline arm, like set_level above.
 std::int64_t ReloadProvider::active_macs(const nn::Shape& input_shape) {
   return active_.effective_macs(input_shape);
 }

@@ -389,6 +389,9 @@ std::string incident_summary_string(const IncidentBundle& bundle) {
   return os.str();
 }
 
+// rrp-frame-path-stop: runs only while tracing is enabled, where span
+// recording already grows the heap every frame; an untraced frame skips
+// it (FrameEngine::step).
 std::uint64_t span_window_digest(std::size_t from_index) {
   const std::vector<trace::SpanRecord>& all = trace::spans();
   if (from_index >= all.size()) return 0;

@@ -161,13 +161,19 @@ std::int64_t first_divergence(const float* live, const float* gold,
   return -1;
 }
 
-// rrp-frame-path: the periodic bit-level scrub runs on the mission
-// loop's scrub cadence inside the frame budget (DESIGN.md invariant 10).
 ScrubReport IntegrityChecker::scrub(nn::Network& net,
                                     const prune::NetworkMask& mask) const {
+  return scrub_params(net.params(), mask);
+}
+
+// rrp-frame-path: the periodic bit-level scrub runs on the mission
+// loop's scrub cadence inside the frame budget (DESIGN.md invariant 10).
+ScrubReport IntegrityChecker::scrub_params(
+    std::span<const nn::ParamRef> params,
+    const prune::NetworkMask& mask) const {
   RRP_SPAN_VAR(span, "integrity.scrub");
   ScrubReport report;
-  for (auto& p : net.params()) {
+  for (const nn::ParamRef& p : params) {
     const nn::Tensor& gold = store_->get(p.name);
     RRP_CHECK_MSG(gold.shape() == p.value->shape(),
                   "shape drift on '" << p.name << "'");

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,10 @@ class IntegrityChecker {
   /// Throws PreconditionError if a mask entry's length differs from its
   /// parameter's.
   ScrubReport scrub(nn::Network& net, const prune::NetworkMask& mask) const;
+  /// The same pass over a parameter list collected once (net.params()), so
+  /// a clean scrub allocates nothing — the frame engine's cadence scrub.
+  ScrubReport scrub_params(std::span<const nn::ParamRef> params,
+                           const prune::NetworkMask& mask) const;
 
   /// Repairs the divergences listed in `report` by copying exactly the
   /// divergent elements back from golden ⊙ mask — O(Δ).  Parameters whose

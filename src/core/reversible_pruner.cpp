@@ -204,9 +204,10 @@ void ReversiblePruner::set_bn_states(std::vector<BnState> states) {
   apply_bn_state(*net_, bn_states_[static_cast<std::size_t>(current_level_)]);
 }
 
-// Per-frame MAC accounting of the masked arm.  The plan infer_into made
-// for this shape already holds every step's input shape, so the count
-// walks no shapes and allocates nothing; an unplanned shape walks them.
+// rrp-frame-path: per-frame MAC accounting of the masked arm.  The plan
+// infer_into made for this shape already holds every step's input shape,
+// so the count walks no shapes and allocates nothing; an unplanned shape
+// walks them.
 std::int64_t ReversiblePruner::active_macs(const nn::Shape& input_shape) {
   if (input_shape == plan_.input_shape)
     return nn::plan_effective_macs(plan_);
@@ -313,6 +314,8 @@ TransitionStats CompactedLadderView::set_level(int level) {
   return stats;
 }
 
+// rrp-frame-path: a stream's MACs — the level's count, precomputed for
+// the ladder's input shape.
 std::int64_t CompactedLadderView::active_macs(const nn::Shape& input_shape) {
   const auto k = static_cast<std::size_t>(level_);
   if (input_shape == ladder_->input_shape) return ladder_->macs[k];

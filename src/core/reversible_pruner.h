@@ -54,6 +54,8 @@ class InferenceProvider {
   /// masked pruner and the ladder cursors override this to run a planned
   /// forward on their own activation arena, allocation-free once `out` is
   /// sized; the default delegates to infer().
+  // rrp-frame-path-stop: the allocating default, kept only by the baseline
+  // comparison arms (StaticProvider, ReloadProvider).
   virtual void infer_into(const nn::Tensor& x, nn::Tensor& out) {
     out = infer(x);
   }

@@ -17,6 +17,37 @@ const char* slo_kind_name(SloKind k) {
   return "?";
 }
 
+namespace {
+
+constexpr double kOverflowBucket = std::numeric_limits<double>::infinity();
+
+// rrp-frame-path-stop: an SLO fired — the frame is already off-nominal,
+// and the incident text is its evidence.
+Incident fired_incident(std::int64_t frame, const SloSpec& s, double observed,
+                        std::int64_t num, std::int64_t den,
+                        std::int64_t samples) {
+  std::ostringstream detail;
+  switch (s.kind) {
+    case SloKind::RatioMax:
+      detail << s.numerator << "/" << s.denominator << " = " << num << "/"
+             << den;
+      break;
+    case SloKind::HistogramQuantileMax:
+      detail << "p" << static_cast<int>(s.quantile * 100.0) << "("
+             << s.histogram << ") over " << samples << " samples";
+      break;
+  }
+  Incident inc;
+  inc.frame = frame;
+  inc.slo_id = s.id;
+  inc.observed = observed;
+  inc.threshold = s.threshold;
+  inc.detail = detail.str();
+  return inc;
+}
+
+}  // namespace
+
 double histogram_quantile(const metrics::Histogram& h, double q) {
   RRP_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
   const std::int64_t total = h.total();
@@ -30,7 +61,7 @@ double histogram_quantile(const metrics::Histogram& h, double q) {
     cum += h.bucket_count(i);
     if (cum >= rank) return h.bounds()[i];
   }
-  return std::numeric_limits<double>::infinity();  // overflow bucket
+  return kOverflowBucket;
 }
 
 SloMonitor::SloMonitor(std::vector<SloSpec> specs)
@@ -44,47 +75,43 @@ void SloMonitor::push(Incident incident) {
     ++dropped_;
     return;
   }
+  // rrp-lint-allow(frame-path-alloc): incident path only — an SLO fired or a safety event (violation, degrade, detection) was noted; the log is capped at kMaxIncidents.
   incidents_.push_back(std::move(incident));
 }
 
+// rrp-frame-path: the solo runner's per-frame SLO check.  A spec that
+// holds reads its counters and allocates nothing; the incident text is
+// built only when one fires.
 void SloMonitor::evaluate(std::int64_t frame) {
   metrics::Registry& reg = metrics::Registry::instance();
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     if (fired_[i]) continue;
     const SloSpec& s = specs_[i];
     double observed = 0.0;
-    std::ostringstream detail;
+    std::int64_t num = 0, den = 0, samples = 0;
     switch (s.kind) {
       case SloKind::RatioMax: {
-        const std::int64_t den = reg.counter(s.denominator).value();
+        den = reg.counter(s.denominator).value();
         if (den < s.min_samples) continue;
-        const std::int64_t num = reg.counter(s.numerator).value();
+        num = reg.counter(s.numerator).value();
         observed = static_cast<double>(num) / static_cast<double>(den);
-        detail << s.numerator << "/" << s.denominator << " = " << num << "/"
-               << den;
         break;
       }
       case SloKind::HistogramQuantileMax: {
         const metrics::Histogram& h = reg.histogram(s.histogram);
-        if (h.total() < s.min_samples) continue;
+        samples = h.total();
+        if (samples < s.min_samples) continue;
         observed = histogram_quantile(h, s.quantile);
-        detail << "p" << static_cast<int>(s.quantile * 100.0) << "("
-               << s.histogram << ") over " << h.total() << " samples";
         break;
       }
     }
     if (observed > s.threshold) {
       fired_[i] = true;
-      Incident inc;
-      inc.frame = frame;
-      inc.slo_id = s.id;
-      inc.observed = observed;
-      inc.threshold = s.threshold;
-      inc.detail = detail.str();
-      push(std::move(inc));
+      push(fired_incident(frame, s, observed, num, den, samples));
     }
   }
 }
+
 
 void SloMonitor::note_event(std::int64_t frame, const std::string& id,
                             double observed, const std::string& detail) {
@@ -146,6 +173,9 @@ BurnRateTracker::BurnRateTracker(BurnRateConfig cfg) : cfg_(std::move(cfg)) {
   window_.reserve(static_cast<std::size_t>(cfg_.slow_window));
 }
 
+// rrp-frame-path-stop: the serve fold's per-tick burn-rate window, on the
+// driving thread between fan-outs; reached by the analyzer only through
+// receiver-blind matching of PerceptionCriticality::update.
 const BurnRateState& BurnRateTracker::update(std::int64_t tick,
                                              std::int64_t num_total,
                                              std::int64_t den_total) {

@@ -8,10 +8,12 @@
 
 namespace rrp::core {
 
-// rrp-frame-path-stop: host-side experiment collector — the runner
-// records frames outside the certified loop; reached by the analyzer
-// only through receiver-blind matching of metrics Counter::add sites.
-void Telemetry::add(const FrameRecord& record) { records_.push_back(record); }
+// rrp-frame-path: one record per frame; FrameEngine::make_stream reserves
+// the scenario's length, so the append never reallocates.
+void Telemetry::add(const FrameRecord& record) {
+  // rrp-lint-allow(frame-path-alloc): below the capacity make_stream reserved; a caller that did not reserve is a host-side collector off the frame path.
+  records_.push_back(record);
+}
 
 RunSummary Telemetry::summarize() const {
   RunSummary s;

@@ -51,6 +51,8 @@ struct RunSummary {
 class Telemetry {
  public:
   void add(const FrameRecord& record);
+  /// Sizes the record store for `frames` adds, so they never reallocate.
+  void reserve(std::size_t frames) { records_.reserve(frames); }
   std::size_t size() const { return records_.size(); }
   const std::vector<FrameRecord>& records() const { return records_; }
 

@@ -1,6 +1,7 @@
 #include "nn/gemm_kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace rrp::nn::kernels {
 
@@ -314,6 +315,27 @@ void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
   }
 }
 
+// rrp-frame-path: scalar nonzero count (the count_nonzero oracle).
+std::int64_t count_nonzero_reference(const float* x, std::int64_t n) {
+  // Without its sign bit a ±0 is all zero bits and every other value is
+  // not, so each float adds (magnitude != 0).  The per-block count is
+  // 32-bit so the compiler keeps it in full vector lanes.
+  constexpr std::int64_t kBlock = 1024;
+  constexpr std::uint32_t kMagnitude = 0x7fffffffu;
+  std::int64_t total = 0;
+  for (std::int64_t i = 0; i < n; i += kBlock) {
+    const std::int64_t end = std::min(n, i + kBlock);
+    std::uint32_t count = 0;
+    for (std::int64_t t = i; t < end; ++t) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, x + t, sizeof bits);
+      count += (bits & kMagnitude) != 0 ? 1u : 0u;
+    }
+    total += count;
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------------
 // dispatch
 // ---------------------------------------------------------------------------
@@ -379,6 +401,16 @@ ConvRowsFn active_conv_rows() {
   return fn;
 #else
   return &conv_rows_reference;
+#endif
+}
+
+CountNonzeroFn active_count_nonzero() {
+#if defined(RRP_SIMD) && defined(RRP_HAVE_AVX2)
+  static const CountNonzeroFn fn =
+      avx2_usable() ? &count_nonzero_avx2 : &count_nonzero_reference;
+  return fn;
+#else
+  return &count_nonzero_reference;
 #endif
 }
 

@@ -30,6 +30,10 @@
 // walks every channel of the listed rows, so it stays the oracle for the
 // channel skip.
 //
+// count_nonzero (the effective-MAC weight count) has a reference and an
+// avx2 variant.  A count is exact integer arithmetic, so they agree on
+// every input, NaN, Inf and denormal bits included.
+//
 // Each variant also has a gemm_bt row function (GemmBtRowsFn, C = A*B^T,
 // B [N, K]) under gemm_bt's own contract (nn/gemm.h): every C element is
 // one double dot product, k ascending, no zero-skip, rounded once in the
@@ -71,6 +75,9 @@ using GemmBtRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
                               const float* b, std::int64_t ldb, float beta,
                               float* c, std::int64_t ldc, const float* bias,
                               bool relu);
+
+/// Count of the n floats at x that are not ±0 (nn::count_nonzero).
+using CountNonzeroFn = std::int64_t (*)(const float* x, std::int64_t n);
 
 /// The rows at positions [t_begin, t_end) of the live-row list of the
 /// implicit-GEMM conv `g` (t_end <= g.live_rows).
@@ -151,6 +158,7 @@ void gemm_bt_rows_reference(std::int64_t i_begin, std::int64_t i_end,
                             std::int64_t ldc, const float* bias, bool relu);
 void conv_rows_reference(std::int64_t t_begin, std::int64_t t_end,
                          const ConvGemm& g);
+std::int64_t count_nonzero_reference(const float* x, std::int64_t n);
 
 // --- blocked (register-tiled portable; always available) -------------------
 void gemm_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
@@ -189,6 +197,7 @@ void gemm_bt_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
                        std::int64_t ldc, const float* bias, bool relu);
 void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
                     const ConvGemm& g);
+std::int64_t count_nonzero_avx2(const float* x, std::int64_t n);
 #endif
 
 /// Height of the tallest register tile of any variant (blocked: 4 rows,
@@ -205,6 +214,9 @@ GemmRowsFn active_gemm_rows();
 GemmRowsFn active_gemm_at_rows();
 GemmBtRowsFn active_gemm_bt_rows();
 ConvRowsFn active_conv_rows();
+/// count_nonzero has no blocked variant: the reference loop is already
+/// the one the compiler vectorizes, so RRP_SIMD picks avx2 or reference.
+CountNonzeroFn active_count_nonzero();
 
 /// "scalar" (RRP_SIMD=OFF), "blocked" or "avx2" — for bench report configs
 /// and diagnostics.

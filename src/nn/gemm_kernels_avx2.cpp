@@ -22,6 +22,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 namespace rrp::nn::kernels {
 
@@ -412,6 +413,54 @@ void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
     const std::int64_t rows[1] = {conv_index(g.rows, t)};
     conv_panel<1>(g, rows);
   }
+}
+
+namespace {
+
+// rrp-frame-path: -1 in each lane of the 8 floats at p that holds a ±0
+// (its bits without the sign bit are all zero), 0 elsewhere.
+__m256i zero_lanes(const float* p) {
+  const __m256i bits =
+      _mm256_and_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+                       _mm256_set1_epi32(0x7fffffff));
+  return _mm256_cmpeq_epi32(bits, _mm256_setzero_si256());
+}
+
+}  // namespace
+
+// rrp-frame-path: count_nonzero 32 floats per step.  Each zero_lanes
+// compare adds -1 per ±0 to a 32-bit lane count, so the result is n minus
+// the zeros.  Lane counts are folded every kZeroBlock floats, far below
+// where a 32-bit lane could wrap.
+std::int64_t count_nonzero_avx2(const float* x, std::int64_t n) {
+  constexpr std::int64_t kStep = 32;
+  constexpr std::int64_t kZeroBlock = std::int64_t{1} << 20;
+  const __m256i zero = _mm256_setzero_si256();
+  std::int64_t zeros = 0;
+  std::int64_t i = 0;
+  while (n - i >= 8) {
+    const std::int64_t block_end = i + std::min(kZeroBlock, (n - i) / 8 * 8);
+    __m256i acc0 = zero, acc1 = zero, acc2 = zero, acc3 = zero;
+    for (; i + kStep <= block_end; i += kStep) {
+      acc0 = _mm256_add_epi32(acc0, zero_lanes(x + i));
+      acc1 = _mm256_add_epi32(acc1, zero_lanes(x + i + 8));
+      acc2 = _mm256_add_epi32(acc2, zero_lanes(x + i + 16));
+      acc3 = _mm256_add_epi32(acc3, zero_lanes(x + i + 24));
+    }
+    for (; i < block_end; i += 8) acc0 = _mm256_add_epi32(acc0, zero_lanes(x + i));
+    const __m256i acc = _mm256_add_epi32(_mm256_add_epi32(acc0, acc1),
+                                         _mm256_add_epi32(acc2, acc3));
+    alignas(32) std::int32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+    for (const std::int32_t lane : lanes) zeros -= lane;
+  }
+  std::int64_t count = i - zeros;
+  for (; i < n; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, x + i, sizeof bits);
+    count += (bits & 0x7fffffffu) != 0 ? 1 : 0;
+  }
+  return count;
 }
 
 }  // namespace rrp::nn::kernels

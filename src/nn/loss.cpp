@@ -55,15 +55,21 @@ LossResult mse(const Tensor& pred, const Tensor& target) {
   return r;
 }
 
+// rrp-frame-path: the frame's predicted class, read off the logits row.
+int argmax(std::span<const float> row) {
+  RRP_CHECK(!row.empty());
+  return static_cast<int>(std::max_element(row.begin(), row.end()) -
+                          row.begin());
+}
+
 std::vector<int> argmax_rows(const Tensor& logits) {
   RRP_CHECK(logits.dim() == 2);
   const int n = logits.size(0), k = logits.size(1);
   std::vector<int> out(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const float* row = logits.raw() + static_cast<std::int64_t>(i) * k;
-    out[static_cast<std::size_t>(i)] =
-        static_cast<int>(std::max_element(row, row + k) - row);
-  }
+  for (int i = 0; i < n; ++i)
+    out[static_cast<std::size_t>(i)] = argmax(logits.data().subspan(
+        static_cast<std::size_t>(i) * static_cast<std::size_t>(k),
+        static_cast<std::size_t>(k)));
   return out;
 }
 

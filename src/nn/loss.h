@@ -2,6 +2,7 @@
 // batch and the gradient w.r.t. the logits/predictions.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -19,6 +20,9 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 
 /// Mean squared error between predictions and targets (same shape).
 LossResult mse(const Tensor& pred, const Tensor& target);
+
+/// Index of the first largest value of a non-empty row, read in place.
+int argmax(std::span<const float> row);
 
 /// Argmax over the last dimension of each row of [N, classes].
 std::vector<int> argmax_rows(const Tensor& logits);

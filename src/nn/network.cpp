@@ -87,8 +87,9 @@ Tensor Network::backward(const Tensor& grad_out) {
 }
 
 // rrp-frame-path-stop: the param-view collector builds a vector bounded
-// by layer count (a handful of references, not weights); the scrub root
-// accepts this bounded setup cost on its cadence (DESIGN.md invariant 14).
+// by layer count (a handful of references, not weights); the frame engine
+// collects it once per stream and scrubs through that list (DESIGN.md
+// invariant 14).
 std::vector<ParamRef> Network::params() {
   std::vector<ParamRef> out;
   for (Layer* l : all_layers())
@@ -125,6 +126,10 @@ Shape Network::output_shape(const Shape& in) const {
   return cur;
 }
 
+// rrp-frame-path-stop: whole-network MAC walks (provision time and
+// unplanned shapes).  A frame counts through its plan's leaf steps
+// (plan_effective_macs), which never hold a Network or a Residual; the
+// analyzer reaches these only by receiver-blind name matching.
 std::int64_t Network::macs(const Shape& in) const {
   Shape cur = in;
   std::int64_t total = 0;
@@ -135,6 +140,7 @@ std::int64_t Network::macs(const Shape& in) const {
   return total;
 }
 
+// rrp-frame-path-stop: the same whole-network walk as macs above.
 std::int64_t Network::effective_macs(const Shape& in) const {
   Shape cur = in;
   std::int64_t total = 0;
@@ -217,8 +223,12 @@ Shape Residual::output_shape(const Shape& in) const {
   return in;
 }
 
+// rrp-frame-path-stop: the residual body's whole-network walk (see
+// Network::macs).
 std::int64_t Residual::macs(const Shape& in) const { return body_.macs(in); }
 
+// rrp-frame-path-stop: the residual body's whole-network walk (see
+// Network::macs).
 std::int64_t Residual::effective_macs(const Shape& in) const {
   return body_.effective_macs(in);
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "nn/gemm_kernels.h"
 #include "util/checks.h"
 
 namespace rrp::nn {
@@ -19,23 +20,7 @@ std::int64_t shape_numel(const Shape& shape) {
 }
 
 std::int64_t count_nonzero(const float* x, std::int64_t n) {
-  // Without its sign bit a ±0 is all zero bits and every other value is
-  // not, so each float adds (magnitude != 0).  The per-block count is
-  // 32-bit so the compiler keeps it in full vector lanes.
-  constexpr std::int64_t kBlock = 1024;
-  constexpr std::uint32_t kMagnitude = 0x7fffffffu;
-  std::int64_t total = 0;
-  for (std::int64_t i = 0; i < n; i += kBlock) {
-    const std::int64_t end = std::min(n, i + kBlock);
-    std::uint32_t count = 0;
-    for (std::int64_t t = i; t < end; ++t) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, x + t, sizeof bits);
-      count += (bits & kMagnitude) != 0 ? 1u : 0u;
-    }
-    total += count;
-  }
-  return total;
+  return kernels::active_count_nonzero()(x, n);
 }
 
 std::string shape_str(const Shape& shape) {

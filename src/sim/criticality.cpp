@@ -7,8 +7,14 @@ namespace rrp::sim {
 
 using core::CriticalityClass;
 
+namespace {
+
+constexpr double kNoCollision = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 double scene_min_ttc_s(const Scene& scene) {
-  double best = std::numeric_limits<double>::infinity();
+  double best = kNoCollision;
   for (const Actor& a : scene.actors) {
     if (std::fabs(a.lateral_m) > kCorridorHalfWidth_m) continue;
     if (a.closing_mps <= 0.0) continue;  // opening gap, no collision course

@@ -144,7 +144,10 @@ void FaultInjector::apply_point_fault(std::size_t idx, const FaultEvent& e) {
   injected_.push_back(std::move(inj));
 }
 
-FrameFaults FaultInjector::begin_frame(std::int64_t frame) {
+// rrp-frame-path-stop: a planned fault fires this frame — the harness
+// corrupting the system under test, not the system itself.  The injected
+// log is the campaign's evidence, bounded by the fault plan.
+void FaultInjector::fire_due_events(std::int64_t frame) {
   while (next_ < plan_.events.size() && plan_.events[next_].frame <= frame) {
     const FaultEvent& e = plan_.events[next_];
     switch (e.kind) {
@@ -168,6 +171,13 @@ FrameFaults FaultInjector::begin_frame(std::int64_t frame) {
     }
     ++next_;
   }
+}
+
+// rrp-frame-path: the per-frame fault cursor — on a frame with no due
+// event it only reads the active bursts.
+FrameFaults FaultInjector::begin_frame(std::int64_t frame) {
+  if (next_ < plan_.events.size() && plan_.events[next_].frame <= frame)
+    fire_due_events(frame);
 
   FrameFaults ff;
   std::size_t live = 0;
@@ -196,10 +206,14 @@ FrameFaults FaultInjector::begin_frame(std::int64_t frame) {
         break;
     }
   }
+  // rrp-lint-allow(frame-path-alloc): shrinks to the bursts still live; a resize to at most the current size never reallocates.
   active_.resize(live);
   return ff;
 }
 
+// rrp-frame-path-stop: the reload arm's scrub digest — the baseline
+// comparison arm, like ReloadProvider::set_level; it collects the
+// network's parameters into vectors.
 std::uint64_t live_network_digest(nn::Network& net) {
   std::vector<std::uint64_t> parts;
   for (const auto& p : net.params())

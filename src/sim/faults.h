@@ -130,6 +130,8 @@ class FaultInjector {
   const std::vector<InjectedFault>& injected() const { return injected_; }
 
  private:
+  /// Applies or activates every event whose frame has arrived.
+  void fire_due_events(std::int64_t frame);
   void apply_point_fault(std::size_t idx, const FaultEvent& e);
 
   FaultPlan plan_;

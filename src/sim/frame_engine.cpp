@@ -21,7 +21,8 @@ StreamState::StreamState(const Scenario& scenario_in,
       noise(config.noise_seed),
       energy_left(config.energy_budget_mj),
       estimator(config.perception_criticality),
-      injector(config.faults, harness_in ? harness_in->targets : FaultTargets{}) {
+      injector(config.faults, harness_in ? harness_in->targets : FaultTargets{}),
+      input(input_shape(config.vision)) {
   result.scenario = scenario_in.name;
   result.provider = controller_in.provider().name();
   result.policy = controller_in.policy().name();
@@ -55,8 +56,30 @@ StreamState FrameEngine::make_stream(const Scenario& scenario,
                                      core::RuntimeController& controller,
                                      FaultHarness* harness) const {
   RRP_CHECK_MSG(!scenario.scenes.empty(), "scenario has no frames");
-  return StreamState(scenario, controller, harness, config_);
+  StreamState s(scenario, controller, harness, config_);
+  if (harness != nullptr && harness->checker != nullptr &&
+      harness->targets.live_net != nullptr)
+    s.live_params = harness->targets.live_net->params();
+  std::size_t most_actors = 0;
+  for (const Scene& scene : scenario.scenes)
+    most_actors = std::max(most_actors, scene.actors.size());
+  s.draw_order.reserve(most_actors);
+  s.result.telemetry.reserve(scenario.scenes.size());
+  if (config_.measure_wall) s.result.wall.frames.reserve(scenario.scenes.size());
+  return s;
 }
+
+namespace {
+
+// rrp-frame-path-stop: per-level measured breakdown for the wall-channel
+// profiler, only while --wall has it enabled.  Like RunResult::wall, it
+// never touches telemetry, trace or metrics; wprof builds the key and
+// takes its aggregation mutex here, outside any gated run.
+void profile_infer(int level, double infer_wall_us) {
+  wprof::add_sample("infer.L" + std::to_string(level), infer_wall_us);
+}
+
+}  // namespace
 
 // First injected weight/store flip not yet credited to a detection; a
 // scrub detection credits every applied flip up to that point (the
@@ -73,6 +96,7 @@ void FrameEngine::credit_detect_latency(StreamState& s,
   }
 }
 
+// rrp-frame-path: one frame of a stream's closed loop, solo or served.
 void FrameEngine::step(StreamState& s) const {
   RRP_CHECK(!s.done());
   const RunConfig& config = config_;
@@ -152,38 +176,36 @@ void FrameEngine::step(StreamState& s) const {
                          s.noise.bernoulli(config.sensor_blackout_prob)) ||
                         faults.blackout;
   // A blackout renders an empty road (noise only): the scene without its
-  // actors, built only then, so a normal frame copies nothing.
+  // actors (an empty vector owns no storage), built only then, so a
+  // normal frame copies nothing.
   Scene empty_road;
   if (blackout)
     empty_road = Scene{scene.time_s, scene.ego_speed_mps, scene.visibility, {}};
-  nn::Tensor frame;
   {
     RRP_SPAN("render");
-    frame = render_scene(blackout ? empty_road : scene, config.vision, s.noise);
+    // Straight into the stream's batch-1 input tensor.
+    render_into(blackout ? empty_road : scene, config.vision, s.noise,
+                s.input.raw(), s.draw_order);
   }
   double infer_wall_us = 0.0;
   {
     RRP_SPAN("infer");
-    // Batch the rendered frame by moving its storage, before the measured
-    // window opens: the window times inference only.
-    nn::Shape batched = frame.shape();
-    batched.insert(batched.begin(), 1);
-    const nn::Tensor input = std::move(frame).reshape(std::move(batched));
     if (config.measure_wall) {
       // Measured wall-clock rides NEXT TO the deterministic pipeline:
       // the reading lands only in RunResult::wall, never in telemetry,
       // metrics or trace.
       Timer wall;
-      controller.provider().infer_into(input, s.logits);
+      controller.provider().infer_into(s.input, s.logits);
       infer_wall_us = wall.elapsed_us();
     } else {
-      controller.provider().infer_into(input, s.logits);
+      controller.provider().infer_into(s.input, s.logits);
     }
   }
-  const nn::Tensor& logits = s.logits;
-  const int pred = nn::argmax_rows(logits)[0];
+  // The batch-1 logits are one row over the classes, read in place.
+  const std::span<const float> logits = s.logits.data();
+  const int pred = nn::argmax(logits);
   const int label = scene_label(scene);
-  s.perceived = s.estimator.update(pred, logits.reshape({logits.size(-1)}));
+  s.perceived = s.estimator.update(pred, logits);
 
   // Account: platform-model latency/energy for this frame.
   const std::int64_t macs = controller.provider().active_macs(in_shape_);
@@ -214,7 +236,7 @@ void FrameEngine::step(StreamState& s) const {
       const prune::NetworkMask& mask =
           harness->levels->mask(controller.provider().current_level());
       core::ScrubReport scrub =
-          harness->checker->scrub(*harness->targets.live_net, mask);
+          harness->checker->scrub_params(s.live_params, mask);
       scrub.frame = input.frame;
       if (!scrub.clean()) {
         credit_detect_latency(s, input.frame);
@@ -235,6 +257,7 @@ void FrameEngine::step(StreamState& s) const {
                 input.frame, fix.elements_repaired,
                 fix.fully_repaired() ? "self-heal"
                                      : "self-heal (store corrupt)");
+          // rrp-lint-allow(frame-path-alloc): repair path only — the scrub found corruption this frame, and the recovery log is the campaign's evidence.
           harness->recoveries.push_back(
               {input.frame, "self-heal", fix.elements_repaired,
                fix.bytes_written, heal_us / 1000.0, fix.fully_repaired()});
@@ -265,6 +288,7 @@ void FrameEngine::step(StreamState& s) const {
             monitor->record_integrity_repair(input.frame,
                                              reload.elements_changed,
                                              "full artifact reload");
+          // rrp-lint-allow(frame-path-alloc): reload-repair path only — the digest mismatched this frame, and the recovery log is the campaign's evidence.
           harness->recoveries.push_back(
               {input.frame, "reload", reload.elements_changed,
                reload.bytes_written, reload_us / 1000.0, true});
@@ -292,14 +316,10 @@ void FrameEngine::step(StreamState& s) const {
       rec.executed_level > monitor->certified_max(rec.criticality);
   s.result.telemetry.add(rec);
   if (config.measure_wall) {
+    // rrp-lint-allow(frame-path-alloc): make_stream reserved the scenario's length, so this append never reallocates.
     s.result.wall.frames.push_back({rec.frame, rec.executed_level,
                                     infer_wall_us, rec.latency_ms * 1000.0});
-    // Per-level measured breakdown for the wall-channel profiler.  Like
-    // RunResult::wall, this never touches telemetry/trace/metrics; the key
-    // is only built while --wall has the profiler enabled.
-    if (wprof::enabled())
-      wprof::record("infer.L" + std::to_string(rec.executed_level),
-                    infer_wall_us);
+    if (wprof::enabled()) profile_infer(rec.executed_level, infer_wall_us);
   }
 
   const double frame_ms = rec.latency_ms + rec.switch_us / 1000.0;

@@ -56,8 +56,16 @@ struct StreamState {
   std::int64_t prev_repairs = 0;
   std::int64_t prev_degrades = 0;
   std::size_t credit_idx = 0;
-  // The provider's output, kept across frames so infer_into sizes it once.
+  // The rendered batch-1 input (render_into writes it in place) and the
+  // provider's output, kept across frames so each is sized once.
+  nn::Tensor input;
   nn::Tensor logits;
+  // render_into's draw-order scratch, reserved at make_stream for the
+  // scenario's most actors in one scene.
+  std::vector<const Actor*> draw_order;
+  // The harness network's parameter list, collected once at make_stream,
+  // so a cadence scrub walks it without allocating (empty: no scrub arm).
+  std::vector<nn::ParamRef> live_params;
 
   std::size_t frame = 0;  ///< next frame to execute
   RunResult result;
@@ -79,12 +87,15 @@ class FrameEngine {
   explicit FrameEngine(const RunConfig& config,
                        const metrics::MetricDomain* stream_domain = nullptr);
 
-  /// Validates the scenario and builds a fresh stream over it.
+  /// Validates the scenario and builds a fresh stream over it, with its
+  /// per-frame records reserved for the scenario's length.
   StreamState make_stream(const Scenario& scenario,
                           core::RuntimeController& controller,
                           FaultHarness* harness = nullptr) const;
 
-  /// Advances `s` by exactly one frame.  Precondition: !s.done().
+  /// Advances `s` by exactly one frame.  Precondition: !s.done().  A
+  /// nominal frame allocates nothing: only an intervention (a veto, a
+  /// violation, an integrity detection or repair) appends its evidence.
   void step(StreamState& s) const;
 
   /// Finalizes the stream: copies injected faults to the harness and

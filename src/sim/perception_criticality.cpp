@@ -20,14 +20,15 @@ PerceptionCriticality::PerceptionCriticality(Config config)
   RRP_CHECK(config_.hold_frames >= 0);
 }
 
-CriticalityClass PerceptionCriticality::update(int predicted_label,
-                                               const nn::Tensor& logits_row) {
-  RRP_CHECK_MSG(logits_row.dim() == 1 || logits_row.dim() == 2,
-                "expected a logits row");
+// rrp-frame-path: the perception-derived criticality of every frame.
+CriticalityClass PerceptionCriticality::update(
+    int predicted_label, std::span<const float> logits_row) {
   RRP_CHECK(predicted_label >= 0 && predicted_label < kNumClasses);
+  RRP_CHECK_MSG(static_cast<std::size_t>(predicted_label) < logits_row.size(),
+                "expected a logits row over the classes");
 
   // Softmax confidence of the predicted class.
-  const auto data = logits_row.data();
+  const std::span<const float> data = logits_row;
   float max_logit = data[0];
   for (float v : data) max_logit = std::max(max_logit, v);
   double z = 0.0;

@@ -14,8 +14,9 @@
 // honesty is part of the argument for the independent channel.
 #pragma once
 
+#include <span>
+
 #include "core/safety_monitor.h"
-#include "nn/tensor.h"
 
 namespace rrp::sim {
 
@@ -34,9 +35,10 @@ class PerceptionCriticality {
   explicit PerceptionCriticality(Config config);
 
   /// Feeds one frame's prediction (argmax label over kNumClasses, with the
-  /// raw logits row for confidence) and returns the updated criticality.
+  /// raw logits row for confidence, read in place) and returns the updated
+  /// criticality.
   core::CriticalityClass update(int predicted_label,
-                                const nn::Tensor& logits_row);
+                                std::span<const float> logits_row);
 
   core::CriticalityClass current() const { return current_; }
   void reset();

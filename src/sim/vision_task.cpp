@@ -32,13 +32,13 @@ float apparent_contrast(double distance_m, double visibility) {
   return static_cast<float>(std::clamp(c, 0.2, 1.2));
 }
 
-void put(nn::Tensor& img, int r, int c, float v, int h, int w) {
+void put(float* img, int r, int c, float v, int h, int w) {
   if (r < 0 || r >= h || c < 0 || c >= w) return;
   img[static_cast<std::int64_t>(r) * w + c] += v;
 }
 
 /// Draws a class-specific stencil centered at (cr, cc) with half-size hs.
-void draw_stencil(nn::Tensor& img, ActorType type, int cr, int cc, int hs,
+void draw_stencil(float* img, ActorType type, int cr, int cc, int hs,
                   float contrast, int h, int w) {
   switch (type) {
     case ActorType::Vehicle:
@@ -75,33 +75,39 @@ void draw_stencil(nn::Tensor& img, ActorType type, int cr, int cc, int hs,
   }
 }
 
+/// Draw order: farthest first, so the nearest actor dominates visually
+/// because it is drawn last and largest.
+bool farther(const Actor* a, const Actor* b) {
+  return a->distance_m > b->distance_m;
+}
+
 }  // namespace
 
-nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
-                        Rng& rng) {
+// rrp-frame-path: renders a sensor frame into the stream's input tensor.
+void render_into(const Scene& scene, const VisionTaskConfig& config,
+                 Rng& rng, float* out, std::vector<const Actor*>& order) {
   const int h = config.height, w = config.width;
   RRP_CHECK(h >= 8 && w >= 8);
-  nn::Tensor img({1, h, w});
 
   // Road background: brighter toward the bottom of the frame.
   for (int r = 0; r < h; ++r) {
     const float road = static_cast<float>(
         config.road_intensity * (0.5 + 0.5 * static_cast<double>(r) / h));
-    for (int c = 0; c < w; ++c)
-      img[static_cast<std::int64_t>(r) * w + c] = road;
+    for (int c = 0; c < w; ++c) out[static_cast<std::int64_t>(r) * w + c] = road;
   }
 
-  // Draw every actor the sensor can resolve; nearest dominates visually
-  // because it is drawn last and largest.  Beyond-range actors are not
+  // Draw every actor the sensor can resolve.  Beyond-range actors are not
   // rendered at all — consistent with scene_label(), which ignores them.
-  std::vector<const Actor*> sorted;
-  for (const Actor& a : scene.actors)
-    if (a.distance_m <= kSensorRange_m) sorted.push_back(&a);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Actor* a, const Actor* b) {
-              return a->distance_m > b->distance_m;
-            });
-  for (const Actor* a : sorted) {
+  // erase, not clear: rrp_lint resolves calls by name, and clear() names
+  // the monitors' resets.
+  order.erase(order.begin(), order.end());
+  for (const Actor& a : scene.actors) {
+    if (a.distance_m > kSensorRange_m) continue;
+    // rrp-lint-allow(frame-path-alloc): make_stream reserved the scenario's most actors in one scene, so this append never reallocates.
+    order.push_back(&a);
+  }
+  std::sort(order.begin(), order.end(), farther);
+  for (const Actor* a : order) {
     const int hs = apparent_half_size(a->distance_m, h);
     float contrast = apparent_contrast(a->distance_m, scene.visibility);
     // Off-corridor traffic sits off the sensor's optical axis: dimmer and
@@ -117,14 +123,23 @@ nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
     const int cc = std::clamp(
         static_cast<int>(std::lround(w * (0.5 + a->lateral_m * 0.15))),
         hs, w - hs - 1);
-    draw_stencil(img, a->type, cr, cc, hs, contrast, h, w);
+    draw_stencil(out, a->type, cr, cc, hs, contrast, h, w);
   }
 
   // Sensor noise, worse in poor visibility.
   const double sigma =
       config.base_noise * (1.6 - 0.6 * std::clamp(scene.visibility, 0.0, 1.0));
-  for (float& v : img.data())
-    v = std::clamp(v + static_cast<float>(rng.normal(0.0, sigma)), 0.0f, 2.0f);
+  const std::int64_t pixels = static_cast<std::int64_t>(h) * w;
+  for (std::int64_t i = 0; i < pixels; ++i)
+    out[i] = std::clamp(out[i] + static_cast<float>(rng.normal(0.0, sigma)),
+                        0.0f, 2.0f);
+}
+
+nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
+                        Rng& rng) {
+  nn::Tensor img({1, config.height, config.width});
+  std::vector<const Actor*> order;
+  render_into(scene, config, rng, img.raw(), order);
   return img;
 }
 

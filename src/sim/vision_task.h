@@ -9,6 +9,8 @@
 // Labels are exact (we generated the scene), so accuracy is measurable.
 #pragma once
 
+#include <vector>
+
 #include "nn/train.h"
 #include "sim/scenario.h"
 
@@ -24,7 +26,15 @@ struct VisionTaskConfig {
 /// Ground-truth label of a scene: dominant actor's type, or kClearLabel.
 int scene_label(const Scene& scene);
 
-/// Renders one sensor frame [1, H, W] for the scene.
+/// Renders one sensor frame for the scene into the H*W floats at `out`
+/// (row-major; a batch-1 input tensor's storage).  `order` is scratch for
+/// the actors' draw order; with capacity for the scene's actors the call
+/// touches no heap.
+void render_into(const Scene& scene, const VisionTaskConfig& config,
+                 Rng& rng, float* out, std::vector<const Actor*>& order);
+
+/// Renders one sensor frame [1, H, W] for the scene: render_into on a
+/// fresh tensor (the same Rng draws, the same bytes).
 nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
                         Rng& rng);
 

@@ -34,7 +34,7 @@ std::atomic<bool> g_enabled{false};
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
-void record(const std::string& key, double us) {
+void add_sample(const std::string& key, double us) {
   if (!enabled()) return;
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -79,7 +79,7 @@ ScopedTimer::ScopedTimer(std::string key) : key_(std::move(key)) {
 }
 
 ScopedTimer::~ScopedTimer() {
-  if (armed_ && enabled()) record(key_, timer_.elapsed_us());
+  if (armed_ && enabled()) add_sample(key_, timer_.elapsed_us());
 }
 
 }  // namespace rrp::wprof

@@ -5,7 +5,7 @@
 // sanctioned place where measured wall time is aggregated, exactly like
 // `bench_micro --wall`:
 //
-//   * disabled by default — record() is a no-op until set_enabled(true)
+//   * disabled by default — add_sample() is a no-op until set_enabled(true)
 //     (rrp_cli serve --wall / bench_serve --wall flip it);
 //   * output never feeds telemetry, trace, metrics or any gate — it is
 //     rendered only into the wall channel (console table, wall_metrics);
@@ -28,13 +28,13 @@
 
 namespace rrp::wprof {
 
-/// Global enable switch; record() is a no-op while disabled.
+/// Global enable switch; add_sample() is a no-op while disabled.
 bool enabled();
 void set_enabled(bool on);
 
 /// Adds one measured sample (microseconds) under `key`.  Thread-safe;
 /// no-op while disabled.
-void record(const std::string& key, double us);
+void add_sample(const std::string& key, double us);
 
 /// Aggregated view of one key.
 struct Stat {

@@ -15,7 +15,14 @@
 //       bitwise for every layer kind, and in-place kinds give the same bits
 //       with y == x;
 //   A3  per-cursor arenas — two views at one level, interleaved or run
-//       concurrently on the pool, give exactly their solo outputs.
+//       concurrently on the pool, give exactly their solo outputs;
+//   A4  allocation-free frames — after its first frame, FrameEngine::step
+//       (render, inference, argmax, perception criticality, accounting,
+//       scrub, telemetry and the measured wall record) allocates and frees
+//       nothing on nominal frames: a detnet fast-path stream with its
+//       scrub cadence, a masked detnet stream, and lenet ladder views
+//       stepped on the pool the way ServeEngine fans a tick out, at
+//       RRP_THREADS 1 and 2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,9 +33,15 @@
 #include <string>
 #include <vector>
 
+#include "core/controller.h"
+#include "core/integrity.h"
+#include "core/policies.h"
 #include "core/reversible_pruner.h"
+#include "core/safety_monitor.h"
 #include "models/zoo.h"
 #include "prune/levels.h"
+#include "sim/frame_engine.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 
@@ -335,6 +348,198 @@ TEST(AllocViews, TwoViewsAtOneLevelEqualTheirSoloRuns) {
       });
       EXPECT_TRUE(same_bits(ya, solo_a[f])) << "L" << k << " frame " << f;
       EXPECT_TRUE(same_bits(yb, solo_b[f])) << "L" << k << " frame " << f;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A4: a nominal frame allocates nothing.
+// ---------------------------------------------------------------------------
+
+constexpr int kFrames = 120;
+constexpr int kScrubPeriod = 20;
+// RRP_THREADS of each episode; 0 is a first, uncounted episode at 1 that
+// runs every path's one-time setup (the function-local metric handles of
+// the level swap, the masked walk and the scrub).
+constexpr int kEpisodeThreads[] = {0, 1, 2};
+
+/// One solo stream: the controller stack and frame engine the solo
+/// runner builds around a provider.  `scenario` must outlive it.
+struct SoloStream {
+  SoloStream(core::InferenceProvider& provider, const sim::RunConfig& rc,
+             const sim::Scenario& scenario, sim::FaultHarness* harness)
+      : policy(core::SafetyConfig{}, 6, provider.level_count()),
+        controller(policy, provider, &monitor),
+        engine(rc),
+        state(engine.make_stream(scenario, controller, harness)) {}
+
+  core::SafetyMonitor monitor;
+  core::CriticalityGreedyPolicy policy;
+  core::RuntimeController controller;
+  sim::FrameEngine engine;
+  sim::StreamState state;
+};
+
+/// Appends " frame:allocs/frees" to `bad` when the frame touched the heap.
+void note_frame(std::string& bad, std::int64_t frame, std::int64_t allocs,
+                std::int64_t frees) {
+  if (allocs == 0 && frees == 0) return;
+  bad += ' ';
+  bad += std::to_string(frame);
+  bad += ':';
+  bad += std::to_string(allocs);
+  bad += '/';
+  bad += std::to_string(frees);
+}
+
+/// Steps the stream to its end; its first frame is warm-up (it plans the
+/// masked arm and sizes the logits), every later one is counted.  Returns
+/// the frames that allocated or freed, as "frame:allocs/frees".
+std::string step_counting(SoloStream& s) {
+  s.engine.step(s.state);
+  std::string bad;
+  while (!s.state.done()) {
+    const std::size_t f = s.state.frame;
+    std::int64_t allocs = 0, frees = 0;
+    {
+      const CountScope scope;
+      s.engine.step(s.state);
+      allocs = scope.allocs();
+      frees = scope.frees();
+    }
+    note_frame(bad, static_cast<std::int64_t>(f), allocs, frees);
+  }
+  return bad;
+}
+
+sim::Scenario scenario_for(const std::string& name, std::uint64_t seed) {
+  return sim::make_suite_or_dsl(name, kFrames, seed);
+}
+
+TEST(AllocFrames, DetnetFastPathStreamWithScrubAllocatesNothing) {
+  Rng rng(41);
+  nn::Network net = models::build_model(models::ModelKind::DetNet, rng);
+  const nn::Shape shape = models::zoo_input_shape();
+  prune::PruneLevelLibrary lib = prune::PruneLevelLibrary::build_structured(
+      net, kRatios, shape, prune::ImportanceMetric::L1, 2);
+  core::CompactedLadderProvider fast(net, lib, shape);
+  core::IntegrityChecker checker(fast.masked().store());
+  for (const int threads : kEpisodeThreads) {
+    const ThreadCountGuard guard(std::max(threads, 1));
+    fast.set_level(0);
+    sim::FaultHarness harness;
+    harness.targets.live_net = &fast.masked().network();
+    harness.checker = &checker;
+    harness.levels = &lib;
+    harness.ladder = &fast;
+    sim::RunConfig rc;
+    rc.deadline_ms = 12.0;
+    rc.self_heal = true;
+    rc.scrub_period_frames = kScrubPeriod;
+    rc.noise_seed = 5;
+    const sim::Scenario scenario = scenario_for("cut_in", 7);
+    SoloStream s(fast, rc, scenario, &harness);
+    const std::string bad = step_counting(s);
+    if (threads > 0) {
+      EXPECT_EQ(bad, "") << "threads " << threads;
+    }
+    EXPECT_TRUE(harness.recoveries.empty());
+    EXPECT_EQ(s.monitor.integrity_detect_count(), 0);
+    EXPECT_EQ(s.state.result.telemetry.size(), static_cast<std::size_t>(kFrames));
+  }
+}
+
+TEST(AllocFrames, MaskedDetnetStreamAllocatesNothing) {
+  Rng rng(42);
+  nn::Network net = models::build_model(models::ModelKind::DetNet, rng);
+  const nn::Shape shape = models::zoo_input_shape();
+  prune::PruneLevelLibrary lib = prune::PruneLevelLibrary::build_structured(
+      net, kRatios, shape, prune::ImportanceMetric::L1, 2);
+  core::CompactedLadderProvider fast(net, lib, shape);
+  core::ReversiblePruner& masked = fast.masked();
+  core::IntegrityChecker checker(masked.store());
+  for (const int threads : kEpisodeThreads) {
+    const ThreadCountGuard guard(std::max(threads, 1));
+    masked.set_level(0);
+    sim::FaultHarness harness;
+    harness.targets.live_net = &masked.network();
+    harness.checker = &checker;
+    harness.levels = &lib;
+    sim::RunConfig rc;
+    rc.deadline_ms = 12.0;
+    rc.self_heal = true;
+    rc.scrub_period_frames = kScrubPeriod;
+    rc.criticality_source = sim::CriticalitySource::Perception;
+    rc.noise_seed = 6;
+    const sim::Scenario scenario = scenario_for("urban", 8);
+    SoloStream s(masked, rc, scenario, &harness);
+    const std::string bad = step_counting(s);
+    if (threads > 0) {
+      EXPECT_EQ(bad, "") << "threads " << threads;
+    }
+    EXPECT_EQ(s.monitor.integrity_detect_count(), 0);
+  }
+  masked.set_level(0);
+}
+
+/// What one fan-out chunk reads, behind one captured pointer (a wider
+/// capture would make the std::function itself allocate).
+struct FleetTick {
+  std::vector<std::unique_ptr<SoloStream>>* streams;
+};
+
+TEST(AllocFrames, LenetLadderViewsSteppedOnThePoolAllocateNothing) {
+  Rng rng(43);
+  nn::Network net = models::build_model(models::ModelKind::LeNet, rng);
+  const nn::Shape shape = models::zoo_input_shape();
+  prune::PruneLevelLibrary lib = prune::PruneLevelLibrary::build_structured(
+      net, kRatios, shape, prune::ImportanceMetric::L1, 2);
+  core::CompactedLadderProvider shared(net, lib, shape);
+  constexpr int kStreams = 4;
+  for (const int threads : kEpisodeThreads) {
+    const ThreadCountGuard guard(std::max(threads, 1));
+    std::vector<std::unique_ptr<core::CompactedLadderView>> views;
+    std::vector<std::unique_ptr<SoloStream>> streams;
+    const sim::Scenario scenario = scenario_for("highway", 9);
+    for (int i = 0; i < kStreams; ++i) {
+      // The per-stream config a ServeEngine builds: a measured wall
+      // channel and a sensing delay, no harness.
+      sim::RunConfig rc;
+      rc.deadline_ms = 12.0;
+      rc.measure_wall = true;
+      rc.sensing_delay_frames = 1;
+      rc.noise_seed = 100 + static_cast<std::uint64_t>(i);
+      views.push_back(std::make_unique<core::CompactedLadderView>(shared));
+      streams.push_back(
+          std::make_unique<SoloStream>(*views.back(), rc, scenario, nullptr));
+    }
+    const FleetTick tick{&streams};
+    const ThreadPool::ChunkFn step_streams = [t = &tick](std::int64_t b,
+                                                         std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        SoloStream& s = *(*t->streams)[static_cast<std::size_t>(i)];
+        s.engine.step(s.state);
+      }
+    };
+    parallel_for(0, kStreams, 1, step_streams);  // warm-up tick
+    std::string bad;
+    for (int f = 1; f < kFrames; ++f) {
+      std::int64_t allocs = 0, frees = 0;
+      {
+        const CountScope scope;
+        parallel_for(0, kStreams, 1, step_streams);
+        allocs = scope.allocs();
+        frees = scope.frees();
+      }
+      note_frame(bad, f, allocs, frees);
+    }
+    if (threads > 0) {
+      EXPECT_EQ(bad, "") << "threads " << threads;
+    }
+    for (const auto& s : streams) {
+      EXPECT_TRUE(s->state.done());
+      EXPECT_EQ(s->state.result.wall.frames.size(),
+                static_cast<std::size_t>(kFrames));
     }
   }
 }

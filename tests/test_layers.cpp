@@ -654,6 +654,67 @@ TEST(EffectiveMacs, CountNonzeroMatchesANaiveCount) {
   }
 }
 
+// Every compiled-in count_nonzero variant, and the dispatched one, agree
+// with a naive count: lengths 0-67 at unaligned starts (every vector body
+// and tail split), the special values, a flipped pruned slot at each
+// position, and one length past the AVX2 lane-fold block.
+TEST(EffectiveMacs, CountNonzeroVariantsMatchTheReference) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            0.5f};
+  std::vector<kernels::CountNonzeroFn> variants = {
+      &kernels::count_nonzero_reference, &count_nonzero};
+#if defined(RRP_HAVE_AVX2)
+  if (kernels::avx2_usable()) variants.push_back(&kernels::count_nonzero_avx2);
+#endif
+  const auto naive = [](const float* x, std::int64_t n) {
+    std::int64_t c = 0;
+    for (std::int64_t i = 0; i < n; ++i) c += x[i] != 0.0f ? 1 : 0;
+    return c;
+  };
+  const auto expect_all = [&](const float* x, std::int64_t n,
+                              const std::string& what) {
+    const std::int64_t want = naive(x, n);
+    for (std::size_t v = 0; v < variants.size(); ++v)
+      EXPECT_EQ(variants[v](x, n), want) << what << " variant " << v;
+  };
+  Rng rng(43);
+  std::vector<float> buf(80);
+  for (std::int64_t n = 0; n <= 67; ++n) {
+    for (std::size_t off = 0; off < 4; ++off) {
+      float* x = buf.data() + off;
+      for (std::int64_t i = 0; i < n; ++i)
+        x[i] = specials[static_cast<std::size_t>(rng.uniform(0.0, 8.0))];
+      expect_all(x, n, "specials n=" + std::to_string(n));
+      // A pruned row (all +0) with one slot flipped: bit 31 gives -0 (still
+      // zero), bit 30 gives 2.0f (now counts).
+      std::fill(x, x + n, 0.0f);
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (const int bit : {31, 30}) {
+          std::uint32_t bits = 0;
+          std::memcpy(&bits, x + i, sizeof bits);
+          bits ^= 1u << bit;
+          std::memcpy(x + i, &bits, sizeof bits);
+          expect_all(x, n, "flip n=" + std::to_string(n) + " at " +
+                               std::to_string(i) + " bit " +
+                               std::to_string(bit));
+          bits ^= 1u << bit;
+          std::memcpy(x + i, &bits, sizeof bits);
+        }
+      }
+    }
+  }
+  std::vector<float> big((std::size_t{1} << 20) + 37);
+  for (float& x : big)
+    x = specials[static_cast<std::size_t>(rng.uniform(0.0, 8.0))];
+  expect_all(big.data(), static_cast<std::int64_t>(big.size()), "long");
+}
+
 // Effective MACs counted naively from the plan's step shapes: a weighted
 // layer's dense MACs per weight times its weights that compare != 0.
 std::int64_t naive_effective_macs(const Network& net, const Shape& shape) {

@@ -245,7 +245,7 @@ TEST(BurnRate, RejectsDegenerateConfigs) {
 TEST(Wprof, DisabledRecordIsANoOp) {
   wprof::set_enabled(false);
   wprof::reset();
-  wprof::record("x", 5.0);
+  wprof::add_sample("x", 5.0);
   { wprof::ScopedTimer t("y"); }
   EXPECT_TRUE(wprof::stats().empty());
   EXPECT_EQ(wprof::csv_string(), "key,count,total_us,mean_us,max_us\n");
@@ -254,9 +254,9 @@ TEST(Wprof, DisabledRecordIsANoOp) {
 TEST(Wprof, EnabledAggregatesInSortedKeyOrder) {
   wprof::reset();
   wprof::set_enabled(true);
-  wprof::record("infer.L2", 5.0);
-  wprof::record("infer.L2", 7.0);
-  wprof::record("infer.L0", 1.0);
+  wprof::add_sample("infer.L2", 5.0);
+  wprof::add_sample("infer.L2", 7.0);
+  wprof::add_sample("infer.L0", 1.0);
   wprof::set_enabled(false);
 
   const std::vector<wprof::Stat> stats = wprof::stats();

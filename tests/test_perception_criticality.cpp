@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/perception_criticality.h"
 #include "sim/runner.h"
 #include "sim/scenario_gen.h"
@@ -11,10 +13,9 @@ namespace {
 
 using core::CriticalityClass;
 
-nn::Tensor logits_for(int label, float margin) {
-  nn::Tensor row({kNumClasses});
-  row.fill(0.0f);
-  row[label] = margin;
+std::vector<float> logits_for(int label, float margin) {
+  std::vector<float> row(kNumClasses, 0.0f);
+  row[static_cast<std::size_t>(label)] = margin;
   return row;
 }
 

@@ -161,6 +161,120 @@ TEST(ThreadPool, ManySmallJobsBackToBack) {
   }
 }
 
+// The lockstep handoff: workers spin on the job word and the caller on
+// the tally before either parks, so these run with threads that are
+// mid-spin when the next job, the exception or the teardown arrives.  A
+// pool with more threads than the host has cores (8 on a 4-core host)
+// parks at once instead, so both handoff paths are covered.
+TEST(ThreadPoolHandoff, TenThousandShortJobsBackToBack) {
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::int64_t> slots(16, 0);
+    for (int job = 0; job < 10000; ++job) {
+      pool.parallel_for(0, 16, 1, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i)
+          slots[static_cast<std::size_t>(i)] += i + job;
+      });
+      // The caller reads every chunk's write as soon as the call returns.
+      ASSERT_EQ(slots[15], static_cast<std::int64_t>(job + 1) * 15 +
+                               static_cast<std::int64_t>(job) * (job + 1) / 2)
+          << "threads " << threads << " job " << job;
+    }
+  }
+}
+
+TEST(ThreadPoolHandoff, SharesAndStealsCoverEachChunkOnce) {
+  // Every chunk count against every share split: fewer chunks than
+  // threads (empty shares), uneven splits, and slot caps below, at and
+  // above the pool size.  The first chunks of each job are slow, so the
+  // caller's share is still running when the other threads run out of
+  // theirs and steal from it.
+  for (const int threads : {2, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    for (std::int64_t chunks = 2; chunks <= 41; ++chunks) {
+      for (const int cap : {0, 1, 2, threads, threads + 1}) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(chunks));
+        std::atomic<int> max_slot{-1};
+        pool.parallel_for(
+            0, chunks, 1,
+            [&](std::int64_t b, std::int64_t) {
+              const int slot = ThreadPool::chunk_slot();
+              int seen = max_slot.load();
+              while (slot > seen &&
+                     !max_slot.compare_exchange_weak(seen, slot)) {
+              }
+              if (b < 2) {
+                volatile int spin = 0;
+                for (int i = 0; i < 20000; ++i) spin = spin + i;
+              }
+              ++hits[static_cast<std::size_t>(b)];
+            },
+            cap);
+        for (std::int64_t c = 0; c < chunks; ++c)
+          ASSERT_EQ(hits[static_cast<std::size_t>(c)].load(), 1)
+              << "threads " << threads << " chunks " << chunks << " cap "
+              << cap << " chunk " << c;
+        ASSERT_LT(max_slot.load(), cap > 0 ? cap : threads);
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolHandoff, ExceptionsMaxSlotsAndNestingBetweenJobs) {
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 200; ++round) {
+      EXPECT_THROW(pool.parallel_for(0, 8, 1,
+                                     [&](std::int64_t b, std::int64_t) {
+                                       if (b == round % 8)
+                                         throw std::runtime_error("chunk");
+                                     }),
+                   std::runtime_error);
+      std::atomic<int> max_slot{-1};
+      std::atomic<int> ran{0};
+      pool.parallel_for(
+          0, 12, 1,
+          [&](std::int64_t, std::int64_t) {
+            int seen = max_slot.load();
+            const int slot = ThreadPool::chunk_slot();
+            while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
+            }
+            ++ran;
+          },
+          2);
+      EXPECT_EQ(ran.load(), 12);
+      EXPECT_LT(max_slot.load(), 2);
+      std::vector<int> hits(16, 0);
+      pool.parallel_for(0, 4, 1, [&](std::int64_t ob, std::int64_t) {
+        pool.parallel_for(0, 4, 1, [&](std::int64_t ib, std::int64_t) {
+          ++hits[static_cast<std::size_t>(ob * 4 + ib)];
+        });
+      });
+      for (int h : hits) ASSERT_EQ(h, 1) << "threads " << threads;
+    }
+  }
+}
+
+TEST(ThreadPoolHandoff, DestroyAndResizeWhileWorkersSpin) {
+  // Each pool dies right after a job, while its workers still spin on the
+  // job word; the destructor must wake and join them.
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(round % 2 == 0 ? 2 : 8);
+    std::atomic<int> ran{0};
+    pool.parallel_for(0, 8, 1, [&](std::int64_t, std::int64_t) { ++ran; });
+    ASSERT_EQ(ran.load(), 8);
+  }
+  // The global pool resized straight after a job: its spinning workers
+  // are joined and a new set serves the next call.
+  const ThreadCountGuard restore(ThreadPool::global_thread_count());
+  for (int round = 0; round < 100; ++round) {
+    ThreadPool::set_global_threads(round % 2 == 0 ? 2 : 8);
+    std::atomic<int> ran{0};
+    parallel_for(0, 8, 1, [&](std::int64_t, std::int64_t) { ++ran; });
+    ASSERT_EQ(ran.load(), 8);
+  }
+}
+
 TEST(ThreadPool, ThreadCountGuardRestoresGlobal) {
   const int before = ThreadPool::global_thread_count();
   {

@@ -1,18 +1,30 @@
 // TSan/ASan smoke suite (ctest -L tsan) — a fast pass over every code path
-// that fans work out on the thread pool: raw pool mechanics, the parallel
-// GEMM kernels (gemm_bt included), the planned implicit-GEMM conv,
-// clone-based batched evaluation, and multi-model zoo provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
-// `ctest -L tsan`; any data race in the execution layer surfaces here.
+// that fans work out on the thread pool: raw pool mechanics and the
+// spin-then-park job handoff, the parallel GEMM kernels (gemm_bt
+// included), the planned implicit-GEMM conv, fleet frames stepped on the
+// pool, clone-based batched evaluation, and multi-model zoo provisioning.
+// Build with -DRRP_SANITIZE=thread (or address) and run `ctest -L tsan`;
+// any data race in the execution layer surfaces here.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/controller.h"
+#include "core/policies.h"
+#include "core/reversible_pruner.h"
+#include "core/safety_monitor.h"
 #include "models/trained_cache.h"
+#include "models/zoo.h"
 #include "nn/gemm.h"
+#include "prune/levels.h"
+#include "sim/frame_engine.h"
+#include "sim/scenario_gen.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 
@@ -30,6 +42,88 @@ TEST(TsanSmoke, PoolStress) {
     });
     ASSERT_EQ(sum.load(), 257 * 256 / 2);
   }
+}
+
+TEST(TsanSmoke, PoolHandoff) {
+  // Plain (non-atomic) slots, double-buffered: each job reads the slots
+  // other threads wrote in the previous job and writes the other buffer,
+  // so only the handoff itself orders them.  Pools are torn down while
+  // their workers spin, and one job in 500 throws.
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::int64_t> slots[2] = {std::vector<std::int64_t>(8, 0),
+                                          std::vector<std::int64_t>(8, 0)};
+    for (int job = 0; job < 2000; ++job) {
+      const std::vector<std::int64_t>& in = slots[job % 2];
+      std::vector<std::int64_t>& out = slots[(job + 1) % 2];
+      pool.parallel_for(0, 8, 1, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i)
+          out[static_cast<std::size_t>(i)] =
+              in[static_cast<std::size_t>(i)] +
+              in[static_cast<std::size_t>((i + 1) % 8)] % 3 + 1;
+      });
+      if (job % 500 == 0) {
+        EXPECT_THROW(pool.parallel_for(0, 4, 1,
+                                       [](std::int64_t b, std::int64_t) {
+                                         if (b == 2) throw std::runtime_error("x");
+                                       }),
+                     std::runtime_error);
+      }
+    }
+    for (const std::int64_t v : slots[0]) EXPECT_GE(v, 2000);
+  }
+  for (int round = 0; round < 50; ++round) {
+    ThreadPool pool(round % 2 == 0 ? 2 : 8);
+    pool.parallel_for(0, 4, 1, [](std::int64_t, std::int64_t) {});
+  }
+}
+
+TEST(TsanSmoke, FleetFramesOnThePool) {
+  // Lenet ladder views over one shared ladder, one FrameEngine stream
+  // each, stepped a tick at a time the way ServeEngine fans out: render
+  // into each stream's input, infer, fold into its own state.
+  ThreadCountGuard guard(2);
+  Rng rng(5);
+  nn::Network net = models::build_model(models::ModelKind::LeNet, rng);
+  const nn::Shape shape = models::zoo_input_shape();
+  prune::PruneLevelLibrary lib = prune::PruneLevelLibrary::build_structured(
+      net, {0.0, 0.5, 0.85}, shape, prune::ImportanceMetric::L1, 2);
+  core::CompactedLadderProvider shared(net, lib, shape);
+  const sim::Scenario scenario = sim::make_suite_or_dsl("highway", 40, 3);
+  struct Stream {
+    Stream(core::CompactedLadderProvider& ladder, const sim::Scenario& sc,
+           std::uint64_t seed)
+        : view(ladder),
+          policy(core::SafetyConfig{}, 4, view.level_count()),
+          controller(policy, view, &monitor),
+          engine(config(seed)),
+          state(engine.make_stream(sc, controller)) {}
+    static sim::RunConfig config(std::uint64_t seed) {
+      sim::RunConfig rc;
+      rc.deadline_ms = 12.0;
+      rc.noise_seed = seed;
+      return rc;
+    }
+    core::CompactedLadderView view;
+    core::SafetyMonitor monitor;
+    core::CriticalityGreedyPolicy policy;
+    core::RuntimeController controller;
+    sim::FrameEngine engine;
+    sim::StreamState state;
+  };
+  std::vector<std::unique_ptr<Stream>> streams;
+  for (std::uint64_t i = 0; i < 6; ++i)
+    streams.push_back(std::make_unique<Stream>(shared, scenario, 10 + i));
+  while (!streams.front()->state.done())
+    parallel_for(0, static_cast<std::int64_t>(streams.size()), 1,
+                 [&](std::int64_t b, std::int64_t e) {
+                   for (std::int64_t i = b; i < e; ++i) {
+                     Stream& s = *streams[static_cast<std::size_t>(i)];
+                     s.engine.step(s.state);
+                   }
+                 });
+  for (const auto& s : streams)
+    EXPECT_EQ(s->state.result.telemetry.size(), scenario.scenes.size());
 }
 
 TEST(TsanSmoke, ParallelGemm) {

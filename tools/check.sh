@@ -15,14 +15,18 @@
 #       suite (-L obs) and the allocation-free inference suite (-L alloc),
 #       so a robustness, serving, observability or allocation regression
 #       is called out by name;
-#   (d) the ThreadSanitizer smoke suite (pool mechanics, parallel GEMM,
-#       parallel provisioning);
+#   (d) the ThreadSanitizer smoke suite (pool mechanics and the
+#       spin-then-park job handoff, parallel GEMM, fleet frames stepped on
+#       the pool, parallel provisioning);
 #   (e) a UBSan build of the unit tests and the scenario-DSL/campaign
 #       suite, -fno-sanitize-recover=all, with float-cast-overflow (not
 #       part of GCC's -fsanitize=undefined);
 #   (e') an AddressSanitizer build of the conv parity and liveness tests,
-#       the gemm_bt / Linear / effective-MAC tests, the integrity digest /
-#       scrub / repair tests and the allocation-free inference suite — the
+#       the gemm_bt / Linear / effective-MAC tests (the AVX2 nonzero count
+#       included), the integrity digest / scrub / repair tests, the render
+#       parity tests (render_into writes a caller's raw buffer), the pool
+#       handoff tests and the allocation-free inference and frame suite —
+#       the
 #       implicit-GEMM conv reads its B operand straight out of a padded
 #       slot and indexes it through the live-row and live-channel lists,
 #       the AVX2 gemm_bt tile loads 4 floats of 8 B rows per step, and the
@@ -109,7 +113,7 @@ step "(e') AddressSanitizer conv/gemm_bt parity + integrity + allocation-free in
 cmake -B build-check-asan -S . -DRRP_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
 ./build-check-asan/tests/rrp_tests \
-  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*'
+  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*:RenderParity.*:ThreadPoolHandoff.*'
 ./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"
