@@ -18,7 +18,8 @@
 //           streams in {1,2,4,8,16,32,64} at a fixed 12 ms deadline, wall
 //           frames/s per point (machine-dependent, gate-exempt) — the
 //           input to `rrp_cli report --bench` for the knee table.  The
-//           measured wall channel (sim + util/wprof) is armed.
+//           measured wall channel is armed: every stream's RunResult::wall
+//           folds into one per-level infer profile across the sweep.
 #include <cstring>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "bench_report.h"
 #include "serve/obs.h"
 #include "serve/serve_engine.h"
-#include "util/wprof.h"
 
 using namespace rrp;
 
@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
   cfg.measure_wall = wall;
 
   serve::ServeEngine engine(inputs, cfg);
-  wprof::reset();
-  wprof::set_enabled(wall);
 
   std::vector<SweepPoint> points;
   if (wall) {
@@ -112,12 +110,14 @@ int main(int argc, char** argv) {
   TableFormatter table({"streams", "fps", "frames", "miss%", "p99_ms",
                         "congestion", "degr", "shed", "wall_kfps"});
   double total_wall_s = 0.0;
+  std::vector<serve::WallLevelStat> profile;
   for (const SweepPoint& p : points) {
     Timer timer;
     const serve::ServeReport rep =
         engine.run(fleet_specs(p.streams, p.deadline_ms, frames));
     const double wall_s = timer.elapsed_s();
     total_wall_s += wall_s;
+    serve::fold_wall_profile(rep, profile);
     const double fps = 1000.0 / p.deadline_ms;
     const double miss_rate =
         rep.frames > 0
@@ -145,17 +145,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "wall: " << fmt(total_wall_s, 2) << " s total\n";
 
-  if (wall) {
-    // The wprof spans are measured wall time: print for the record, never
-    // exported to the gated metrics.
-    std::cout << "wall profile (measured; excluded from every gate):\n";
-    TableFormatter prof({"span", "count", "total_ms", "mean_us", "max_us"});
-    for (const wprof::Stat& s : wprof::stats())
-      prof.row({s.key, std::to_string(s.count), fmt(s.total_us / 1000.0, 3),
-                fmt(s.mean_us(), 3), fmt(s.max_us, 3)});
-    prof.print(std::cout);
-    wprof::set_enabled(false);
-  }
+  // Measured wall time: printed for the record, never exported to the
+  // gated metrics.
+  if (wall) serve::write_wall_profile(profile, std::cout);
 
   // Pins the fleet-snapshot schema so an unversioned layout change fails
   // the gate instead of silently breaking downstream snapshot consumers.

@@ -6,8 +6,8 @@
 
 #include "sim/scenario_gen.h"
 #include "util/checks.h"
+#include "util/csv.h"
 #include "util/thread_pool.h"
-#include "util/wprof.h"
 
 namespace rrp::serve {
 namespace {
@@ -375,9 +375,6 @@ ServeReport ServeEngine::run(const std::vector<StreamSpec>& specs) {
     const std::size_t n = active_.size();
     slots.assign(n, TickSlot{});
     if (n > 0) {
-      // Measured tick fan-out time for the wall profiler (no-op unless
-      // --wall enabled it; strictly outside the deterministic channels).
-      wprof::ScopedTimer tick_timer("serve.tick");
       parallel_for(0, static_cast<std::int64_t>(n), 1,
                    [&](std::int64_t begin, std::int64_t end) {
                      for (std::int64_t i = begin; i < end; ++i) {
@@ -666,6 +663,34 @@ void write_serve_report_json(const ServeReport& report, std::ostream& out) {
         << json_string_escape(e.detail) << "\"}";
   }
   out << "\n]}\n";
+}
+
+void fold_wall_profile(const ServeReport& report,
+                       std::vector<WallLevelStat>& profile) {
+  for (const StreamResult& r : report.streams) {
+    for (const sim::WallFrame& f : r.run.wall.frames) {
+      auto it = std::lower_bound(
+          profile.begin(), profile.end(), f.level,
+          [](const WallLevelStat& s, int level) { return s.level < level; });
+      if (it == profile.end() || it->level != f.level)
+        it = profile.insert(it, WallLevelStat{f.level});
+      ++it->count;
+      it->total_us += f.infer_us;
+      it->max_us = std::max(it->max_us, f.infer_us);
+    }
+  }
+}
+
+void write_wall_profile(const std::vector<WallLevelStat>& profile,
+                        std::ostream& out) {
+  out << "wall profile (measured; excluded from every gate):\n";
+  TableFormatter table({"span", "count", "total_ms", "mean_us", "max_us"});
+  for (const WallLevelStat& s : profile)
+    table.row({"infer.L" + std::to_string(s.level), std::to_string(s.count),
+               fmt("%.3f", s.total_us / 1000.0),
+               fmt("%.3f", s.total_us / static_cast<double>(s.count)),
+               fmt("%.3f", s.max_us)});
+  table.print(out);
 }
 
 }  // namespace rrp::serve

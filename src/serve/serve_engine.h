@@ -89,9 +89,9 @@ struct ServeConfig {
   /// Capture a FleetSnapshot every K ticks (serve/obs.h); 0 = never.
   int snapshot_every_ticks = 0;
   /// Measured wall-clock channel: per-frame infer wall times land in
-  /// each stream's RunResult::wall, and the util/wprof profiler (when
-  /// enabled) aggregates per-level/per-tick spans.  Never touches the
-  /// deterministic telemetry/trace/metrics channels.
+  /// each stream's RunResult::wall (folded per level by
+  /// fold_wall_profile).  Never touches the deterministic
+  /// telemetry/trace/metrics channels.
   bool measure_wall = false;
   sim::PlatformConfig platform;
   sim::CriticalityConfig criticality;
@@ -245,5 +245,25 @@ void write_serve_report(const ServeReport& report, std::ostream& out);
 /// content as the text report, schema-versioned, deterministically
 /// formatted (sorted keys, fixed precision).
 void write_serve_report_json(const ServeReport& report, std::ostream& out);
+
+/// One level's row of the measured inference profile.
+struct WallLevelStat {
+  int level = 0;
+  std::int64_t count = 0;  ///< frames executed at `level`
+  double total_us = 0.0;   ///< summed measured infer wall time
+  double max_us = 0.0;
+};
+
+/// Folds every stream's RunResult::wall frames (ServeConfig::measure_wall)
+/// into `profile`: one row per executed level, ascending.  Rows already
+/// in `profile` accumulate, so a sweep folds run after run.  Counts are
+/// deterministic; the microseconds are measured and never gated.
+void fold_wall_profile(const ServeReport& report,
+                       std::vector<WallLevelStat>& profile);
+
+/// The `--wall` table of `rrp_cli serve` and `bench_serve`: one
+/// infer.L<k> row per level with count, total_ms, mean_us, max_us.
+void write_wall_profile(const std::vector<WallLevelStat>& profile,
+                        std::ostream& out);
 
 }  // namespace rrp::serve

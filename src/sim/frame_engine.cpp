@@ -8,7 +8,6 @@
 #include "util/checks.h"
 #include "util/timer.h"
 #include "util/trace.h"
-#include "util/wprof.h"
 
 namespace rrp::sim {
 
@@ -68,18 +67,6 @@ StreamState FrameEngine::make_stream(const Scenario& scenario,
   if (config_.measure_wall) s.result.wall.frames.reserve(scenario.scenes.size());
   return s;
 }
-
-namespace {
-
-// rrp-frame-path-stop: per-level measured breakdown for the wall-channel
-// profiler, only while --wall has it enabled.  Like RunResult::wall, it
-// never touches telemetry, trace or metrics; wprof builds the key and
-// takes its aggregation mutex here, outside any gated run.
-void profile_infer(int level, double infer_wall_us) {
-  wprof::add_sample("infer.L" + std::to_string(level), infer_wall_us);
-}
-
-}  // namespace
 
 // First injected weight/store flip not yet credited to a detection; a
 // scrub detection credits every applied flip up to that point (the
@@ -319,7 +306,6 @@ void FrameEngine::step(StreamState& s) const {
     // rrp-lint-allow(frame-path-alloc): make_stream reserved the scenario's length, so this append never reallocates.
     s.result.wall.frames.push_back({rec.frame, rec.executed_level,
                                     infer_wall_us, rec.latency_ms * 1000.0});
-    if (wprof::enabled()) profile_infer(rec.executed_level, infer_wall_us);
   }
 
   const double frame_ms = rec.latency_ms + rec.switch_us / 1000.0;

@@ -100,28 +100,29 @@ Registry::Registry() {
           1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0}));
 }
 
-Counter& Registry::counter(const std::string& name) {
+Counter& Registry::counter(std::string_view name) {
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
   RRP_CHECK_MSG(!ThreadPool::in_parallel_region(),
                 "new metric '" << name
                                << "' registered inside a parallel region; "
                                   "pre-register it in the Registry schema");
-  return *counters_.emplace(name, std::make_unique<Counter>())
+  return *counters_.emplace(std::string(name), std::make_unique<Counter>())
               .first->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return *it->second;
   RRP_CHECK_MSG(!ThreadPool::in_parallel_region(),
                 "new metric '" << name
                                << "' registered inside a parallel region; "
                                   "pre-register it in the Registry schema");
-  return *gauges_.emplace(name, std::make_unique<Gauge>()).first->second;
+  return *gauges_.emplace(std::string(name), std::make_unique<Gauge>())
+              .first->second;
 }
 
-Histogram& Registry::histogram(const std::string& name) {
+Histogram& Registry::histogram(std::string_view name) {
   const auto it = histograms_.find(name);
   RRP_CHECK_MSG(it != histograms_.end(),
                 "histogram '" << name << "' is not registered (bounds are "
@@ -129,7 +130,7 @@ Histogram& Registry::histogram(const std::string& name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(const std::string& name,
+Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> bounds) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) {
@@ -143,7 +144,8 @@ Histogram& Registry::histogram(const std::string& name,
                                << "' registered inside a parallel region; "
                                   "pre-register it in the Registry schema");
   return *histograms_
-              .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
+              .emplace(std::string(name),
+                       std::make_unique<Histogram>(std::move(bounds)))
               .first->second;
 }
 
@@ -153,13 +155,13 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-Counter& counter(const std::string& name) {
+Counter& counter(std::string_view name) {
   return Registry::instance().counter(name);
 }
-Gauge& gauge(const std::string& name) {
+Gauge& gauge(std::string_view name) {
   return Registry::instance().gauge(name);
 }
-Histogram& histogram(const std::string& name) {
+Histogram& histogram(std::string_view name) {
   return Registry::instance().histogram(name);
 }
 void reset_all() { Registry::instance().reset(); }

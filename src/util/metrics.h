@@ -29,9 +29,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -81,47 +83,46 @@ class Histogram {
   std::unique_ptr<std::atomic<std::int64_t>[]> counts_;
 };
 
-/// Name -> metric maps (std::map so iteration order is sorted == the
-/// deterministic export order).
+/// Name -> metric map (std::map so iteration order is sorted == the
+/// deterministic export order).  std::less<> makes lookups transparent:
+/// a string_view finds a registered name without building a std::string.
+template <class T>
+using NameMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
 class Registry {
  public:
   /// The process-wide registry, with the built-in schema pre-registered.
   static Registry& instance();
 
-  /// Look up (or, outside parallel regions only, create) by name.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// Look up (or, outside parallel regions only, create) by name.  A
+  /// lookup of an existing name allocates nothing.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// Looks up an existing histogram (pre-registered or prior creation).
-  Histogram& histogram(const std::string& name);
+  Histogram& histogram(std::string_view name);
   /// Creates with explicit bounds, or returns the existing instance
   /// (bounds then must match what was registered).
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
+  Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
   /// Zeroes every metric (counters, gauges, histogram buckets).
   void reset();
 
-  const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const {
-    return gauges_;
-  }
-  const std::map<std::string, std::unique_ptr<Histogram>>& histograms() const {
-    return histograms_;
-  }
+  const NameMap<Counter>& counters() const { return counters_; }
+  const NameMap<Gauge>& gauges() const { return gauges_; }
+  const NameMap<Histogram>& histograms() const { return histograms_; }
 
  private:
   Registry();  // pre-registers the built-in schema (metrics.cpp)
 
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  NameMap<Counter> counters_;
+  NameMap<Gauge> gauges_;
+  NameMap<Histogram> histograms_;
 };
 
 /// Shorthands for Registry::instance().xxx(name).
-Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name);
+Counter& counter(std::string_view name);
+Gauge& gauge(std::string_view name);
+Histogram& histogram(std::string_view name);
 
 /// Zeroes every metric in the process-wide registry.
 void reset_all();

@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <cstdlib>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -32,7 +33,7 @@ constexpr std::size_t kMaxSpans = 1u << 20;
 
 struct OpenSpan {
   std::int64_t slot = 0;
-  Timer timer;  // read only when wall-clock capture is on
+  std::optional<Timer> timer;  // started only when wall-clock capture is on
 };
 
 // All recording state lives here.  Single-threaded by contract: spans are
@@ -122,7 +123,8 @@ void Span::begin_(const char* name) {
   slot_ = static_cast<std::int64_t>(s.records.size());
   generation_ = s.generation;
   s.records.push_back(std::move(rec));
-  s.open.push_back(OpenSpan{slot_, Timer{}});
+  s.open.push_back(OpenSpan{slot_, std::nullopt});
+  if (s.wall) s.open.back().timer.emplace();
 }
 
 void Span::end_() {
@@ -135,7 +137,7 @@ void Span::end_() {
     const OpenSpan top = s.open.back();
     s.open.pop_back();
     if (top.slot == slot_) {
-      if (s.wall) rec.wall_us = top.timer.elapsed_us();
+      if (s.wall && top.timer) rec.wall_us = top.timer->elapsed_us();
       break;
     }
   }

@@ -358,10 +358,10 @@ TEST(AllocViews, TwoViewsAtOneLevelEqualTheirSoloRuns) {
 
 constexpr int kFrames = 120;
 constexpr int kScrubPeriod = 20;
-// RRP_THREADS of each episode; 0 is a first, uncounted episode at 1 that
-// runs every path's one-time setup (the function-local metric handles of
-// the level swap, the masked walk and the scrub).
-constexpr int kEpisodeThreads[] = {0, 1, 2};
+// RRP_THREADS of each episode.  Every episode is counted, the first
+// included: a path's first level swap, masked walk or scrub looks up its
+// pre-registered metric handles without allocating.
+constexpr int kEpisodeThreads[] = {1, 2};
 
 /// One solo stream: the controller stack and frame engine the solo
 /// runner builds around a provider.  `scenario` must outlive it.
@@ -425,7 +425,7 @@ TEST(AllocFrames, DetnetFastPathStreamWithScrubAllocatesNothing) {
   core::CompactedLadderProvider fast(net, lib, shape);
   core::IntegrityChecker checker(fast.masked().store());
   for (const int threads : kEpisodeThreads) {
-    const ThreadCountGuard guard(std::max(threads, 1));
+    const ThreadCountGuard guard(threads);
     fast.set_level(0);
     sim::FaultHarness harness;
     harness.targets.live_net = &fast.masked().network();
@@ -440,9 +440,7 @@ TEST(AllocFrames, DetnetFastPathStreamWithScrubAllocatesNothing) {
     const sim::Scenario scenario = scenario_for("cut_in", 7);
     SoloStream s(fast, rc, scenario, &harness);
     const std::string bad = step_counting(s);
-    if (threads > 0) {
-      EXPECT_EQ(bad, "") << "threads " << threads;
-    }
+    EXPECT_EQ(bad, "") << "threads " << threads;
     EXPECT_TRUE(harness.recoveries.empty());
     EXPECT_EQ(s.monitor.integrity_detect_count(), 0);
     EXPECT_EQ(s.state.result.telemetry.size(), static_cast<std::size_t>(kFrames));
@@ -459,7 +457,7 @@ TEST(AllocFrames, MaskedDetnetStreamAllocatesNothing) {
   core::ReversiblePruner& masked = fast.masked();
   core::IntegrityChecker checker(masked.store());
   for (const int threads : kEpisodeThreads) {
-    const ThreadCountGuard guard(std::max(threads, 1));
+    const ThreadCountGuard guard(threads);
     masked.set_level(0);
     sim::FaultHarness harness;
     harness.targets.live_net = &masked.network();
@@ -474,9 +472,7 @@ TEST(AllocFrames, MaskedDetnetStreamAllocatesNothing) {
     const sim::Scenario scenario = scenario_for("urban", 8);
     SoloStream s(masked, rc, scenario, &harness);
     const std::string bad = step_counting(s);
-    if (threads > 0) {
-      EXPECT_EQ(bad, "") << "threads " << threads;
-    }
+    EXPECT_EQ(bad, "") << "threads " << threads;
     EXPECT_EQ(s.monitor.integrity_detect_count(), 0);
   }
   masked.set_level(0);
@@ -497,7 +493,7 @@ TEST(AllocFrames, LenetLadderViewsSteppedOnThePoolAllocateNothing) {
   core::CompactedLadderProvider shared(net, lib, shape);
   constexpr int kStreams = 4;
   for (const int threads : kEpisodeThreads) {
-    const ThreadCountGuard guard(std::max(threads, 1));
+    const ThreadCountGuard guard(threads);
     std::vector<std::unique_ptr<core::CompactedLadderView>> views;
     std::vector<std::unique_ptr<SoloStream>> streams;
     const sim::Scenario scenario = scenario_for("highway", 9);
@@ -533,9 +529,7 @@ TEST(AllocFrames, LenetLadderViewsSteppedOnThePoolAllocateNothing) {
       }
       note_frame(bad, f, allocs, frees);
     }
-    if (threads > 0) {
-      EXPECT_EQ(bad, "") << "threads " << threads;
-    }
+    EXPECT_EQ(bad, "") << "threads " << threads;
     for (const auto& s : streams) {
       EXPECT_TRUE(s->state.done());
       EXPECT_EQ(s->state.result.wall.frames.size(),

@@ -13,8 +13,9 @@
 //   (4) the per-stream frame-time histograms merge bucket-for-bucket
 //       into the fleet histogram (they observe the same fold values over
 //       the same bounds);
-//   (5) the wall profiler stays a disabled-by-default no-op and never
-//       appears in any deterministic artifact.
+//   (5) the measured wall channel is purely additive: arming it changes
+//       no deterministic byte, and its per-level profile accounts for
+//       every served frame.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -25,13 +26,13 @@
 #include "core/metrics.h"
 #include "core/metrics_export.h"
 #include "core/slo.h"
+#include "models/zoo.h"
 #include "serve/obs.h"
 #include "serve/serve_engine.h"
 #include "test_support.h"
 #include "util/checks.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
-#include "util/wprof.h"
 
 namespace rrp::serve {
 namespace {
@@ -238,37 +239,15 @@ TEST(BurnRate, RejectsDegenerateConfigs) {
   EXPECT_THROW(core::BurnRateTracker t(cfg), PreconditionError);
 }
 
-// ---------------------------------------------------------------------------
-// wprof: the measured channel stays opt-in and out of everything gated.
-// ---------------------------------------------------------------------------
-
-TEST(Wprof, DisabledRecordIsANoOp) {
-  wprof::set_enabled(false);
-  wprof::reset();
-  wprof::add_sample("x", 5.0);
-  { wprof::ScopedTimer t("y"); }
-  EXPECT_TRUE(wprof::stats().empty());
-  EXPECT_EQ(wprof::csv_string(), "key,count,total_us,mean_us,max_us\n");
-}
-
-TEST(Wprof, EnabledAggregatesInSortedKeyOrder) {
-  wprof::reset();
-  wprof::set_enabled(true);
-  wprof::add_sample("infer.L2", 5.0);
-  wprof::add_sample("infer.L2", 7.0);
-  wprof::add_sample("infer.L0", 1.0);
-  wprof::set_enabled(false);
-
-  const std::vector<wprof::Stat> stats = wprof::stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].key, "infer.L0") << "sorted key order";
-  EXPECT_EQ(stats[1].key, "infer.L2");
-  EXPECT_EQ(stats[1].count, 2);
-  EXPECT_DOUBLE_EQ(stats[1].total_us, 12.0);
-  EXPECT_DOUBLE_EQ(stats[1].mean_us(), 6.0);
-  EXPECT_DOUBLE_EQ(stats[1].max_us, 7.0);
-  wprof::reset();
-  EXPECT_TRUE(wprof::stats().empty());
+/// Every observability byte of one served run: report JSON, each
+/// snapshot's JSON and exposition, and the timeline CSV.
+std::string obs_digest(const ServeReport& report) {
+  std::ostringstream os;
+  write_serve_report_json(report, os);
+  for (const FleetSnapshot& s : report.snapshots)
+    os << "--- snapshot tick " << s.tick << " ---\n" << s.json << s.prom;
+  os << "--- timeline ---\n" << timeline_csv(report.timeline);
+  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -328,20 +307,6 @@ class ObsFixture : public ::testing::Test {
     return cfg;
   }
 
-  /// Every observability byte of one run: report JSON, each snapshot's
-  /// JSON and exposition, and the timeline CSV.
-  static std::string obs_digest(ServeEngine& engine,
-                                const std::vector<StreamSpec>& specs) {
-    const ServeReport report = engine.run(specs);
-    std::ostringstream os;
-    write_serve_report_json(report, os);
-    for (const FleetSnapshot& s : report.snapshots)
-      os << "--- snapshot tick " << s.tick << " ---\n"
-         << s.json << s.prom;
-    os << "--- timeline ---\n" << timeline_csv(report.timeline);
-    return os.str();
-  }
-
   nn::Network net_;
   nn::Dataset data_;
   prune::PruneLevelLibrary lib_;
@@ -355,7 +320,7 @@ TEST_F(ObsFixture, SnapshotsExpositionAndTimelineByteIdenticalAcrossThreads) {
   std::string reference;
   {
     ThreadCountGuard guard(1);
-    reference = obs_digest(engine, specs);
+    reference = obs_digest(engine.run(specs));
   }
   // The pin must cover real content: at least one periodic snapshot with
   // the versioned schema, labeled per-stream rows in both formats, and a
@@ -372,7 +337,7 @@ TEST_F(ObsFixture, SnapshotsExpositionAndTimelineByteIdenticalAcrossThreads) {
 
   for (int threads : {2, 8}) {
     ThreadCountGuard guard(threads);
-    EXPECT_EQ(obs_digest(engine, specs), reference)
+    EXPECT_EQ(obs_digest(engine.run(specs)), reference)
         << "invariant 17 broke at threads=" << threads;
   }
 }
@@ -442,6 +407,84 @@ TEST_F(ObsFixture, ReportCarriesTailsBurnAlertsAndConsistentTimeline) {
   EXPECT_NE(js.str().find("\"burn_alerts\":["), std::string::npos);
   EXPECT_NE(js.str().find("\"timeline\":["), std::string::npos);
   EXPECT_NE(js.str().find("\"streams\":["), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The measured wall channel (ServeConfig::measure_wall) is purely
+// additive: a lenet fleet served with it off and on yields the same
+// observability bytes, and the per-level profile folded from the
+// streams' RunResult::wall accounts for every frame.
+// ---------------------------------------------------------------------------
+
+TEST(WallChannel, ArmingItChangesNoDeterministicByte) {
+  Rng rng(44);
+  nn::Network net = models::build_model(models::ModelKind::LeNet, rng);
+  const prune::PruneLevelLibrary lib =
+      prune::PruneLevelLibrary::build_structured(
+          net, {0.0, 0.3, 0.6, 0.85}, models::zoo_input_shape());
+  ServeInputs inputs;
+  inputs.net = &net;
+  inputs.levels = &lib;
+  inputs.certified.max_level_for = {3, 2, 1, 0};
+
+  std::vector<StreamSpec> specs(5);
+  const char* suites[] = {"cut_in", "urban", "highway", "degraded"};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].scenario = suites[i % 4];
+    specs[i].frames = 40;
+    specs[i].priority = static_cast<int>(specs.size() - i);
+    specs[i].arrival_tick = static_cast<std::int64_t>(i);
+  }
+  ServeConfig cfg;
+  cfg.seed = 77;
+  cfg.tick_budget_ms = 0.5;  // congestion and the overload ladder engage
+  cfg.admission.max_streams = 4;
+  cfg.snapshot_every_ticks = 10;
+
+  std::string reference;
+  for (const int threads : {1, 2}) {
+    ThreadCountGuard guard(threads);
+    for (const bool wall : {false, true}) {
+      cfg.measure_wall = wall;
+      ServeEngine engine(inputs, cfg);
+      const ServeReport report = engine.run(specs);
+      const std::string digest = obs_digest(report);
+      if (reference.empty()) {
+        ASSERT_FALSE(report.snapshots.empty());
+        reference = digest;
+      }
+      EXPECT_EQ(digest, reference)
+          << "threads " << threads << " measure_wall " << wall;
+
+      std::vector<WallLevelStat> profile;
+      fold_wall_profile(report, profile);
+      if (!wall) {
+        EXPECT_TRUE(profile.empty()) << "nothing measured while off";
+        continue;
+      }
+      std::vector<std::int64_t> by_level(
+          static_cast<std::size_t>(lib.level_count()), 0);
+      for (const StreamResult& r : report.streams) {
+        EXPECT_EQ(r.run.wall.frames.size(),
+                  static_cast<std::size_t>(r.frames_executed))
+            << r.name;
+        for (const sim::WallFrame& f : r.run.wall.frames)
+          ++by_level[static_cast<std::size_t>(f.level)];
+      }
+      std::int64_t profiled = 0;
+      int previous_level = -1;
+      for (const WallLevelStat& row : profile) {
+        EXPECT_GT(row.level, previous_level) << "one ascending row per level";
+        previous_level = row.level;
+        EXPECT_EQ(row.count, by_level[static_cast<std::size_t>(row.level)])
+            << "L" << row.level;
+        EXPECT_LE(row.max_us, row.total_us);
+        profiled += row.count;
+      }
+      EXPECT_EQ(profiled, report.frames);
+      EXPECT_GE(profile.size(), 2u) << "the ladder moved between levels";
+    }
+  }
 }
 
 }  // namespace

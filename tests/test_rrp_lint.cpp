@@ -68,8 +68,8 @@ TEST(RrpLint, DeterminismChronoRule) {
 }
 
 TEST(RrpLint, ChronoWhitelistCoversTimeFacades) {
-  // The Timer facade, the span tracer's wall capture, the pool's timed
-  // waits and telemetry's timestamps are the sanctioned chrono users.
+  // The Timer facade, the span tracer's wall capture and the pool's timed
+  // waits are the sanctioned chrono users.
   EXPECT_TRUE(
       rrp::lint::lint_file("src/util/timer.h", "#include <chrono>\n").empty());
   EXPECT_TRUE(rrp::lint::lint_file("src/util/trace.cpp",
@@ -80,6 +80,11 @@ TEST(RrpLint, ChronoWhitelistCoversTimeFacades) {
       rrp::lint::lint_file("src/core/controller.cpp", "#include <chrono>\n");
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].rule, "determinism-chrono");
+  // Telemetry records modeled time only, so it is no time facade.
+  const auto t =
+      rrp::lint::lint_file("src/core/telemetry.cpp", "#include <chrono>\n");
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0].rule, "determinism-chrono");
 }
 
 // The flight recorder's determinism contract is lint-enforced: a bundle's
@@ -174,24 +179,9 @@ TEST(RrpLint, ServeStaysOffEveryDeterminismWhitelist) {
 }
 
 // The observability plane's whitelist boundary (DESIGN.md §7/§8): the
-// wall profiler (util/wprof.*) aggregates under a plain mutex, so it is
-// thread-whitelisted — and NOTHING else.  Its measured spans flow
-// through the rrp::Timer facade, so the chrono and random rules keep
-// applying to it, while the exporters (core/metrics_export.*,
-// serve/obs.*) are pure functions of registry state and sit on NO
-// whitelist at all (invariant 17).
+// exporters (core/metrics_export.*, serve/obs.*) are pure functions of
+// registry state and sit on NO whitelist at all (invariant 17).
 TEST(RrpLint, ObservabilityPlaneWhitelistBoundaries) {
-  // The fixture name shares the "src/util/wprof." prefix, so the thread
-  // whitelist genuinely applies to it: the <mutex> include and both
-  // std::mutex lines stay silent while R1a/R5 keep firing.
-  const auto wp = fired("src/util/wprof.bad.cpp");
-  EXPECT_TRUE(has(wp, 8, "determinism-random")) << "#include <random>";
-  EXPECT_TRUE(has(wp, 9, "determinism-chrono")) << "#include <chrono>";
-  EXPECT_TRUE(has(wp, 13, "determinism-random")) << "mt19937 / random_device";
-  EXPECT_TRUE(has(wp, 16, "determinism-random")) << "argless now()";
-  EXPECT_TRUE(has(wp, 16, "determinism-chrono")) << "std::chrono read";
-  EXPECT_EQ(wp.size(), 5u) << "only the mutex machinery stays silent";
-
   const auto obs = fired("src/serve/bad_obs.cpp");
   EXPECT_TRUE(has(obs, 8, "determinism-chrono")) << "#include <chrono>";
   EXPECT_TRUE(has(obs, 11, "determinism-chrono")) << "steady_clock::now()";
@@ -200,15 +190,7 @@ TEST(RrpLint, ObservabilityPlaneWhitelistBoundaries) {
   EXPECT_EQ(obs.size(), 4u);
 
   // The contract holds for the real translation units, not just the
-  // fixture names.
-  EXPECT_FALSE(rrp::lint::lint_file("src/util/wprof.cpp",
-                                    "std::chrono::steady_clock::now();\n")
-                   .empty());
-  EXPECT_TRUE(
-      rrp::lint::lint_file("src/util/wprof.cpp", "std::mutex m;\n").empty());
-  EXPECT_FALSE(
-      rrp::lint::lint_file("src/util/wprof.cpp", "#include <random>\n")
-          .empty());
+  // fixture name.
   EXPECT_FALSE(rrp::lint::lint_file("src/core/metrics_export.cpp",
                                     "#include <chrono>\n")
                    .empty());

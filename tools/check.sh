@@ -6,6 +6,9 @@
 # Runs, in order, everything a PR must pass:
 #   (a) normal build (-Wall -Wextra promoted to -Werror) + full ctest
 #       — which already includes `ctest -L lint` via the rrp_lint test;
+#   (a') configure + build of the perfbench/ package (no run): it
+#       compiles ../src itself and reaches into the frame engine's public
+#       surface, so a src/ refactor that breaks it fails here;
 #   (b) the lint label on its own, so a lint failure is called out, plus
 #       rrp_lint --self-test and a --json report parsed back through
 #       python3's json module (the machine-readable round-trip);
@@ -45,9 +48,10 @@
 #       the exact same suite (golden traces included), infer_into must
 #       stay allocation-free, and the frame-path pass must hold with the
 #       AVX2 TU out of the build.
-# Build trees are kept per-configuration (build-check, build-check-tsan,
-# build-check-ubsan, build-check-asan, build-check-cov, build-check-nosimd)
-# so re-runs are incremental.
+# Build trees are kept per-configuration (build-check,
+# build-check-perfbench, build-check-tsan, build-check-ubsan,
+# build-check-asan, build-check-cov, build-check-nosimd) so re-runs are
+# incremental.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,6 +63,10 @@ step "(a) build -Werror + full ctest"
 cmake -B build-check -S . -DRRP_WERROR=ON
 cmake --build build-check -j "$JOBS"
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
+
+step "(a') perfbench build (configure + build only)"
+cmake -S perfbench -B build-check-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-check-perfbench -j "$JOBS"
 
 step "(b) static analysis (ctest -L lint + rrp_lint --json)"
 ctest --test-dir build-check --output-on-failure -L lint

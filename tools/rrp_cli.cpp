@@ -75,9 +75,9 @@
 //        --deadline MS   per-frame deadline (default 12.0)
 //        --out FILE      also write the report to FILE
 //        --report-json F machine-readable report (schema-versioned JSON)
-//        --wall 1        enable the measured wall-clock channel: per-frame
-//                        infer wall times plus the util/wprof sampling
-//                        profiler (per-level/per-tick spans, printed after
+//        --wall 1        enable the measured wall-clock channel: the run's
+//                        wall seconds and a per-level infer profile folded
+//                        from each stream's RunResult::wall (printed after
 //                        the report; never gated, never deterministic)
 //        --snapshot-every K  capture a fleet snapshot every K ticks
 //        --snapshot-out BASE write BASE_tick<N>.json / .prom per snapshot
@@ -153,8 +153,8 @@
 #include "util/csv.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 #include "util/trace.h"
-#include "util/wprof.h"
 
 using namespace rrp;
 
@@ -835,22 +835,18 @@ int cmd_serve(models::ModelKind kind, const ServeCliOptions& opt) {
   }
 
   serve::ServeEngine engine(inputs, cfg);
-  if (opt.wall) {
-    wprof::reset();
-    wprof::set_enabled(true);
-  }
+  const Timer run_timer;
   const serve::ServeReport report = engine.run(specs);
-  if (opt.wall) wprof::set_enabled(false);
+  const double run_wall_s = run_timer.elapsed_s();
   serve::write_serve_report(report, std::cout);
   if (opt.wall) {
     // Measured wall-clock channel only: never part of the byte-identity
-    // contract, never consumed by gates or tests.
-    std::cout << "\nwall profile (measured; excluded from every gate):\n";
-    TableFormatter table({"span", "count", "total_ms", "mean_us", "max_us"});
-    for (const wprof::Stat& s : wprof::stats())
-      table.row({s.key, std::to_string(s.count), fmt(s.total_us / 1000.0, 3),
-                 fmt(s.mean_us(), 3), fmt(s.max_us, 3)});
-    table.print(std::cout);
+    // contract, never gated.
+    std::cout << "\nwall: " << fmt(run_wall_s, 6) << " s over "
+              << report.ticks << " ticks\n";
+    std::vector<serve::WallLevelStat> profile;
+    serve::fold_wall_profile(report, profile);
+    serve::write_wall_profile(profile, std::cout);
   }
   if (!opt.out.empty()) {
     if (!write_output_file(opt.out, [&](std::ostream& o) {

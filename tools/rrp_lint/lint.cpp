@@ -119,34 +119,22 @@ const char* const kChronoHeaders[] = {"chrono"};
 // the ambient-entropy rule (R1a) must keep applying to it.  A campaign that
 // touched std::random_device / rand() / wall clocks would stop replaying
 // byte-identically from its --seed.
-const char* const kRandomWhitelist[] = {"src/util/rng.", "src/util/timer.h",
-                                        "src/core/telemetry."};
-// wprof is thread-whitelisted for exactly one reason: its aggregation
-// map is guarded by a plain mutex (profiling happens on pool workers;
-// routing samples through the deterministic pool would perturb the very
-// schedule being measured).  That is the ONLY whitelist it sits on: it
-// reads time exclusively through the rrp::Timer facade, so R1a/R5 keep
-// applying to it — a direct chrono read or an ambient-entropy draw in
-// the profiler still fires (enforced by test_rrp_lint.cpp's
-// ObservabilityPlaneWhitelistBoundaries).
+const char* const kRandomWhitelist[] = {"src/util/rng.", "src/util/timer.h"};
+// The deterministic pool itself, and util/log's line mutex.
 const char* const kThreadWhitelist[] = {"src/util/thread_pool.",
-                                        "src/util/log.cpp",
-                                        "src/util/wprof."};
-// Timer facade, span tracer (optional wall capture), pool (timed waits)
-// and telemetry (already random-whitelisted for timestamps) may touch
-// chrono; every other module uses Timer or modeled time.  In particular
-// core/flight_recorder.* and core/slo.* must stay OFF this list: incident
-// bundles are byte-identical replay oracles, so a wall-clock timestamp in
-// a record would break the determinism contract (DESIGN.md §8; enforced
-// by test_rrp_lint.cpp's FlightRecorderStaysOffTheChronoWhitelist).
-// src/util/wprof.* (the wall-clock sampling profiler) is deliberately
-// ABSENT here too: its measured spans flow through the rrp::Timer facade
-// like everyone else's, so the only exemption it needs is the thread one
-// above.  core/metrics_export.* and serve/obs.* are on NO whitelist at
-// all — exposition and snapshots are pure functions of registry state.
+                                        "src/util/log.cpp"};
+// Timer facade, span tracer (optional wall capture) and pool (timed
+// waits) may touch chrono; every other module uses Timer or modeled time.
+// In particular core/flight_recorder.* and core/slo.* must stay OFF this
+// list: incident bundles are byte-identical replay oracles, so a
+// wall-clock timestamp in a record would break the determinism contract
+// (DESIGN.md §8; enforced by test_rrp_lint.cpp's
+// FlightRecorderStaysOffTheChronoWhitelist).  core/telemetry.* is off it
+// too (its records carry modeled time only), and core/metrics_export.*
+// and serve/obs.* are on NO whitelist at all — exposition and snapshots
+// are pure functions of registry state.
 const char* const kChronoWhitelist[] = {"src/util/timer.h", "src/util/trace.",
-                                        "src/util/thread_pool.",
-                                        "src/core/telemetry."};
+                                        "src/util/thread_pool."};
 
 bool whitelisted(const std::string& rel_path, const char* const* list,
                  std::size_t n) {
