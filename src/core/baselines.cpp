@@ -9,6 +9,14 @@
 #include "util/timer.h"
 
 namespace rrp::core {
+namespace {
+// Artifact-read retry: 4 tries in all, retry k (0-based) after a MODELED
+// backoff of 200 us * 2^k.  Modeled, not slept, so campaign results stay
+// bit-reproducible.
+constexpr int kReadAttempts = 4;
+constexpr double kBackoffBaseUs = 200.0;
+constexpr double kBackoffMult = 2.0;
+}  // namespace
 
 StaticProvider::StaticProvider(const nn::Network& net,
                                const prune::PruneLevelLibrary& levels,
@@ -92,10 +100,9 @@ nn::Tensor ReloadProvider::infer(const nn::Tensor& x) {
 
 nn::Network ReloadProvider::load_with_retry(int level, TransitionStats& stats) {
   std::string last_error;
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
     if (attempt > 0) {
-      stats.backoff_us +=
-          retry_.base_us * std::pow(retry_.mult, attempt - 1);
+      stats.backoff_us += kBackoffBaseUs * std::pow(kBackoffMult, attempt - 1);
       ++stats.read_retries;
     }
     try {
@@ -129,7 +136,7 @@ nn::Network ReloadProvider::load_with_retry(int level, TransitionStats& stats) {
   }
   throw SerializationError(
       name_ + ": artifact for level " + std::to_string(level) +
-      " unreadable after " + std::to_string(retry_.max_attempts) +
+      " unreadable after " + std::to_string(kReadAttempts) +
       " attempts — " + last_error);
 }
 

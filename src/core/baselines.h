@@ -51,17 +51,6 @@ class ReloadProvider : public InferenceProvider {
  public:
   enum class Source { Memory, Disk };
 
-  /// Bounded retry-with-backoff for transient artifact-read failures.  A
-  /// deployed stack retries a flaky storage read rather than dying; the
-  /// backoff delay is MODELED (deterministic), not slept, so campaign
-  /// results stay bit-reproducible.  attempt k (0-based retry) waits
-  /// base_us * mult^k.
-  struct RetryPolicy {
-    int max_attempts = 4;      ///< total tries, including the first
-    double base_us = 200.0;    ///< modeled delay before the first retry
-    double mult = 2.0;         ///< exponential backoff factor
-  };
-
   /// Builds one serialized artifact per level from `net` + `levels`; each
   /// artifact embeds its level's calibrated BatchNorm statistics when
   /// `bn_states` is supplied (one per level).  With Source::Disk the blobs
@@ -93,20 +82,18 @@ class ReloadProvider : public InferenceProvider {
   /// The resident network (fault-injection target; see sim/faults.h).
   nn::Network& active_network() { return active_; }
 
-  void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
   /// FAULT-INJECTION HOOK: the next `n` artifact reads fail as if the
-  /// storage returned garbage; the retry loop absorbs up to
-  /// retry_policy().max_attempts - 1 of them per switch.
+  /// storage returned garbage; the retry loop absorbs up to three of them
+  /// per switch (see load_with_retry).
   void inject_read_failures(int n) { injected_read_failures_ = n; }
   int pending_read_failures() const { return injected_read_failures_; }
 
  private:
   std::string path_for(int level) const;
 
-  /// Loads `level`'s artifact with bounded retry; fills retry accounting
-  /// into `stats` and returns the deserialized network.  Throws
+  /// Loads `level`'s artifact with bounded retry-with-backoff (a deployed
+  /// stack retries a flaky storage read rather than dying); fills retry
+  /// accounting into `stats` and returns the deserialized network.  Throws
   /// rrp::SerializationError naming the artifact after the final attempt.
   nn::Network load_with_retry(int level, TransitionStats& stats);
 
@@ -116,7 +103,6 @@ class ReloadProvider : public InferenceProvider {
   std::vector<std::string> blobs_;  // kept even in Disk mode for sizing
   nn::Network active_;
   int current_level_ = 0;
-  RetryPolicy retry_;
   int injected_read_failures_ = 0;
 };
 

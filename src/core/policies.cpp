@@ -1,6 +1,7 @@
 #include "core/policies.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/checks.h"
 
@@ -156,6 +157,40 @@ int FixedPolicy::decide(const ControlInput& in, int current_level) {
   (void)in;
   (void)current_level;
   return level_;
+}
+
+int parse_policy_name(const std::string& name) {
+  if (name == "greedy") return -1;
+  const auto bad = [&name]() {
+    throw PreconditionError("unknown policy '" + name +
+                            "' (expected greedy or fixed<K>, K a decimal "
+                            "ladder level)");
+  };
+  if (name.rfind("fixed", 0) != 0 || name.size() == 5) bad();
+  int level = 0;
+  for (std::size_t i = 5; i < name.size(); ++i) {
+    const int digit = name[i] - '0';
+    // The bound keeps level * 10 + digit inside int.
+    if (digit < 0 || digit > 9 ||
+        level > (std::numeric_limits<int>::max() - digit) / 10)
+      bad();
+    level = level * 10 + digit;
+  }
+  return level;
+}
+
+std::unique_ptr<Policy> make_policy(const std::string& name,
+                                    const SafetyConfig& certified,
+                                    int hysteresis, int level_count) {
+  const int level = parse_policy_name(name);
+  if (level < 0)
+    return std::make_unique<CriticalityGreedyPolicy>(certified, hysteresis,
+                                                     level_count);
+  if (level >= level_count)
+    throw PreconditionError("policy '" + name + "': level " +
+                            std::to_string(level) + " outside a ladder of " +
+                            std::to_string(level_count) + " levels");
+  return std::make_unique<FixedPolicy>(level);
 }
 
 }  // namespace rrp::core

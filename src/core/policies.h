@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "core/safety_monitor.h"
 
@@ -133,5 +134,19 @@ class FixedPolicy : public Policy {
   std::string name_;
   int level_;
 };
+
+/// The closed-loop policy vocabulary every driver shares (serve streams,
+/// the fault and Monte-Carlo campaigns, the black box and the CLI):
+/// "greedy", or "fixed<K>" with K one or more decimal digits.  Returns K,
+/// or -1 for "greedy".  Anything else throws rrp::PreconditionError with a
+/// diagnostic that names the vocabulary.
+int parse_policy_name(const std::string& name);
+
+/// Builds the named policy: CriticalityGreedyPolicy(certified, hysteresis,
+/// level_count) for "greedy", FixedPolicy(K) for "fixed<K>".  Throws as
+/// parse_policy_name does, and when K >= level_count.
+std::unique_ptr<Policy> make_policy(const std::string& name,
+                                    const SafetyConfig& certified,
+                                    int hysteresis, int level_count);
 
 }  // namespace rrp::core

@@ -19,29 +19,6 @@ constexpr std::uint64_t kStreamSeedStride = 0x9E3779B97F4A7C15ull;
 constexpr std::uint64_t kNoiseSalt = 0x5DEECE66Dull;
 constexpr std::uint64_t kScenarioSalt = 0xA5C152EDB7E15133ull;
 
-// Same vocabulary as the campaign/fault drivers: "greedy" | "fixed<K>".
-std::unique_ptr<core::Policy> make_stream_policy(
-    const std::string& name, const core::SafetyConfig& certified,
-    int hysteresis, int level_count) {
-  if (name.rfind("fixed", 0) == 0 && name.size() > 5) {
-    int level = 0;
-    bool ok = true;
-    for (std::size_t i = 5; i < name.size(); ++i) {
-      ok = ok && name[i] >= '0' && name[i] <= '9';
-      if (ok) level = level * 10 + (name[i] - '0');
-    }
-    RRP_CHECK_MSG(ok, "bad fixed policy '" << name << "'");
-    RRP_CHECK_MSG(level < level_count,
-                  "fixed policy level " << level << " outside ladder of "
-                                        << level_count);
-    return std::make_unique<core::FixedPolicy>(level);
-  }
-  RRP_CHECK_MSG(name == "greedy",
-                "unknown stream policy '" << name << "' (greedy | fixed<K>)");
-  return std::make_unique<core::CriticalityGreedyPolicy>(certified, hysteresis,
-                                                         level_count);
-}
-
 std::string stream_name(const StreamSpec& spec, std::size_t index) {
   return spec.name.empty() ? "stream" + std::to_string(index) : spec.name;
 }
@@ -218,7 +195,7 @@ std::unique_ptr<ServeEngine::ActiveStream> ServeEngine::admit_stream(
   s->scenario = sim::make_suite_or_dsl(
       spec.scenario, spec.frames, stream_scenario_seed(config_.seed, spec_index));
   s->view = std::make_unique<core::CompactedLadderView>(*shared_);
-  s->policy = std::make_unique<FloorPolicy>(make_stream_policy(
+  s->policy = std::make_unique<FloorPolicy>(core::make_policy(
       spec.policy, certified_, spec.hysteresis, shared_->level_count()));
   s->monitor = std::make_unique<core::SafetyMonitor>(certified_);
   s->controller = std::make_unique<core::RuntimeController>(

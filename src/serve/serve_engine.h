@@ -59,15 +59,10 @@ struct StreamSpec {
   std::uint64_t seed = 0;  ///< sensor-noise seed; 0: split from engine seed
 };
 
-/// Everything the engine needs about the one provisioned model it serves
-/// (mirrors sim::CampaignInputs; the network is snapshotted at
-/// construction and never mutated by streams).
-struct ServeInputs {
-  nn::Network* net = nullptr;
-  const prune::PruneLevelLibrary* levels = nullptr;
-  std::vector<core::BnState> bn_states;
-  core::SafetyConfig certified;
-};
+/// Everything the engine needs about the one provisioned model it serves:
+/// the same model-inputs type the campaigns and the black box take (the
+/// network is snapshotted at construction and never mutated by streams).
+using ServeInputs = sim::CampaignInputs;
 
 struct ServeConfig {
   std::uint64_t seed = 20240807;  ///< per-stream RNG splits derive from this

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
-#include <memory>
 #include <sstream>
 
-#include "core/controller.h"
-#include "core/integrity.h"
 #include "core/policies.h"
-#include "core/reversible_pruner.h"
-#include "sim/runner.h"
 #include "util/checks.h"
 #include "util/thread_pool.h"
 
@@ -26,35 +21,6 @@ QuantileSketch::Config sketch_config(double gamma) {
   QuantileSketch::Config cfg;
   cfg.gamma = gamma;
   return cfg;
-}
-
-/// Same vocabulary as the blackbox replayer: "greedy" or "fixed<K>".
-std::unique_ptr<core::Policy> cell_policy(const std::string& name,
-                                          const core::SafetyConfig& certified,
-                                          int hysteresis, int level_count) {
-  if (name.rfind("fixed", 0) == 0) {
-    int level = 0;
-    for (std::size_t i = 5; i < name.size(); ++i) {
-      RRP_CHECK_MSG(name[i] >= '0' && name[i] <= '9',
-                    "bad fixed policy spec '" << name << "'");
-      level = level * 10 + (name[i] - '0');
-    }
-    RRP_CHECK_MSG(level < level_count,
-                  "fixed policy level " << level << " outside ladder");
-    return std::make_unique<core::FixedPolicy>(level);
-  }
-  RRP_CHECK_MSG(name == "greedy",
-                "unknown campaign policy '" << name << "' (greedy|fixed<K>)");
-  return std::make_unique<core::CriticalityGreedyPolicy>(certified, hysteresis,
-                                                         level_count);
-}
-
-bool valid_policy_name(const std::string& name) {
-  if (name == "greedy") return true;
-  if (name.rfind("fixed", 0) != 0 || name.size() == 5) return false;
-  for (std::size_t i = 5; i < name.size(); ++i)
-    if (name[i] < '0' || name[i] > '9') return false;
-  return true;
 }
 
 /// Fixed-size per-cell result: everything the fold consumes.  Vectors are
@@ -82,43 +48,16 @@ struct CellResult {
 CellResult run_cell(const CampaignSpec& spec, const CampaignInputs& inputs,
                     std::int64_t index) {
   const CampaignCell cell = campaign_cell(spec, index);
-  const std::int64_t per_scenario =
-      static_cast<std::int64_t>(spec.policies.size()) * spec.replicates;
-  const ScenarioSpec& scenario_spec =
-      spec.scenarios[static_cast<std::size_t>(index / per_scenario)];
-
   // Faults corrupt weights (and possibly the golden store): every cell
   // works on a private clone, so in-flight cells never share state and the
-  // caller's network is untouched.
+  // caller's network is untouched.  The cell runs the very spec its
+  // worst-cell bundle records, through the black box's own run path.
   nn::Network net = inputs.net->clone();
-  core::ReversiblePruner rp(net, *inputs.levels);
-  if (!inputs.bn_states.empty()) rp.set_bn_states(inputs.bn_states);
-  core::IntegrityChecker checker(rp.store());
-
-  std::unique_ptr<core::Policy> policy = cell_policy(
-      cell.policy, inputs.certified, spec.hysteresis, rp.level_count());
+  ReversibleArm arm(net, inputs);
   core::SafetyMonitor monitor(inputs.certified);
-  core::RuntimeController controller(*policy, rp, &monitor);
-
-  FaultHarness harness;
-  harness.targets.live_net = &rp.network();
-  harness.targets.store = &rp.mutable_store();
-  harness.checker = &checker;
-  harness.levels = inputs.levels;
-
-  RunConfig rc;
-  rc.deadline_ms = spec.deadline_ms;
-  rc.sensing_delay_frames = spec.sensing_delay_frames;
-  rc.scrub_period_frames = spec.scrub_period_frames;
-  rc.watchdog_overrun_frames = spec.watchdog_overrun_frames;
-  rc.noise_seed = cell.noise_seed;
-  if (spec.faults_per_cell > 0)
-    rc.faults = FaultPlan::random_plan(cell.fault_seed, spec.frames,
-                                       spec.faults_per_cell, spec.mix);
-
-  const Scenario scenario =
-      generate_scenario(scenario_spec, spec.frames, cell.scenario_seed);
-  const RunResult run = run_scenario(scenario, controller, rc, &harness);
+  const RunResult run =
+      run_loop(blackbox_spec_for_cell(spec, cell, ""), arm.pruner,
+               arm.harness, monitor);
 
   CellResult res;
   res.slack = QuantileSketch(sketch_config(spec.sketch_gamma));
@@ -152,7 +91,7 @@ CellResult run_cell(const CampaignSpec& spec, const CampaignInputs& inputs,
   // before it (a scrub detects every divergence accumulated since the
   // previous scrub, so one recovery may consume several injections).
   std::vector<std::int64_t> pending;
-  for (const InjectedFault& f : harness.injected) {
+  for (const InjectedFault& f : arm.harness.injected) {
     if ((f.kind == FaultKind::WeightBitFlip ||
          f.kind == FaultKind::StoreBitFlip) &&
         f.applied) {
@@ -161,7 +100,7 @@ CellResult run_cell(const CampaignSpec& spec, const CampaignInputs& inputs,
     }
   }
   std::size_t next = 0;
-  for (const FaultHarness::Recovery& r : harness.recoveries) {
+  for (const FaultHarness::Recovery& r : arm.harness.recoveries) {
     while (next < pending.size() && pending[next] <= r.frame) {
       res.detect_latencies.push_back(
           static_cast<double>(r.frame - pending[next]));
@@ -323,8 +262,11 @@ CampaignSpec parse_campaign_spec(std::istream& in) {
       } else if (key == "block") {
         spec.block_cells = std::stoi(value);
       } else if (key == "policy") {
-        if (!valid_policy_name(value))
+        try {
+          core::parse_policy_name(value);
+        } catch (const PreconditionError&) {
           fail("bad policy '" + value + "' (greedy|fixed<K>)");
+        }
         spec.policies.push_back(value);
       } else if (key == "scenario") {
         if (value.find('=') == std::string::npos &&
@@ -372,8 +314,7 @@ CampaignAggregate run_campaign(const CampaignSpec& spec,
   RRP_CHECK(spec.frames > 0 && spec.replicates > 0);
   for (const ScenarioSpec& s : spec.scenarios)
     (void)encode_scenario_spec(s);  // validate up front
-  for (const std::string& p : spec.policies)
-    RRP_CHECK_MSG(valid_policy_name(p), "bad campaign policy '" << p << "'");
+  for (const std::string& p : spec.policies) core::parse_policy_name(p);
 
   const QuantileSketch::Config cfg = sketch_config(spec.sketch_gamma);
   CampaignAggregate agg;

@@ -5,8 +5,7 @@
 #include <memory>
 #include <ostream>
 
-#include "sim/runner.h"
-#include "sim/scenario_gen.h"
+#include "sim/incident_replay.h"
 #include "util/checks.h"
 #include "util/csv.h"
 #include "util/metrics.h"
@@ -249,29 +248,6 @@ const char* campaign_arm_name(CampaignArm arm) {
 
 namespace {
 
-std::unique_ptr<core::Policy> make_campaign_policy(
-    const std::string& name, const core::SafetyConfig& certified,
-    int hysteresis, int level_count) {
-  if (name.rfind("fixed", 0) == 0) {
-    int level = 0;
-    if (name.size() > 5) {
-      level = 0;
-      for (std::size_t i = 5; i < name.size(); ++i) {
-        RRP_CHECK_MSG(name[i] >= '0' && name[i] <= '9',
-                      "bad fixed policy spec '" << name << "'");
-        level = level * 10 + (name[i] - '0');
-      }
-    }
-    RRP_CHECK_MSG(level < level_count,
-                  "fixed policy level " << level << " outside ladder");
-    return std::make_unique<core::FixedPolicy>(level);
-  }
-  RRP_CHECK_MSG(name == "greedy",
-                "unknown campaign policy '" << name << "' (greedy|fixed<K>)");
-  return std::make_unique<core::CriticalityGreedyPolicy>(certified, hysteresis,
-                                                         level_count);
-}
-
 bool is_weight_fault(FaultKind k) {
   return k == FaultKind::WeightBitFlip || k == FaultKind::StoreBitFlip;
 }
@@ -310,33 +286,35 @@ FaultCampaignResult run_fault_campaign(const CampaignInputs& inputs,
     const std::string& suite = config.suites[s];
     const std::uint64_t suite_seed =
         config.seed + 0x1000ull * static_cast<std::uint64_t>(s);
-    const Scenario scenario =
-        make_suite_or_dsl(suite, config.frames, suite_seed);
-    // One plan per suite, shared by every arm: recovery numbers are paired.
-    const FaultPlan plan = FaultPlan::random_plan(
+    // One run spec per suite, fault plan included, shared by every arm:
+    // recovery numbers are paired.
+    BlackboxRunSpec run_spec;
+    run_spec.suite = suite;
+    run_spec.policy = config.policy;
+    run_spec.frames = config.frames;
+    run_spec.scenario_seed = suite_seed;
+    run_spec.noise_seed = suite_seed ^ 0x5DEECE66Dull;
+    run_spec.deadline_ms = config.deadline_ms;
+    run_spec.hysteresis = config.hysteresis;
+    run_spec.scrub_period_frames = config.scrub_period_frames;
+    run_spec.watchdog_overrun_frames = config.watchdog_overrun_frames;
+    run_spec.faults = FaultPlan::random_plan(
         suite_seed ^ 0x9E3779B97F4A7C15ull, config.frames,
         config.faults_per_run, config.mix);
 
     for (std::size_t a = 0; a < config.arms.size(); ++a) {
       const CampaignArm arm = config.arms[a];
-      FaultHarness harness;
-      std::unique_ptr<core::ReversiblePruner> reversible;
+      std::optional<ReversibleArm> reversible;
       std::unique_ptr<core::ReloadProvider> reload;
-      std::unique_ptr<core::IntegrityChecker> checker;
       std::vector<std::uint64_t> digests;
+      FaultHarness reload_harness;
       core::InferenceProvider* provider = nullptr;
+      FaultHarness* harness = &reload_harness;
 
       if (arm == CampaignArm::Reversible) {
-        reversible =
-            std::make_unique<core::ReversiblePruner>(*inputs.net, *inputs.levels);
-        if (!inputs.bn_states.empty())
-          reversible->set_bn_states(inputs.bn_states);
-        checker = std::make_unique<core::IntegrityChecker>(reversible->store());
-        harness.targets.live_net = &reversible->network();
-        harness.targets.store = &reversible->mutable_store();
-        harness.checker = checker.get();
-        harness.levels = inputs.levels;
-        provider = reversible.get();
+        reversible.emplace(*inputs.net, inputs);
+        provider = &reversible->pruner;
+        harness = &reversible->harness;
       } else {
         const auto source = arm == CampaignArm::ReloadMemory
                                 ? core::ReloadProvider::Source::Memory
@@ -345,33 +323,20 @@ FaultCampaignResult run_fault_campaign(const CampaignInputs& inputs,
             *inputs.net, *inputs.levels, source, config.artifact_dir,
             inputs.bn_states);
         digests = reload_level_digests(*reload);
-        harness.targets.live_net = &reload->active_network();
-        harness.targets.reload = reload.get();
-        harness.reload = reload.get();
-        harness.reload_digests = &digests;
+        reload_harness.targets.live_net = &reload->active_network();
+        reload_harness.targets.reload = reload.get();
+        reload_harness.reload = reload.get();
+        reload_harness.reload_digests = &digests;
         provider = reload.get();
       }
 
-      std::unique_ptr<core::Policy> policy = make_campaign_policy(
-          config.policy, inputs.certified, config.hysteresis,
-          provider->level_count());
       core::SafetyMonitor monitor(inputs.certified);
-      core::RuntimeController controller(*policy, *provider, &monitor);
-
-      RunConfig rc;
-      rc.deadline_ms = config.deadline_ms;
-      rc.faults = plan;
-      rc.scrub_period_frames = config.scrub_period_frames;
-      rc.self_heal = true;
-      rc.watchdog_overrun_frames = config.watchdog_overrun_frames;
-      rc.noise_seed = suite_seed ^ 0x5DEECE66Dull;
-
       RRP_SPAN_VAR(run_span, "faults.run");
-      const RunResult run = run_scenario(scenario, controller, rc, &harness);
+      const RunResult run = run_loop(run_spec, *provider, *harness, monitor);
       run_span.add_items(
-          static_cast<std::int64_t>(harness.injected.size()));
+          static_cast<std::int64_t>(harness->injected.size()));
 
-      for (const InjectedFault& inj : harness.injected) {
+      for (const InjectedFault& inj : harness->injected) {
         FaultOutcome row;
         row.suite = suite;
         row.provider = run.provider;
@@ -401,7 +366,7 @@ FaultCampaignResult run_fault_campaign(const CampaignInputs& inputs,
           if (hit != nullptr) {
             row.detect_frame = hit->frame;
             row.detect_latency_frames = hit->frame - inj.frame;
-            for (const FaultHarness::Recovery& rcv : harness.recoveries) {
+            for (const FaultHarness::Recovery& rcv : harness->recoveries) {
               if (rcv.frame < row.detect_frame) continue;
               row.recovery_mechanism = rcv.mechanism;
               row.recovery_elements = rcv.elements;
@@ -440,7 +405,6 @@ FaultCampaignResult run_fault_campaign(const CampaignInputs& inputs,
 
       // Destroy the provider (its destructor restores into *inputs.net),
       // then re-baseline from the pristine snapshot.
-      checker.reset();
       reversible.reset();
       reload.reset();
       pristine.restore_all(*inputs.net);

@@ -28,9 +28,7 @@
 
 namespace rrp::sim {
 
-/// Every fault the campaign framework can schedule.  SensorBlackout is the
-/// scheduled form of the legacy `RunConfig::sensor_blackout_prob` knob
-/// (which remains as per-frame Bernoulli sugar over the same effect).
+/// Every fault the campaign framework can schedule.
 enum class FaultKind : int {
   SensorBlackout = 0,   ///< camera frame lost (empty road) for a burst
   WeightBitFlip = 1,    ///< SEU in a live network weight
@@ -243,8 +241,10 @@ struct FaultCampaignResult {
   std::vector<std::pair<std::string, FaultCampaignSummary>> summaries;
 };
 
-/// Everything the campaign needs about one provisioned model.  The network
-/// is mutated during runs (faults!) but restored between arms.
+/// Everything a closed-loop driver needs about one provisioned model: the
+/// fault and Monte-Carlo campaigns, the black box and (as
+/// serve::ServeInputs) the serve engine.  The network is mutated during
+/// fault runs but restored between arms.
 struct CampaignInputs {
   nn::Network* net = nullptr;
   const prune::PruneLevelLibrary* levels = nullptr;

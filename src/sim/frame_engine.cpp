@@ -45,8 +45,6 @@ FrameEngine::FrameEngine(const RunConfig& config,
   if (stream_domain != nullptr)
     stream_frames_ctr_ = &stream_domain->counter("serve.stream.frames");
   RRP_CHECK(config_.sensing_delay_frames >= 0);
-  RRP_CHECK(config_.sensor_blackout_prob >= 0.0 &&
-            config_.sensor_blackout_prob <= 1.0);
   RRP_CHECK(config_.scrub_period_frames >= 0);
   RRP_CHECK(config_.watchdog_overrun_frames >= 0);
 }
@@ -159,19 +157,16 @@ void FrameEngine::step(StreamState& s) const {
   }
 
   // Perceive: render the sensor frame (maybe lost) and run inference.
-  const bool blackout = (config.sensor_blackout_prob > 0.0 &&
-                         s.noise.bernoulli(config.sensor_blackout_prob)) ||
-                        faults.blackout;
   // A blackout renders an empty road (noise only): the scene without its
   // actors (an empty vector owns no storage), built only then, so a
   // normal frame copies nothing.
   Scene empty_road;
-  if (blackout)
+  if (faults.blackout)
     empty_road = Scene{scene.time_s, scene.ego_speed_mps, scene.visibility, {}};
   {
     RRP_SPAN("render");
     // Straight into the stream's batch-1 input tensor.
-    render_into(blackout ? empty_road : scene, config.vision, s.noise,
+    render_into(faults.blackout ? empty_road : scene, config.vision, s.noise,
                 s.input.raw(), s.draw_order);
   }
   double infer_wall_us = 0.0;

@@ -15,26 +15,6 @@
 namespace rrp::sim {
 namespace {
 
-std::unique_ptr<core::Policy> blackbox_policy(const std::string& name,
-                                              const core::SafetyConfig& certified,
-                                              int hysteresis, int level_count) {
-  if (name.rfind("fixed", 0) == 0) {
-    int level = 0;
-    for (std::size_t i = 5; i < name.size(); ++i) {
-      RRP_CHECK_MSG(name[i] >= '0' && name[i] <= '9',
-                    "bad fixed policy spec '" << name << "'");
-      level = level * 10 + (name[i] - '0');
-    }
-    RRP_CHECK_MSG(level < level_count,
-                  "fixed policy level " << level << " outside ladder");
-    return std::make_unique<core::FixedPolicy>(level);
-  }
-  RRP_CHECK_MSG(name == "greedy",
-                "unknown blackbox policy '" << name << "' (greedy|fixed<K>)");
-  return std::make_unique<core::CriticalityGreedyPolicy>(certified, hysteresis,
-                                                         level_count);
-}
-
 std::uint64_t telemetry_digest(const core::Telemetry& telemetry) {
   std::ostringstream os;
   telemetry.write_csv(os);
@@ -115,6 +95,42 @@ BlackboxRunSpec spec_from_bundle(const core::IncidentBundle& bundle) {
   return spec;
 }
 
+ReversibleArm::ReversibleArm(nn::Network& net, const CampaignInputs& inputs)
+    : pruner(net, *inputs.levels), checker(pruner.store()) {
+  if (!inputs.bn_states.empty()) pruner.set_bn_states(inputs.bn_states);
+  harness.targets.live_net = &pruner.network();
+  harness.targets.store = &pruner.mutable_store();
+  harness.checker = &checker;
+  harness.levels = inputs.levels;
+}
+
+RunResult run_loop(const BlackboxRunSpec& spec,
+                   core::InferenceProvider& provider, FaultHarness& harness,
+                   core::SafetyMonitor& monitor,
+                   core::FlightRecorder* recorder, core::SloMonitor* slo) {
+  const std::unique_ptr<core::Policy> policy =
+      core::make_policy(spec.policy, monitor.config(), spec.hysteresis,
+                        provider.level_count());
+  core::RuntimeController controller(*policy, provider, &monitor);
+
+  RunConfig rc;
+  rc.deadline_ms = spec.deadline_ms;
+  rc.sensing_delay_frames = spec.sensing_delay_frames;
+  rc.faults = spec.faults;
+  rc.scrub_period_frames = spec.scrub_period_frames;
+  rc.self_heal = spec.self_heal;
+  rc.watchdog_overrun_frames = spec.watchdog_overrun_frames;
+  rc.noise_seed = spec.noise_seed;
+  rc.flight_recorder = recorder;
+  rc.slo = slo;
+
+  // Built-in names and "dsl:<line>" strings resolve alike, so a campaign
+  // worst-cell bundle replays with no side-channel files.
+  const Scenario scenario =
+      make_suite_or_dsl(spec.suite, spec.frames, spec.scenario_seed);
+  return run_scenario(scenario, controller, rc, &harness);
+}
+
 BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
                                const CampaignInputs& inputs) {
   RRP_CHECK_MSG(inputs.net != nullptr && inputs.levels != nullptr,
@@ -133,37 +149,9 @@ BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
   core::FlightRecorder recorder(spec.recorder_capacity);
   core::SloMonitor slo(spec.slos.empty() ? core::standard_slos() : spec.slos);
   {
-    core::ReversiblePruner rp(*inputs.net, *inputs.levels);
-    if (!inputs.bn_states.empty()) rp.set_bn_states(inputs.bn_states);
-    core::IntegrityChecker checker(rp.store());
-
-    std::unique_ptr<core::Policy> policy = blackbox_policy(
-        spec.policy, inputs.certified, spec.hysteresis, rp.level_count());
+    ReversibleArm arm(*inputs.net, inputs);
     core::SafetyMonitor monitor(inputs.certified);
-    core::RuntimeController controller(*policy, rp, &monitor);
-
-    FaultHarness harness;
-    harness.targets.live_net = &rp.network();
-    harness.targets.store = &rp.mutable_store();
-    harness.checker = &checker;
-    harness.levels = inputs.levels;
-
-    RunConfig rc;
-    rc.deadline_ms = spec.deadline_ms;
-    rc.sensing_delay_frames = spec.sensing_delay_frames;
-    rc.faults = spec.faults;
-    rc.scrub_period_frames = spec.scrub_period_frames;
-    rc.self_heal = spec.self_heal;
-    rc.watchdog_overrun_frames = spec.watchdog_overrun_frames;
-    rc.noise_seed = spec.noise_seed;
-    rc.flight_recorder = &recorder;
-    rc.slo = &slo;
-
-    // Built-in names and "dsl:<line>" strings resolve alike, so a campaign
-    // worst-cell bundle replays with no side-channel files.
-    const Scenario scenario =
-        make_suite_or_dsl(spec.suite, spec.frames, spec.scenario_seed);
-    out.run = run_scenario(scenario, controller, rc, &harness);
+    out.run = run_loop(spec, arm.pruner, arm.harness, monitor, &recorder, &slo);
   }
   pristine.restore_all(*inputs.net);
 

@@ -49,6 +49,34 @@ struct BlackboxRunSpec {
   std::vector<core::SloSpec> slos;  ///< empty -> core::standard_slos()
 };
 
+/// The reversible arm every fault-aware driver runs: a ReversiblePruner
+/// over `net` with the inputs' switchable BN states, an IntegrityChecker
+/// over its golden store, and a harness wired to both (weight and store
+/// flips land there; the scrub self-heals in O(Δ)).  Pinned in place: the
+/// harness points into the arm.
+struct ReversibleArm {
+  ReversibleArm(nn::Network& net, const CampaignInputs& inputs);
+  ReversibleArm(const ReversibleArm&) = delete;
+  ReversibleArm& operator=(const ReversibleArm&) = delete;
+
+  core::ReversiblePruner pruner;
+  core::IntegrityChecker checker;
+  FaultHarness harness;
+};
+
+/// The one closed-loop run path of the fault campaign's arms, the
+/// Monte-Carlo campaign's cells and the black box: builds spec.policy
+/// (core::make_policy), a RuntimeController screening through `monitor`,
+/// the RunConfig and scenario the spec names, and runs the loop over
+/// `provider` with `harness`.  `recorder` and `slo` are the black box's
+/// optional hooks.  A campaign cell replays through run_blackbox because
+/// both go through this function.
+RunResult run_loop(const BlackboxRunSpec& spec,
+                   core::InferenceProvider& provider, FaultHarness& harness,
+                   core::SafetyMonitor& monitor,
+                   core::FlightRecorder* recorder = nullptr,
+                   core::SloMonitor* slo = nullptr);
+
 /// Reconstructs the spec a bundle was recorded with.
 BlackboxRunSpec spec_from_bundle(const core::IncidentBundle& bundle);
 

@@ -40,14 +40,10 @@ struct RunConfig {
   /// Whole-scenario energy budget; 0 disables the budget signal (the
   /// controller then always sees energy_budget_frac == 1).
   double energy_budget_mj = 0.0;
-  /// Sensor fault injection: per-frame probability that the camera frame
-  /// is lost (rendered as an empty road).  Ground truth is unchanged, so
-  /// blackout frames with an actor present count as missed detections —
-  /// the fault-tolerance experiments use this to stress the loop.  This is
-  /// per-frame Bernoulli sugar over FaultKind::SensorBlackout; scheduled
-  /// blackout bursts go in `faults`.
-  double sensor_blackout_prob = 0.0;
   /// Seeded fault schedule applied at frame boundaries (see sim/faults.h).
+  /// A SensorBlackout burst renders its frames as an empty road; ground
+  /// truth is unchanged, so blackout frames with an actor present count as
+  /// missed detections.
   /// Weight/store/artifact faults additionally need a FaultHarness passed
   /// to run_scenario; the sensor/timing kinds work with the plan alone.
   FaultPlan faults;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/policies.h"
+#include "nn/init.h"
+#include "serve/serve_engine.h"
+#include "sim/campaign.h"
 #include "util/checks.h"
 
 namespace rrp::core {
@@ -160,6 +165,86 @@ TEST(Policies, ValidateConstruction) {
   EXPECT_THROW(HybridPolicy(certified(), flat_profile(), 0),
                PreconditionError);
   EXPECT_THROW(FixedPolicy(-1), PreconditionError);
+}
+
+// One vocabulary for every driver: "greedy" or "fixed<K>", K decimal
+// digits naming a level of the ladder; everything else is refused.
+TEST(PolicyVocabulary, MakePolicyAcceptsOnlyGreedyAndLadderLevels) {
+  for (int k = 0; k < kLevels; ++k) {
+    const std::unique_ptr<Policy> p = make_policy(
+        "fixed" + std::to_string(k), certified(), /*hysteresis=*/3, kLevels);
+    EXPECT_EQ(p->name(), "fixed-L" + std::to_string(k));
+    EXPECT_EQ(p->decide(input_at(CriticalityClass::Critical), 0), k);
+  }
+  EXPECT_EQ(make_policy("greedy", certified(), 3, kLevels)->name(),
+            "criticality-greedy");
+
+  const char* const rejected[] = {
+      "",       "fixed",  "fixed2x", "fixed-1", "fixedL",
+      "Greedy", "fixed5", " greedy", "fixed 1",
+      "fixed99999999999",  // each old hand-written loop overflowed int here
+  };
+  for (const char* name : rejected)
+    EXPECT_THROW(make_policy(name, certified(), 3, kLevels), PreconditionError)
+        << "'" << name << "'";
+  // Syntax alone: fixed5 is well-formed, only outside a 5-level ladder.
+  EXPECT_EQ(parse_policy_name("fixed5"), 5);
+  EXPECT_EQ(parse_policy_name("greedy"), -1);
+  EXPECT_THROW(parse_policy_name("fixed"), PreconditionError);
+}
+
+TEST(PolicyVocabulary, EveryDriverRejectsBareFixed) {
+  const sim::VisionTaskConfig vision;
+  nn::Network net("vocab-net");
+  net.emplace<nn::Conv2D>("conv1", 1, 4, 3, 1, 1);
+  net.emplace<nn::ReLU>("relu1");
+  net.emplace<nn::MaxPool>("pool1", 4, 4);
+  net.emplace<nn::Flatten>("flatten");
+  net.emplace<nn::Linear>("head", 4 * 4 * 4, sim::kNumClasses)
+      .set_out_prunable(false);
+  Rng rng(3);
+  nn::init_network(net, rng);
+  const auto lib = prune::PruneLevelLibrary::build_structured(
+      net, {0.0, 0.5}, sim::input_shape(vision));
+  sim::CampaignInputs inputs;
+  inputs.net = &net;
+  inputs.levels = &lib;
+
+  // Each driver refuses the name itself, not some other part of the run.
+  const auto refusal = [](auto&& run) -> std::string {
+    try {
+      run();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string named = "policy 'fixed'";
+
+  serve::StreamSpec stream;
+  stream.policy = "fixed";
+  stream.frames = 4;
+  serve::ServeEngine engine(inputs, {});
+  EXPECT_NE(refusal([&] { engine.run({stream}); }).find(named),
+            std::string::npos);
+
+  sim::FaultCampaignConfig faults;
+  faults.policy = "fixed";
+  faults.frames = 4;
+  faults.suites = {"cut_in"};
+  faults.arms = {sim::CampaignArm::Reversible};
+  EXPECT_NE(refusal([&] { sim::run_fault_campaign(inputs, faults); })
+                .find(named),
+            std::string::npos);
+
+  std::istringstream spec("scenario cut_in\npolicy fixed\n");
+  EXPECT_THROW(sim::parse_campaign_spec(spec), SerializationError);
+
+  sim::BlackboxRunSpec blackbox;
+  blackbox.policy = "fixed";
+  blackbox.frames = 4;
+  EXPECT_NE(refusal([&] { sim::run_blackbox(blackbox, inputs); }).find(named),
+            std::string::npos);
 }
 
 }  // namespace

@@ -317,6 +317,29 @@ int cmd_sensitivity(models::ModelKind kind) {
   return 0;
 }
 
+/// Every closed-loop command checks --policy against the shared
+/// greedy|fixed<K> vocabulary (core::parse_policy_name) before it touches
+/// the model cache; false after printing the diagnostic.
+bool known_policy(const std::string& name) {
+  try {
+    core::parse_policy_name(name);
+    return true;
+  } catch (const PreconditionError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return false;
+  }
+}
+
+/// The model inputs every closed-loop driver takes, with the default
+/// certified ladder.
+sim::CampaignInputs model_inputs(models::ProvisionedModel& pm) {
+  sim::CampaignInputs inputs;
+  inputs.net = &pm.net;
+  inputs.levels = &pm.levels;
+  inputs.bn_states = pm.bn_states;
+  return inputs;
+}
+
 /// run and trace accept the shared scenario vocabulary of
 /// sim::make_suite_or_dsl: a built-in scenario name or a dsl:<line> spec.
 bool known_suite(const std::string& suite) {
@@ -339,6 +362,9 @@ int cmd_run(models::ModelKind kind, const std::string& suite, int frames,
             std::uint64_t seed, const std::string& policy_name,
             int hysteresis, const RunOutputs& io) {
   if (io.trace_in.empty() && !known_suite(suite)) return 2;
+  if (policy_name != "hybrid" && policy_name != "oracle" &&
+      !known_policy(policy_name))
+    return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
 
@@ -350,18 +376,14 @@ int cmd_run(models::ModelKind kind, const std::string& suite, int frames,
     std::cout << "trace written to " << io.trace_out << "\n";
   }
 
-  core::SafetyConfig certified;
-  certified.max_level_for = {4, 3, 1, 0};
+  const core::SafetyConfig certified;
   sim::RunConfig cfg;
   cfg.deadline_ms = 12.0;
   cfg.noise_seed = seed ^ 0xC0FFEEull;
 
   core::ReversiblePruner provider = pm.make_pruner();
   std::unique_ptr<core::Policy> policy;
-  if (policy_name == "greedy") {
-    policy = std::make_unique<core::CriticalityGreedyPolicy>(
-        certified, hysteresis, provider.level_count());
-  } else if (policy_name == "hybrid") {
+  if (policy_name == "hybrid") {
     const sim::PlatformModel platform(cfg.platform);
     const core::LevelProfile prof = sim::profile_levels(
         provider, platform, pm.eval_data, models::zoo_input_shape());
@@ -369,12 +391,9 @@ int cmd_run(models::ModelKind kind, const std::string& suite, int frames,
   } else if (policy_name == "oracle") {
     policy = std::make_unique<core::OraclePolicy>(
         certified, sim::criticality_trace(scenario, cfg.criticality), 15);
-  } else if (policy_name.rfind("fixed", 0) == 0) {
-    policy = std::make_unique<core::FixedPolicy>(
-        std::stoi(policy_name.substr(5)));
   } else {
-    std::cerr << "unknown policy '" << policy_name << "'\n";
-    return 2;
+    policy = core::make_policy(policy_name, certified, hysteresis,
+                               provider.level_count());
   }
 
   core::SafetyMonitor monitor(certified);
@@ -432,30 +451,19 @@ struct TraceOutputs {
 int cmd_trace(models::ModelKind kind, const std::string& suite, int frames,
               std::uint64_t seed, const std::string& policy_name,
               const TraceOutputs& io) {
-  if (!known_suite(suite)) return 2;
+  if (!known_suite(suite) || !known_policy(policy_name)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
   const sim::Scenario scenario = sim::make_suite_or_dsl(suite, frames, seed);
 
-  core::SafetyConfig certified;
-  certified.max_level_for = {4, 3, 1, 0};
+  const core::SafetyConfig certified;
   sim::RunConfig cfg;
   cfg.deadline_ms = 12.0;
   cfg.noise_seed = seed ^ 0xC0FFEEull;
 
   core::ReversiblePruner provider = pm.make_pruner();
-  std::unique_ptr<core::Policy> policy;
-  if (policy_name == "greedy") {
-    policy = std::make_unique<core::CriticalityGreedyPolicy>(
-        certified, 6, provider.level_count());
-  } else if (policy_name.rfind("fixed", 0) == 0) {
-    policy = std::make_unique<core::FixedPolicy>(
-        std::stoi(policy_name.substr(5)));
-  } else {
-    std::cerr << "unknown policy '" << policy_name
-              << "' (trace supports greedy|fixed<K>)\n";
-    return 2;
-  }
+  const std::unique_ptr<core::Policy> policy = core::make_policy(
+      policy_name, certified, /*hysteresis=*/6, provider.level_count());
 
   core::SafetyMonitor monitor(certified);
   core::RuntimeController controller(*policy, provider, &monitor);
@@ -563,17 +571,11 @@ bool parse_fault_kinds(const std::string& value, sim::FaultMix& mix) {
 
 int cmd_faults(models::ModelKind kind, const sim::FaultCampaignConfig& config,
                const std::string& csv_path) {
+  if (!known_policy(config.policy)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
-
-  sim::CampaignInputs inputs;
-  inputs.net = &pm.net;
-  inputs.levels = &pm.levels;
-  inputs.bn_states = pm.bn_states;
-  inputs.certified.max_level_for = {4, 3, 1, 0};
-
   const sim::FaultCampaignResult result =
-      sim::run_fault_campaign(inputs, config);
+      sim::run_fault_campaign(model_inputs(pm), config);
 
   // Default output is the streaming aggregator: per-arm counters plus
   // mergeable quantile sketches of detection latency / recovery cost.
@@ -608,15 +610,6 @@ struct BlackboxDumpOptions {
   std::string out;  ///< basename; empty -> blackbox_<model>_<suite>
 };
 
-sim::CampaignInputs blackbox_inputs(models::ProvisionedModel& pm) {
-  sim::CampaignInputs inputs;
-  inputs.net = &pm.net;
-  inputs.levels = &pm.levels;
-  inputs.bn_states = pm.bn_states;
-  inputs.certified.max_level_for = {4, 3, 1, 0};
-  return inputs;
-}
-
 void print_incidents(const core::IncidentBundle& bundle) {
   for (const core::Incident& inc : bundle.incidents)
     std::cout << "incident frame=" << inc.frame << " id=" << inc.slo_id
@@ -630,9 +623,9 @@ void print_incidents(const core::IncidentBundle& bundle) {
 
 int cmd_blackbox_dump(models::ModelKind kind, const std::string& suite,
                       const BlackboxDumpOptions& opt) {
+  if (!known_policy(opt.policy)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
-  sim::CampaignInputs inputs = blackbox_inputs(pm);
 
   sim::BlackboxRunSpec spec;
   spec.model = models::model_kind_name(kind);
@@ -651,7 +644,8 @@ int cmd_blackbox_dump(models::ModelKind kind, const std::string& suite,
     spec.faults = sim::FaultPlan::random_plan(opt.seed ^ 0x9E3779B97F4A7C15ull,
                                               opt.frames, opt.faults);
 
-  const sim::BlackboxRunResult res = sim::run_blackbox(spec, inputs);
+  const sim::BlackboxRunResult res =
+      sim::run_blackbox(spec, model_inputs(pm));
 
   const core::RunSummary& s = res.run.summary;
   TableFormatter table({"metric", "value"});
@@ -709,9 +703,7 @@ int cmd_blackbox_replay(const std::string& path) {
   if (!kind) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(*kind, {}, {}, cache_dir());
-  sim::CampaignInputs inputs = blackbox_inputs(pm);
-
-  const sim::ReplayResult res = sim::replay_bundle(bundle, inputs);
+  const sim::ReplayResult res = sim::replay_bundle(bundle, model_inputs(pm));
   TableFormatter table({"check", "result"});
   table.row({"window records byte-identical",
              res.records_match ? "yes" : "NO"});
@@ -746,7 +738,7 @@ int cmd_campaign(models::ModelKind kind, const std::string& spec_path,
 
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
-  sim::CampaignInputs inputs = blackbox_inputs(pm);
+  const sim::CampaignInputs inputs = model_inputs(pm);
 
   const sim::CampaignAggregate agg = sim::run_campaign(spec, inputs);
   sim::write_campaign_report(spec, agg, std::cout);
@@ -801,14 +793,9 @@ struct ServeCliOptions {
 };
 
 int cmd_serve(models::ModelKind kind, const ServeCliOptions& opt) {
+  if (!known_policy(opt.policy)) return 2;
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
-
-  serve::ServeInputs inputs;
-  inputs.net = &pm.net;
-  inputs.levels = &pm.levels;
-  inputs.bn_states = pm.bn_states;
-  inputs.certified.max_level_for = {4, 3, 1, 0};
 
   serve::ServeConfig cfg;
   cfg.seed = opt.seed;
@@ -834,7 +821,7 @@ int cmd_serve(models::ModelKind kind, const ServeCliOptions& opt) {
     specs.push_back(std::move(spec));
   }
 
-  serve::ServeEngine engine(inputs, cfg);
+  serve::ServeEngine engine(model_inputs(pm), cfg);
   const Timer run_timer;
   const serve::ServeReport report = engine.run(specs);
   const double run_wall_s = run_timer.elapsed_s();
