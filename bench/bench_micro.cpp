@@ -19,6 +19,8 @@
 // (`wall_scrub_us`, timed round-robin with the level blocks).  Lenet's
 // compacted ladder rides along as `wall_infer_compact_us.lenet.l<k>`
 // (planned infer_into, outside the fit): its forward is mostly Linear.
+// `wall_render_us` is one sensor frame through sim::render_into at the
+// default 16x16 config, timed in the same round-robin.
 // The pool size the wall numbers ran at is recorded as `wall_threads`:
 // the masked and compacted rows move with it.
 #include <benchmark/benchmark.h>
@@ -35,6 +37,7 @@
 #include "core/reversible_pruner.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "sim/vision_task.h"
 #include "util/checks.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -313,6 +316,23 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
                       lenet_view.infer_into(x, lenet_out);
                       benchmark::DoNotOptimize(lenet_out.raw());
                     }});
+  // One sensor frame at the default 16x16 config through render_into, the
+  // render every frame runs before its inference.
+  const sim::VisionTaskConfig vision;
+  Rng scene_rng(7);
+  const sim::Scene scene = sim::random_scene(vision, scene_rng);
+  Rng noise_rng(11);
+  std::vector<float> frame(
+      static_cast<std::size_t>(vision.height) * vision.width);
+  std::vector<const sim::Actor*> draw_order;
+  draw_order.reserve(scene.actors.size());
+  const std::size_t render_job = jobs.size();
+  jobs.push_back({[] {},
+                  [&] {
+                    sim::render_into(scene, vision, noise_rng, frame.data(),
+                                     draw_order);
+                    benchmark::DoNotOptimize(frame.data());
+                  }});
   std::int64_t scrub_elements = 0;
   jobs.push_back({[&masked] { masked.set_level(0); },
                   [&] {
@@ -335,6 +355,8 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
     report.set_wall("wall_infer_compact_us.lenet.l" + std::to_string(k),
                     lenet_us.back(), "us");
   }
+  const double render_us = us[render_job];
+  report.set_wall("wall_render_us", render_us, "us");
   const double scrub_us = us.back();
   report.set_wall("wall_scrub_us", scrub_us, "us");
   const int threads = ThreadPool::global_thread_count();
@@ -409,6 +431,9 @@ void emit_wall_metrics(bench::BenchReport& report, const WallRecipe& recipe,
     for (std::size_t k = 0; k < lenet_us.size(); ++k)
       std::printf(" l%zu %.1f", k, lenet_us[k]);
     std::printf("\n");
+    std::printf("sensor frame render_into (%dx%d, the frame before each "
+                "infer): %.2f us\n",
+                vision.height, vision.width, render_us);
     std::printf("clean integrity scrub of the masked arm (l0, %lld "
                 "elements): %.1f us\n",
                 static_cast<long long>(scrub_elements), scrub_us);

@@ -340,14 +340,6 @@ std::int64_t count_nonzero_reference(const float* x, std::int64_t n) {
 // dispatch
 // ---------------------------------------------------------------------------
 
-bool avx2_usable() {
-#if defined(RRP_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 GemmRowsFn active_gemm_rows() {
 #if defined(RRP_SIMD)
 #if defined(RRP_HAVE_AVX2)

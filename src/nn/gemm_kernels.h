@@ -56,6 +56,7 @@
 #include <cstdint>
 
 #include "nn/gemm.h"
+#include "util/cpu.h"
 
 namespace rrp::nn::kernels {
 
@@ -206,7 +207,7 @@ std::int64_t count_nonzero_avx2(const float* x, std::int64_t n);
 inline constexpr std::int64_t kTileRows = 4;
 
 /// True when the AVX2 kernels are compiled in AND the CPU supports AVX2.
-bool avx2_usable();
+using rrp::avx2_usable;
 
 /// The kernels the RRP_SIMD build configuration selects (resolved once per
 /// process; the choice never changes after the first call).

@@ -129,10 +129,19 @@ void render_into(const Scene& scene, const VisionTaskConfig& config,
   // Sensor noise, worse in poor visibility.
   const double sigma =
       config.base_noise * (1.6 - 0.6 * std::clamp(scene.visibility, 0.0, 1.0));
+  // Drawn a stack chunk at a time (Rng::normals: the bits and draw order
+  // of one rng.normal(0.0, sigma) per pixel), then added and clamped a
+  // vector at a time.
+  constexpr std::int64_t kNoiseChunk = 256;
+  float noise[kNoiseChunk];
   const std::int64_t pixels = static_cast<std::int64_t>(h) * w;
-  for (std::int64_t i = 0; i < pixels; ++i)
-    out[i] = std::clamp(out[i] + static_cast<float>(rng.normal(0.0, sigma)),
-                        0.0f, 2.0f);
+  for (std::int64_t i = 0; i < pixels; i += kNoiseChunk) {
+    const std::int64_t n = std::min(kNoiseChunk, pixels - i);
+    rng.normals(noise, static_cast<std::size_t>(n), 0.0, sigma);
+    float* px = out + i;
+    for (std::int64_t j = 0; j < n; ++j)
+      px[j] = std::clamp(px[j] + noise[j], 0.0f, 2.0f);
+  }
 }
 
 nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,

@@ -1,9 +1,12 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "util/checks.h"
+#include "util/cpu.h"
+#include "util/rng_kernels.h"
 
 namespace rrp {
 
@@ -73,17 +76,55 @@ double Rng::normal() {
     return cached_normal_;
   }
   // Box–Muller; u1 in (0,1] to keep log finite.
-  double u1 = 1.0 - uniform();
-  double u2 = uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
+  const double u1 = 1.0 - uniform();
+  const double u2 = uniform();
+  double c = 0.0;
+  rng_kernels::box_muller(u1, u2, c, cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return c;
 }
 
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
+}
+
+// rrp-frame-path: the batched normal draw render_into takes its noise from.
+void Rng::normals(float* out, std::size_t n, double mean, double stddev) {
+  // Pairs per kernel call: the uniforms and redo list live on the stack.
+  constexpr std::size_t kBlockPairs = 128;
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_)
+    out[i++] = static_cast<float>(normal(mean, stddev));
+  double u1[kBlockPairs], u2[kBlockPairs];
+  std::uint32_t redo[2 * kBlockPairs];
+  while (n - i >= 2) {
+    const std::size_t pairs = std::min((n - i) / 2, kBlockPairs);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      u1[p] = 1.0 - uniform();  // the order normal() draws them in
+      u2[p] = uniform();
+    }
+    float* block = out + i;
+#if defined(RRP_HAVE_AVX2)
+    const std::size_t redos =
+        rng_kernels::avx2_active()
+            ? rng_kernels::normals_avx2(u1, u2, pairs, mean, stddev, block,
+                                         redo)
+             : rng_kernels::normals_scalar(u1, u2, pairs, mean, stddev,
+                                           block, redo);
+#else
+    const std::size_t redos = rng_kernels::normals_scalar(
+        u1, u2, pairs, mean, stddev, block, redo);
+#endif
+    for (std::size_t k = 0; k < redos; ++k) {
+      const std::uint32_t j = redo[k];
+      double c = 0.0, s = 0.0;
+      rng_kernels::box_muller(u1[j / 2], u2[j / 2], c, s);
+      block[j] = static_cast<float>(mean + stddev * (j % 2 == 0 ? c : s));
+    }
+    i += 2 * pairs;
+  }
+  // An odd last draw leaves its pair's second variate cached.
+  if (i < n) out[i] = static_cast<float>(normal(mean, stddev));
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -115,5 +156,38 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 }
 
 Rng Rng::fork() { return Rng(next_u64() ^ 0xA5A5A5A55A5A5A5Aull); }
+
+namespace rng_kernels {
+
+void box_muller(double u1, double u2, double& c, double& s) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * u2;
+  s = r * std::sin(theta);
+  c = r * std::cos(theta);
+}
+
+// rrp-frame-path: the scalar noise kernel (rng_kernels.h contract).
+std::size_t normals_scalar(const double* u1, const double* u2,
+                           std::size_t pairs, double mean, double stddev,
+                           float* out, std::uint32_t* /*redo*/) {
+  for (std::size_t p = 0; p < pairs; ++p) {
+    double c = 0.0, s = 0.0;
+    box_muller(u1[p], u2[p], c, s);
+    out[2 * p] = static_cast<float>(mean + stddev * c);
+    out[2 * p + 1] = static_cast<float>(mean + stddev * s);
+  }
+  return 0;
+}
+
+bool avx2_active() {
+#if defined(RRP_SIMD)
+  static const bool active = avx2_usable();
+  return active;
+#else
+  return false;
+#endif
+}
+
+}  // namespace rng_kernels
 
 }  // namespace rrp

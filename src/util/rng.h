@@ -7,6 +7,7 @@
 // trivially portable (no <random> engine-implementation divergence).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,13 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// n float-rounded normals: out[i] holds, bit for bit,
+  /// static_cast<float>(normal(mean, stddev)) of the i-th of n such calls,
+  /// and the generator (state and cached variate) ends as those calls
+  /// leave it.  Pairs run through the AVX2 noise kernel when RRP_SIMD is on
+  /// and the CPU has AVX2 (util/rng_kernels.h); touches no heap.
+  void normals(float* out, std::size_t n, double mean, double stddev);
 
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);

@@ -124,6 +124,29 @@ TEST(CliThreadsFlag, StrictPositiveIntegerParse) {
   EXPECT_FALSE(parse_thread_count("99999999999999999999").has_value());
 }
 
+// Every numeric flag of rrp_cli goes through these (util/cli.h): "20x"
+// must be a diagnostic, not 20 frames.
+TEST(CliNumericFlags, StrictFullStringParses) {
+  EXPECT_EQ(parse_int("20"), 20);
+  EXPECT_EQ(parse_int("-3"), -3);
+  EXPECT_EQ(parse_int("0"), 0);
+  for (const char* bad : {"20x", "", " 20", "20 ", "+20", "2.0", "x20",
+                          "99999999999999999999", "0x10"})
+    EXPECT_FALSE(parse_int(bad).has_value()) << "'" << bad << "'";
+
+  EXPECT_EQ(parse_u64("20240325"), 20240325u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"-1", "18446744073709551616", "7s", "", "+7"})
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+
+  EXPECT_EQ(parse_double("2"), 2.0);
+  EXPECT_EQ(parse_double("-0.5"), -0.5);
+  EXPECT_EQ(parse_double("1e-3"), 1e-3);
+  for (const char* bad : {"2ms", "", " 2", "2 ", "+2", "nan", "inf", "-inf",
+                          "1e999", "1,5"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
+}
+
 // ---------------------------------------------------------------------------
 // The engine: same closed-loop fixture as test_campaign — a briefly
 // trained conv net on the vision geometry, 3-level structured ladder.

@@ -27,7 +27,9 @@
 #   (e') an AddressSanitizer build of the conv parity and liveness tests,
 #       the gemm_bt / Linear / effective-MAC tests (the AVX2 nonzero count
 #       included), the integrity digest / scrub / repair tests, the render
-#       parity tests (render_into writes a caller's raw buffer), the pool
+#       parity tests (render_into writes a caller's raw buffer), the
+#       batched-normal tests (the AVX2 noise kernel stores 8 floats per
+#       step into a caller's buffer and pads its tail on the stack), the pool
 #       handoff tests and the allocation-free inference and frame suite —
 #       the
 #       implicit-GEMM conv reads its B operand straight out of a padded
@@ -121,7 +123,7 @@ step "(e') AddressSanitizer conv/gemm_bt parity + integrity + allocation-free in
 cmake -B build-check-asan -S . -DRRP_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
 ./build-check-asan/tests/rrp_tests \
-  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*:RenderParity.*:ThreadPoolHandoff.*'
+  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*:RenderParity.*:RngNormals.*:ThreadPoolHandoff.*'
 ./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"

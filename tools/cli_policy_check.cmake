@@ -1,6 +1,8 @@
 # cli_policy_check.cmake — asserts that an rrp_cli command with a malformed
-# --policy exits 2 with the policy-vocabulary diagnostic and never touches
-# the model cache (the name is checked before any model is provisioned).
+# flag (a --policy outside the vocabulary, a number with trailing garbage,
+# a flag with no value) exits 2 with the expected diagnostic and never
+# touches the model cache (flags are checked before any model is
+# provisioned).
 #
 #   cmake -DRRP_CLI=<rrp_cli> -DCACHE=<scratch dir> -DCLI_ARGS="<args>"
 #         -DEXPECT=<regex> -P cli_policy_check.cmake

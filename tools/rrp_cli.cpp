@@ -133,6 +133,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/assurance_export.h"
 #include "core/flight_recorder.h"
@@ -163,6 +164,37 @@ namespace {
 std::string cache_dir() {
   const char* dir = std::getenv("RRP_CACHE_DIR");
   return dir != nullptr && *dir != '\0' ? dir : "cache";
+}
+
+/// A malformed command line: main prints the message and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The value after the flag at argv[i]; a flag with none is a UsageError.
+std::string flag_value(int argc, char** argv, int i) {
+  if (i + 1 >= argc)
+    throw UsageError(std::string(argv[i]) + " expects a value");
+  return argv[i + 1];
+}
+
+/// `value` parsed strictly (util/cli.h) for `flag`, or a UsageError.
+template <typename T>
+T number_flag(const std::optional<T>& parsed, const std::string& flag,
+              const std::string& value, const char* kind) {
+  if (!parsed)
+    throw UsageError(flag + " expects " + kind + ", got '" + value + "'");
+  return *parsed;
+}
+int int_flag(const std::string& flag, const std::string& value) {
+  return number_flag(parse_int(value), flag, value, "an integer");
+}
+std::uint64_t u64_flag(const std::string& flag, const std::string& value) {
+  return number_flag(parse_u64(value), flag, value,
+                     "an unsigned 64-bit integer");
+}
+double double_flag(const std::string& flag, const std::string& value) {
+  return number_flag(parse_double(value), flag, value, "a finite number");
 }
 
 /// Opens `path`, runs `emit`, flushes, and verifies the stream at every
@@ -1195,18 +1227,18 @@ int main(int argc, char** argv) {
       if (!kind) return 2;
       const std::string suite = argv[4];
       BlackboxDumpOptions opt;
-      for (int i = 5; i + 1 < argc; i += 2) {
+      for (int i = 5; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
-        if (flag == "--frames") opt.frames = std::stoi(value);
-        else if (flag == "--seed") opt.seed = std::stoull(value);
+        const std::string value = flag_value(argc, argv, i);
+        if (flag == "--frames") opt.frames = int_flag(flag, value);
+        else if (flag == "--seed") opt.seed = u64_flag(flag, value);
         else if (flag == "--policy") opt.policy = value;
-        else if (flag == "--hysteresis") opt.hysteresis = std::stoi(value);
-        else if (flag == "--faults") opt.faults = std::stoi(value);
-        else if (flag == "--scrub") opt.scrub = std::stoi(value);
-        else if (flag == "--watchdog") opt.watchdog = std::stoi(value);
-        else if (flag == "--deadline") opt.deadline_ms = std::stod(value);
-        else if (flag == "--capacity") opt.capacity = std::stoi(value);
+        else if (flag == "--hysteresis") opt.hysteresis = int_flag(flag, value);
+        else if (flag == "--faults") opt.faults = int_flag(flag, value);
+        else if (flag == "--scrub") opt.scrub = int_flag(flag, value);
+        else if (flag == "--watchdog") opt.watchdog = int_flag(flag, value);
+        else if (flag == "--deadline") opt.deadline_ms = double_flag(flag, value);
+        else if (flag == "--capacity") opt.capacity = int_flag(flag, value);
         else if (flag == "--trace") opt.trace = value != "0";
         else if (flag == "--out") opt.out = value;
         else if (flag == "--force") opt.force = value != "0";
@@ -1226,13 +1258,13 @@ int main(int argc, char** argv) {
       std::uint64_t seed = 20240325;
       std::string policy = "greedy";
       RunOutputs io;
-      for (int i = 4; i + 1 < argc; i += 2) {
+      for (int i = 4; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
-        if (flag == "--frames") frames = std::stoi(value);
-        else if (flag == "--seed") seed = std::stoull(value);
+        const std::string value = flag_value(argc, argv, i);
+        if (flag == "--frames") frames = int_flag(flag, value);
+        else if (flag == "--seed") seed = u64_flag(flag, value);
         else if (flag == "--policy") policy = value;
-        else if (flag == "--hysteresis") hysteresis = std::stoi(value);
+        else if (flag == "--hysteresis") hysteresis = int_flag(flag, value);
         else if (flag == "--csv") io.csv_path = value;
         else if (flag == "--trace") io.trace_in = value;
         else if (flag == "--export-trace") io.trace_out = value;
@@ -1253,11 +1285,11 @@ int main(int argc, char** argv) {
       std::uint64_t seed = 20240325;
       std::string policy = "greedy";
       TraceOutputs io;
-      for (int i = 4; i + 1 < argc; i += 2) {
+      for (int i = 4; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
-        if (flag == "--frames") frames = std::stoi(value);
-        else if (flag == "--seed") seed = std::stoull(value);
+        const std::string value = flag_value(argc, argv, i);
+        if (flag == "--frames") frames = int_flag(flag, value);
+        else if (flag == "--seed") seed = u64_flag(flag, value);
         else if (flag == "--policy") policy = value;
         else if (flag == "--json") io.json_path = value;
         else if (flag == "--spans") io.spans_path = value;
@@ -1277,12 +1309,12 @@ int main(int argc, char** argv) {
       sim::FaultCampaignConfig config;
       config.artifact_dir = cache_dir() + "/fault_artifacts";
       std::string csv_path;
-      for (int i = 3; i + 1 < argc; i += 2) {
+      for (int i = 3; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
-        if (flag == "--frames") config.frames = std::stoi(value);
-        else if (flag == "--seed") config.seed = std::stoull(value);
-        else if (flag == "--faults") config.faults_per_run = std::stoi(value);
+        const std::string value = flag_value(argc, argv, i);
+        if (flag == "--frames") config.frames = int_flag(flag, value);
+        else if (flag == "--seed") config.seed = u64_flag(flag, value);
+        else if (flag == "--faults") config.faults_per_run = int_flag(flag, value);
         else if (flag == "--policy") config.policy = value;
         else if (flag == "--suites") config.suites = split_csv_list(value);
         else if (flag == "--kinds") {
@@ -1316,22 +1348,22 @@ int main(int argc, char** argv) {
       const auto kind = parse_model(argv[2]);
       if (!kind) return 2;
       ServeCliOptions opt;
-      for (int i = 3; i + 1 < argc; i += 2) {
+      for (int i = 3; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
-        if (flag == "--streams") opt.streams = std::stoi(value);
+        const std::string value = flag_value(argc, argv, i);
+        if (flag == "--streams") opt.streams = int_flag(flag, value);
         else if (flag == "--suites") opt.suites = split_csv_list(value);
-        else if (flag == "--frames") opt.frames = std::stoi(value);
-        else if (flag == "--seed") opt.seed = std::stoull(value);
-        else if (flag == "--budget") opt.budget_ms = std::stod(value);
-        else if (flag == "--capacity") opt.capacity = std::stoi(value);
-        else if (flag == "--stagger") opt.stagger = std::stoi(value);
+        else if (flag == "--frames") opt.frames = int_flag(flag, value);
+        else if (flag == "--seed") opt.seed = u64_flag(flag, value);
+        else if (flag == "--budget") opt.budget_ms = double_flag(flag, value);
+        else if (flag == "--capacity") opt.capacity = int_flag(flag, value);
+        else if (flag == "--stagger") opt.stagger = int_flag(flag, value);
         else if (flag == "--policy") opt.policy = value;
-        else if (flag == "--deadline") opt.deadline_ms = std::stod(value);
+        else if (flag == "--deadline") opt.deadline_ms = double_flag(flag, value);
         else if (flag == "--out") opt.out = value;
         else if (flag == "--report-json") opt.report_json = value;
         else if (flag == "--wall") opt.wall = value != "0";
-        else if (flag == "--snapshot-every") opt.snapshot_every = std::stoi(value);
+        else if (flag == "--snapshot-every") opt.snapshot_every = int_flag(flag, value);
         else if (flag == "--snapshot-out") opt.snapshot_out = value;
         else {
           std::cerr << "unknown flag " << flag << "\n";
@@ -1351,9 +1383,9 @@ int main(int argc, char** argv) {
     if (cmd == "report") {
       std::string bench_path, heatmap_base;
       std::vector<std::string> snapshot_paths;
-      for (int i = 2; i + 1 < argc; i += 2) {
+      for (int i = 2; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
+        const std::string value = flag_value(argc, argv, i);
         if (flag == "--bench") bench_path = value;
         else if (flag == "--snapshot") snapshot_paths.push_back(value);
         else if (flag == "--heatmap") heatmap_base = value;
@@ -1370,13 +1402,13 @@ int main(int argc, char** argv) {
       if (!kind) return 2;
       const std::string spec_path = argv[3];
       CampaignCliOptions opt;
-      for (int i = 4; i + 1 < argc; i += 2) {
+      for (int i = 4; i < argc; i += 2) {
         const std::string flag = argv[i];
-        const std::string value = argv[i + 1];
+        const std::string value = flag_value(argc, argv, i);
         if (flag == "--seed") {
-          opt.seed = std::stoull(value);
+          opt.seed = u64_flag(flag, value);
           opt.seed_set = true;
-        } else if (flag == "--frames") opt.frames = std::stoi(value);
+        } else if (flag == "--frames") opt.frames = int_flag(flag, value);
         else if (flag == "--out") opt.out = value;
         else if (flag == "--bundle") opt.bundle = value;
         else if (flag == "--bundles") opt.dump_bundles = value != "0";
@@ -1387,6 +1419,9 @@ int main(int argc, char** argv) {
       }
       return cmd_campaign(*kind, spec_path, opt);
     }
+  } catch (const UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
