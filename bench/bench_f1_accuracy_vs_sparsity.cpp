@@ -14,6 +14,7 @@ namespace {
 
 void sweep(models::ModelKind kind, bench::BenchReport& report) {
   models::ProvisionedModel pm = bench::provision(kind);
+  const std::vector<double> level_acc = models::level_accuracy(pm);
 
   // One-shot masks on the CO-TRAINED weights at a fine ratio grid.
   const std::vector<double> grid{0.0, 0.1, 0.2, 0.3, 0.4,
@@ -49,7 +50,7 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
     for (int l = 0; l < pm.levels.level_count(); ++l) {
       if (std::abs(ladder_ratios[static_cast<std::size_t>(l)] - grid[i]) <
           1e-9) {
-        ladder_acc = fmt(pm.level_accuracy[static_cast<std::size_t>(l)], 3);
+        ladder_acc = fmt(level_acc[static_cast<std::size_t>(l)], 3);
         ladder_sparsity = fmt(pm.levels.mask(l).sparsity(pm.net), 3);
       }
     }
@@ -65,10 +66,10 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
   }
 
   report.set(std::string(models::model_kind_name(kind)) + ".dense_acc",
-             pm.level_accuracy[0], "fraction");
+             level_acc[0], "fraction");
 
   std::cout << "\n[" << models::model_kind_name(kind)
-            << "] dense eval accuracy = " << fmt(pm.level_accuracy[0], 3)
+            << "] dense eval accuracy = " << fmt(level_acc[0], 3)
             << "\n";
   table.print(std::cout);
 }

@@ -29,6 +29,7 @@ double measure_infer_ms(core::InferenceProvider& provider,
 
 void sweep(models::ModelKind kind, bench::BenchReport& report) {
   models::ProvisionedModel pm = bench::provision(kind);
+  const std::vector<double> level_acc = models::level_accuracy(pm);
   const nn::Shape in = models::zoo_input_shape();
   const sim::PlatformModel platform;
 
@@ -54,7 +55,7 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
                fmt(platform.energy_mj(macs), 3),
                fmt(measure_infer_ms(masked, x, 15), 3),
                fmt(measure_infer_ms(fast, x, 15), 3),
-               fmt(pm.level_accuracy[static_cast<std::size_t>(k)], 3)});
+               fmt(level_acc[static_cast<std::size_t>(k)], 3)});
 
     // Modeled (deterministic) view only — host wall times stay console-only.
     const std::string base = std::string(models::model_kind_name(kind)) +

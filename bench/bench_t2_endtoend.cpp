@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
   bench::print_banner("R-T2", "end-to-end safety/efficiency across suites");
   models::ProvisionedModel pm = bench::provision(models::ModelKind::ResNetLite);
   std::cout << "model: resnetlite, per-level accuracy:";
-  for (double a : pm.level_accuracy) std::cout << " " << fmt(a, 3);
+  for (double a : models::level_accuracy(pm)) std::cout << " " << fmt(a, 3);
   std::cout << "\n";
 
   if (!trace_path.empty()) {

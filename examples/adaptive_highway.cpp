@@ -24,7 +24,7 @@ int main() {
   models::ProvisionedModel pm =
       models::get_provisioned(models::ModelKind::ResNetLite);
   std::cout << "resnetlite per-level accuracy:";
-  for (double a : pm.level_accuracy) std::cout << " " << fmt(a, 3);
+  for (double a : models::level_accuracy(pm)) std::cout << " " << fmt(a, 3);
   std::cout << "\n";
 
   core::ReversiblePruner provider = pm.make_pruner();

@@ -37,8 +37,11 @@ struct BnCalibrationConfig {
   int batch_size = 32;
 };
 
-/// For each level: applies the mask, streams calibration batches in
-/// training mode so the BN running stats adapt, and snapshots them.
+/// For each level: applies the mask, streams calibration batches through a
+/// forward in which every BatchNorm normalizes with its batch statistics
+/// (so the running stats adapt) and every other layer runs its eval path,
+/// with no backward caches, and snapshots the stats.  The result equals
+/// streaming the batches through Network::forward(x, true) bit for bit.
 /// Restores the network's weights and level-0 statistics afterwards.
 /// The returned vector has one BnState per level (index == level).
 std::vector<BnState> calibrate_bn_per_level(

@@ -38,7 +38,9 @@ void make_datasets(const TrainRecipe& recipe, nn::Dataset& train,
                    nn::Dataset& eval);
 
 /// Returns a trained model, loading from `cache_dir` when possible and
-/// training + caching otherwise. Thread-compatible (not thread-safe).
+/// training + caching otherwise, with its dense eval accuracy.  A cache
+/// file whose architecture is not build_model(kind)'s throws
+/// SerializationError.  Thread-compatible (not thread-safe).
 TrainedModel get_trained(ModelKind kind, const TrainRecipe& recipe = {},
                          const std::string& cache_dir = "cache");
 
@@ -52,14 +54,13 @@ struct LevelRecipe {
 
 /// A deployment-ready model: co-trained shared weights plus the nested
 /// level library (built from the dense-phase weights, so it is identical
-/// on every load) and per-level eval accuracy.
+/// on every load) and the per-level BN statistics.
 struct ProvisionedModel {
   nn::Network net;                    ///< co-trained shared weights
   prune::PruneLevelLibrary levels;
   std::vector<core::BnState> bn_states;  ///< switchable BN (empty if no BN)
   nn::Dataset train_data;
   nn::Dataset eval_data;
-  std::vector<double> level_accuracy; ///< eval accuracy at each level
 
   /// Builds a masked-mode provider with switchable BN installed.
   core::ReversiblePruner make_pruner();
@@ -71,11 +72,18 @@ struct ProvisionedModel {
       const nn::Shape& input_shape);
 };
 
-/// Dense-train (cached) → build nested levels → co-train (cached).
+/// Dense-train (cached) → build nested levels → co-train (cached) →
+/// calibrate per-level BN.  A warm call loads both networks and evaluates
+/// nothing; level_accuracy() measures the ladder on demand.  Cache files
+/// are checked against build_model(kind) as in get_trained.
 ProvisionedModel get_provisioned(ModelKind kind,
                                  const TrainRecipe& train_recipe = {},
                                  const LevelRecipe& level_recipe = {},
                                  const std::string& cache_dir = "cache");
+
+/// Eval accuracy of `pm` at each level (index == level), masked and with
+/// its BN states installed.  Leaves pm.net bit-identical.
+std::vector<double> level_accuracy(ProvisionedModel& pm);
 
 /// Provisions several models concurrently on the process thread pool (one
 /// model per pool task; each model's training pipeline is seeded

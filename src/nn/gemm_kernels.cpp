@@ -315,6 +315,26 @@ void conv_rows_blocked(std::int64_t t_begin, std::int64_t t_end,
   }
 }
 
+// The channel_moments oracle: kMomentLanes independent double chains per
+// pixel, which the compiler runs in baseline vector lanes.
+void channel_moments_reference(const float* x, std::int64_t n,
+                               std::int64_t sample_stride, std::int64_t hw,
+                               double* sum, double* sq) {
+  double s[kMomentLanes] = {}, q[kMomentLanes] = {};
+  for (std::int64_t smp = 0; smp < n; ++smp) {
+    const float* base = x + smp * sample_stride;
+    for (std::int64_t i = 0; i < hw; ++i) {
+      for (int l = 0; l < kMomentLanes; ++l) {
+        const double e = base[l * hw + i];
+        s[l] += e;
+        q[l] += e * e;
+      }
+    }
+  }
+  std::copy(s, s + kMomentLanes, sum);
+  std::copy(q, q + kMomentLanes, sq);
+}
+
 // rrp-frame-path: scalar nonzero count (the count_nonzero oracle).
 std::int64_t count_nonzero_reference(const float* x, std::int64_t n) {
   // Without its sign bit a ±0 is all zero bits and every other value is
@@ -393,6 +413,16 @@ ConvRowsFn active_conv_rows() {
   return fn;
 #else
   return &conv_rows_reference;
+#endif
+}
+
+ChannelMomentsFn active_channel_moments() {
+#if defined(RRP_SIMD) && defined(RRP_HAVE_AVX2)
+  static const ChannelMomentsFn fn =
+      avx2_usable() ? &channel_moments_avx2 : &channel_moments_reference;
+  return fn;
+#else
+  return &channel_moments_reference;
 #endif
 }
 

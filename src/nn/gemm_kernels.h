@@ -34,6 +34,15 @@
 // avx2 variant.  A count is exact integer arithmetic, so they agree on
 // every input, NaN, Inf and denormal bits included.
 //
+// channel_moments (BatchNorm's batch statistics) has a reference and an
+// avx2 variant too.  Each of its kMomentLanes channels keeps one double
+// sum and one double sum of squares, adding its values in (sample, pixel)
+// order: a float widens to double exactly and its square is exact in
+// double, so each chain equals the one-channel loop bit for bit in any
+// variant.  The lanes run across channels: the reference lets the
+// compiler vectorize its 8-channel step, the avx2 one loads 4 pixels of
+// each channel and transposes them into one 8-channel vector per pixel.
+//
 // Each variant also has a gemm_bt row function (GemmBtRowsFn, C = A*B^T,
 // B [N, K]) under gemm_bt's own contract (nn/gemm.h): every C element is
 // one double dot product, k ascending, no zero-skip, rounded once in the
@@ -79,6 +88,14 @@ using GemmBtRowsFn = void (*)(std::int64_t i_begin, std::int64_t i_end,
 
 /// Count of the n floats at x that are not ±0 (nn::count_nonzero).
 using CountNonzeroFn = std::int64_t (*)(const float* x, std::int64_t n);
+/// Channels one channel_moments call covers.
+inline constexpr int kMomentLanes = 8;
+/// Sum and sum of squares, in double, of kMomentLanes channels over `n`
+/// samples of `hw` pixels: channel l of sample s is the plane at
+/// x + s * sample_stride + l * hw.  Writes sum[l] and sq[l].
+using ChannelMomentsFn = void (*)(const float* x, std::int64_t n,
+                                  std::int64_t sample_stride, std::int64_t hw,
+                                  double* sum, double* sq);
 
 /// The rows at positions [t_begin, t_end) of the live-row list of the
 /// implicit-GEMM conv `g` (t_end <= g.live_rows).
@@ -160,6 +177,9 @@ void gemm_bt_rows_reference(std::int64_t i_begin, std::int64_t i_end,
 void conv_rows_reference(std::int64_t t_begin, std::int64_t t_end,
                          const ConvGemm& g);
 std::int64_t count_nonzero_reference(const float* x, std::int64_t n);
+void channel_moments_reference(const float* x, std::int64_t n,
+                               std::int64_t sample_stride, std::int64_t hw,
+                               double* sum, double* sq);
 
 // --- blocked (register-tiled portable; always available) -------------------
 void gemm_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
@@ -199,6 +219,9 @@ void gemm_bt_rows_avx2(std::int64_t i_begin, std::int64_t i_end,
 void conv_rows_avx2(std::int64_t t_begin, std::int64_t t_end,
                     const ConvGemm& g);
 std::int64_t count_nonzero_avx2(const float* x, std::int64_t n);
+void channel_moments_avx2(const float* x, std::int64_t n,
+                          std::int64_t sample_stride, std::int64_t hw,
+                          double* sum, double* sq);
 #endif
 
 /// Height of the tallest register tile of any variant (blocked: 4 rows,
@@ -218,6 +241,8 @@ ConvRowsFn active_conv_rows();
 /// count_nonzero has no blocked variant: the reference loop is already
 /// the one the compiler vectorizes, so RRP_SIMD picks avx2 or reference.
 CountNonzeroFn active_count_nonzero();
+/// Likewise avx2 or reference.
+ChannelMomentsFn active_channel_moments();
 
 /// "scalar" (RRP_SIMD=OFF), "blocked" or "avx2" — for bench report configs
 /// and diagnostics.

@@ -463,6 +463,64 @@ std::int64_t count_nonzero_avx2(const float* x, std::int64_t n) {
   return count;
 }
 
+namespace {
+
+// One pixel of 8 channels (v) into the sum and sum-of-squares chains:
+// lo holds channels 0-3, hi channels 4-7.
+inline void moments_step(__m256 v, __m256d& s_lo, __m256d& s_hi,
+                         __m256d& q_lo, __m256d& q_hi) {
+  const __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  const __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+  s_lo = _mm256_add_pd(s_lo, lo);
+  s_hi = _mm256_add_pd(s_hi, hi);
+  q_lo = _mm256_add_pd(q_lo, _mm256_mul_pd(lo, lo));
+  q_hi = _mm256_add_pd(q_hi, _mm256_mul_pd(hi, hi));
+}
+
+}  // namespace
+
+// BatchNorm batch statistics, 4 pixels of 8 channels per step: channels l
+// and l + 4 share a ymm (one 128-bit half each), a 4x4 transpose in both
+// halves turns the 4 rows into one 8-channel vector per pixel, and the
+// pixels go into the chains in order.  Pixels past the last multiple of 4
+// are gathered one at a time.
+void channel_moments_avx2(const float* x, std::int64_t n,
+                          std::int64_t sample_stride, std::int64_t hw,
+                          double* sum, double* sq) {
+  __m256d s_lo = _mm256_setzero_pd(), s_hi = s_lo, q_lo = s_lo, q_hi = s_lo;
+  for (std::int64_t smp = 0; smp < n; ++smp) {
+    const float* p = x + smp * sample_stride;
+    std::int64_t i = 0;
+    for (; i + 4 <= hw; i += 4) {
+      const __m256 r0 = _mm256_set_m128(_mm_loadu_ps(p + 4 * hw + i),
+                                        _mm_loadu_ps(p + i));
+      const __m256 r1 = _mm256_set_m128(_mm_loadu_ps(p + 5 * hw + i),
+                                        _mm_loadu_ps(p + hw + i));
+      const __m256 r2 = _mm256_set_m128(_mm_loadu_ps(p + 6 * hw + i),
+                                        _mm_loadu_ps(p + 2 * hw + i));
+      const __m256 r3 = _mm256_set_m128(_mm_loadu_ps(p + 7 * hw + i),
+                                        _mm_loadu_ps(p + 3 * hw + i));
+      const __m256 t0 = _mm256_unpacklo_ps(r0, r1);  // px 0,1 of ch 0,1
+      const __m256 t1 = _mm256_unpackhi_ps(r0, r1);  // px 2,3 of ch 0,1
+      const __m256 t2 = _mm256_unpacklo_ps(r2, r3);  // px 0,1 of ch 2,3
+      const __m256 t3 = _mm256_unpackhi_ps(r2, r3);  // px 2,3 of ch 2,3
+      moments_step(_mm256_shuffle_ps(t0, t2, 0x44), s_lo, s_hi, q_lo, q_hi);
+      moments_step(_mm256_shuffle_ps(t0, t2, 0xEE), s_lo, s_hi, q_lo, q_hi);
+      moments_step(_mm256_shuffle_ps(t1, t3, 0x44), s_lo, s_hi, q_lo, q_hi);
+      moments_step(_mm256_shuffle_ps(t1, t3, 0xEE), s_lo, s_hi, q_lo, q_hi);
+    }
+    for (; i < hw; ++i)
+      moments_step(_mm256_set_ps(p[7 * hw + i], p[6 * hw + i], p[5 * hw + i],
+                                 p[4 * hw + i], p[3 * hw + i], p[2 * hw + i],
+                                 p[hw + i], p[i]),
+                   s_lo, s_hi, q_lo, q_hi);
+  }
+  _mm256_storeu_pd(sum, s_lo);
+  _mm256_storeu_pd(sum + 4, s_hi);
+  _mm256_storeu_pd(sq, q_lo);
+  _mm256_storeu_pd(sq + 4, q_hi);
+}
+
 }  // namespace rrp::nn::kernels
 
 #endif  // RRP_HAVE_AVX2

@@ -306,13 +306,19 @@ class BatchNorm : public Layer {
   /// y = x * scale + shift, returned as {scale, shift}.
   std::pair<float, float> eval_affine(int c) const;
 
+  /// Training-mode normalization: normalizes `x` (shape `in`) with its
+  /// batch statistics into `y` (which may equal `x`) and moves the running
+  /// statistics.  forward(x, true) is this plus the input cache backward
+  /// needs; BN calibration runs it alone (core/bn_calibration.h).
+  void forward_batch_into(const float* x, const Shape& in, float* y);
+
  private:
   int channels_;
   float momentum_, eps_;
   Tensor gamma_, beta_, gamma_grad_, beta_grad_;
   Tensor running_mean_, running_var_;
   // training-time caches
-  Tensor cached_input_, cached_norm_;
+  Tensor cached_input_;
   std::vector<float> batch_mean_, batch_inv_std_;
 };
 

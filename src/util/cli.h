@@ -32,6 +32,14 @@ inline std::optional<int> parse_int(const std::string& text) {
   return parse_number<int>(text);
 }
 
+/// A boolean switch: exactly "0" or "1".  "false", "true", "01" and ""
+/// are invalid, so `--wall false` is a diagnostic, not a switch turned on.
+inline std::optional<bool> parse_switch(const std::string& text) {
+  if (text == "0") return false;
+  if (text == "1") return true;
+  return std::nullopt;
+}
+
 /// A decimal unsigned 64-bit integer (a seed); no sign.
 inline std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return parse_number<std::uint64_t>(text);

@@ -2,7 +2,11 @@
 
 #include <filesystem>
 
+#include "core/reversible_pruner.h"
 #include "models/trained_cache.h"
+#include "nn/serialize.h"
+#include "test_support.h"
+#include "util/checks.h"
 
 namespace rrp::models {
 namespace {
@@ -113,7 +117,7 @@ TEST(TrainedCache, ProvisionedModelHasConsistentPieces) {
       get_provisioned(ModelKind::LeNet, train_recipe, level_recipe, dir);
   EXPECT_EQ(pm.levels.level_count(), 2);
   EXPECT_TRUE(pm.levels.verify_nested());
-  EXPECT_EQ(pm.level_accuracy.size(), 2u);
+  EXPECT_EQ(level_accuracy(pm).size(), 2u);
   EXPECT_TRUE(pm.bn_states.empty());  // lenet has no BatchNorm
 
   // A second call must reuse both caches and yield identical weights + masks.
@@ -148,6 +152,152 @@ TEST(TrainedCache, ProvisionedBnModelCarriesBnStates) {
   EXPECT_TRUE(pruner.has_bn_states());
   pruner.set_level(1);
   pruner.set_level(0);
+  std::filesystem::remove_all(dir);
+}
+
+// The cache file in `dir` whose name does (co-trained) or does not (dense)
+// carry "_co_".
+std::string cache_file(const std::string& dir, bool co_trained) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if ((name.find("_co_") != std::string::npos) == co_trained)
+      return entry.path().string();
+  }
+  return {};
+}
+
+// A warm get_provisioned evaluates nothing, yet yields exactly what the
+// evaluating pipeline did: get_trained (load + dense eval), the ladder from
+// the dense weights, the co-trained load, BN calibration through the
+// training forward and the per-level probe, rebuilt here from public pieces.
+TEST(TrainedCache, WarmProvisioningMatchesTheEvaluatingPipeline) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "rrp_prov_parity").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  TrainRecipe train_recipe;
+  train_recipe.train_samples = 128;
+  train_recipe.eval_samples = 64;
+  train_recipe.epochs = 1;
+  LevelRecipe level_recipe;
+  level_recipe.ratios = {0.0, 0.5, 0.7};
+  level_recipe.co_train_epochs = 1;
+
+  (void)get_provisioned(ModelKind::DetNet, train_recipe, level_recipe, dir);
+  ProvisionedModel warm =
+      get_provisioned(ModelKind::DetNet, train_recipe, level_recipe, dir);
+
+  TrainedModel dense = get_trained(ModelKind::DetNet, train_recipe, dir);
+  const auto levels = prune::PruneLevelLibrary::build_structured(
+      dense.net, level_recipe.ratios, zoo_input_shape(),
+      prune::ImportanceMetric::L1, /*min_channels=*/2);
+  nn::Network net = nn::load_network(cache_file(dir, /*co_trained=*/true));
+  Rng calib_rng(train_recipe.data_seed + 7);
+  const auto bn_states = rrp::testing::reference_calibrate_bn_per_level(
+      net, levels, dense.train_data, core::BnCalibrationConfig{}, calib_rng);
+  std::vector<double> accuracy;
+  {
+    core::ReversiblePruner probe(net, levels);
+    probe.set_bn_states(bn_states);
+    for (int k = 0; k < levels.level_count(); ++k) {
+      probe.set_level(k);
+      accuracy.push_back(nn::evaluate_accuracy(net, dense.eval_data));
+    }
+    probe.set_level(0);
+  }
+
+  using rrp::testing::float_bits;
+  const auto warm_params = warm.net.params();
+  const auto want_params = net.params();
+  ASSERT_EQ(warm_params.size(), want_params.size());
+  for (std::size_t i = 0; i < want_params.size(); ++i)
+    EXPECT_EQ(float_bits(warm_params[i].value->data()),
+              float_bits(want_params[i].value->data()))
+        << want_params[i].name;
+  ASSERT_EQ(warm.levels.level_count(), levels.level_count());
+  for (int k = 0; k < levels.level_count(); ++k)
+    EXPECT_EQ(warm.levels.mask(k).diff_count(levels.mask(k)), 0) << k;
+  ASSERT_EQ(warm.bn_states.size(), bn_states.size());
+  for (std::size_t k = 0; k < bn_states.size(); ++k)
+    EXPECT_TRUE(rrp::testing::same_bn_state(warm.bn_states[k], bn_states[k]))
+        << "level " << k;
+
+  // On demand: exactly the inline values, and the net is left as found.
+  EXPECT_EQ(level_accuracy(warm), accuracy);
+  const auto after = warm.net.params();
+  for (std::size_t i = 0; i < want_params.size(); ++i)
+    EXPECT_EQ(float_bits(after[i].value->data()),
+              float_bits(want_params[i].value->data()))
+        << want_params[i].name;
+  EXPECT_TRUE(rrp::testing::same_bn_state(core::capture_bn_state(warm.net),
+                                          bn_states[0]));
+  std::filesystem::remove_all(dir);
+}
+
+// LeNet with conv1 `width` channels wide (the zoo's is 8), same names.
+nn::Network lenet_of_width(int width) {
+  nn::Network net("lenet");
+  net.emplace<nn::Conv2D>("conv1", 1, width, 3, 1, 1);
+  net.emplace<nn::ReLU>("relu1");
+  net.emplace<nn::MaxPool>("pool1", 2, 2);
+  net.emplace<nn::Conv2D>("conv2", width, 16, 3, 1, 1);
+  net.emplace<nn::ReLU>("relu2");
+  net.emplace<nn::MaxPool>("pool2", 2, 2);
+  net.emplace<nn::Flatten>("flatten");
+  net.emplace<nn::Linear>("fc1", 16 * 4 * 4, 48);
+  net.emplace<nn::ReLU>("relu3");
+  net.emplace<nn::Linear>("head", 48, zoo_num_classes());
+  return net;
+}
+
+// A cache file holding another architecture under the expected name (a
+// zoo edit without a recipe bump) is refused on both loads, naming the
+// file, instead of being served.
+TEST(TrainedCache, StaleArchitectureCacheIsRefused) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "rrp_prov_stale").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  TrainRecipe train_recipe;
+  train_recipe.train_samples = 96;
+  train_recipe.eval_samples = 32;
+  train_recipe.epochs = 1;
+  LevelRecipe level_recipe;
+  level_recipe.ratios = {0.0, 0.5};
+  level_recipe.co_train_epochs = 1;
+  (void)get_provisioned(ModelKind::LeNet, train_recipe, level_recipe, dir);
+
+  const auto expect_refused = [&](const std::string& path, auto&& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a stale " << path << " was loaded";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // The same-width stand-in loads: names, kinds and shapes all match.
+  const std::string dense_path = cache_file(dir, /*co_trained=*/false);
+  const std::string co_path = cache_file(dir, /*co_trained=*/true);
+  const nn::Network dense = nn::load_network(dense_path);
+  nn::save_network(lenet_of_width(8), dense_path);
+  EXPECT_NO_THROW(get_trained(ModelKind::LeNet, train_recipe, dir));
+
+  nn::save_network(lenet_of_width(6), dense_path);
+  expect_refused(dense_path,
+                 [&] { get_trained(ModelKind::LeNet, train_recipe, dir); });
+  expect_refused(dense_path, [&] {
+    get_provisioned(ModelKind::LeNet, train_recipe, level_recipe, dir);
+  });
+
+  nn::save_network(dense, dense_path);
+  nn::save_network(lenet_of_width(10), co_path);
+  expect_refused(co_path, [&] {
+    get_provisioned(ModelKind::LeNet, train_recipe, level_recipe, dir);
+  });
   std::filesystem::remove_all(dir);
 }
 

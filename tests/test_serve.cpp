@@ -147,6 +147,16 @@ TEST(CliNumericFlags, StrictFullStringParses) {
     EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
 }
 
+// rrp_cli's on/off flags (--wall, --trace, --force, --bundles): "false"
+// must be a diagnostic, not a switch turned on.
+TEST(CliSwitchFlags, StrictZeroOrOne) {
+  EXPECT_EQ(parse_switch("0"), false);
+  EXPECT_EQ(parse_switch("1"), true);
+  for (const char* bad : {"false", "true", "", " 1", "1 ", "01", "00", "2",
+                          "-1", "+1", "yes", "on", "1x"})
+    EXPECT_FALSE(parse_switch(bad).has_value()) << "'" << bad << "'";
+}
+
 // ---------------------------------------------------------------------------
 // The engine: same closed-loop fixture as test_campaign — a briefly
 // trained conv net on the vision geometry, 3-level structured ladder.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "core/weight_store.h"
 #include "nn/loss.h"
 
 namespace rrp::testing {
@@ -160,6 +161,54 @@ double gradient_check(Network& net, const Tensor& x,
 
   std::sort(rel_errors.begin(), rel_errors.end());
   return rel_errors[rel_errors.size() / 2];
+}
+
+std::vector<core::BnState> reference_calibrate_bn_per_level(
+    Network& net, const prune::PruneLevelLibrary& levels,
+    const Dataset& calib_data, const core::BnCalibrationConfig& config,
+    Rng& rng) {
+  const core::WeightStore golden = core::WeightStore::snapshot(net);
+  const core::BnState level0 = core::capture_bn_state(net);
+  const std::size_t per_level = static_cast<std::size_t>(config.batches) *
+                                static_cast<std::size_t>(config.batch_size);
+  std::vector<std::vector<std::size_t>> picks(
+      static_cast<std::size_t>(levels.level_count()));
+  for (int k = 1; k < levels.level_count(); ++k) {
+    auto& p = picks[static_cast<std::size_t>(k)];
+    p.resize(per_level);
+    for (auto& i : p) i = rng.uniform_u64(calib_data.size());
+  }
+  std::vector<core::BnState> out(static_cast<std::size_t>(levels.level_count()));
+  out[0] = level0;
+  std::vector<int> labels;
+  for (int k = 1; k < levels.level_count(); ++k) {
+    Network local = net.clone();
+    core::apply_bn_state(local, level0);
+    golden.apply_mask(local, levels.mask(k));
+    const auto& level_picks = picks[static_cast<std::size_t>(k)];
+    for (int b = 0; b < config.batches; ++b) {
+      const std::vector<std::size_t> pick(
+          level_picks.begin() + b * config.batch_size,
+          level_picks.begin() + (b + 1) * config.batch_size);
+      const Tensor x = calib_data.batch(
+          pick, 0, static_cast<std::size_t>(config.batch_size), &labels);
+      (void)local.forward(x, /*training=*/true);
+    }
+    out[static_cast<std::size_t>(k)] = core::capture_bn_state(local);
+  }
+  return out;
+}
+
+bool same_bn_state(const core::BnState& a, const core::BnState& b) {
+  if (a.stats.size() != b.stats.size()) return false;
+  for (const auto& [name, mv] : a.stats) {
+    const auto it = b.stats.find(name);
+    if (it == b.stats.end()) return false;
+    if (float_bits(mv.first.data()) != float_bits(it->second.first.data()) ||
+        float_bits(mv.second.data()) != float_bits(it->second.second.data()))
+      return false;
+  }
+  return true;
 }
 
 }  // namespace rrp::testing

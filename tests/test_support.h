@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/bn_calibration.h"
 #include "models/trained_cache.h"
 #include "nn/init.h"
 #include "nn/network.h"
@@ -49,5 +50,17 @@ double quick_train(nn::Network& net, const nn::Dataset& data, int epochs = 3,
 /// while any systematic backward bug shifts every probe.
 double gradient_check(nn::Network& net, const nn::Tensor& x,
                       const std::vector<int>& labels, int directions = 15);
+
+/// The BN calibration engine as it was before calibration ran at eval
+/// cost: each level streams its batches through a clone's
+/// Network::forward(x, /*training=*/true), serially, with the same batch
+/// draws.  The oracle for core::calibrate_bn_per_level.
+std::vector<core::BnState> reference_calibrate_bn_per_level(
+    nn::Network& net, const prune::PruneLevelLibrary& levels,
+    const nn::Dataset& calib_data, const core::BnCalibrationConfig& config,
+    Rng& rng);
+
+/// Bitwise equality of two BN states (same layers, same statistics bits).
+bool same_bn_state(const core::BnState& a, const core::BnState& b);
 
 }  // namespace rrp::testing

@@ -234,12 +234,21 @@ TEST(TsanSmoke, ParallelProvisioning) {
 
   const std::vector<models::ModelKind> kinds = {models::ModelKind::Mlp,
                                                 models::ModelKind::LeNet};
-  const auto provisioned = models::get_provisioned_all(
-      kinds, train_recipe, level_recipe, cache_dir);
+  auto provisioned = models::get_provisioned_all(kinds, train_recipe,
+                                                 level_recipe, cache_dir);
   ASSERT_EQ(provisioned.size(), kinds.size());
-  for (const auto& pm : provisioned) {
-    EXPECT_EQ(pm.levels.level_count(), 2);
-    EXPECT_EQ(pm.level_accuracy.size(), 2u);
+  // Per-level evaluation on pool workers, one model per task.
+  std::vector<std::vector<double>> accuracy(provisioned.size());
+  parallel_for(0, static_cast<std::int64_t>(provisioned.size()), 1,
+               [&](std::int64_t begin, std::int64_t end) {
+                 for (std::int64_t i = begin; i < end; ++i) {
+                   const auto u = static_cast<std::size_t>(i);
+                   accuracy[u] = models::level_accuracy(provisioned[u]);
+                 }
+               });
+  for (std::size_t i = 0; i < provisioned.size(); ++i) {
+    EXPECT_EQ(provisioned[i].levels.level_count(), 2);
+    EXPECT_EQ(accuracy[i].size(), 2u);
   }
   std::filesystem::remove_all(cache_dir);
 }

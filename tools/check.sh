@@ -30,8 +30,10 @@
 #       parity tests (render_into writes a caller's raw buffer), the
 #       batched-normal tests (the AVX2 noise kernel stores 8 floats per
 #       step into a caller's buffer and pads its tail on the stack), the pool
-#       handoff tests and the allocation-free inference and frame suite —
-#       the
+#       handoff tests, the BatchNorm batch-statistics and BN calibration
+#       parity tests (the statistics pass reads several strided channel
+#       planes per step, and calibration runs on reused activation
+#       buffers) and the allocation-free inference and frame suite — the
 #       implicit-GEMM conv reads its B operand straight out of a padded
 #       slot and indexes it through the live-row and live-channel lists,
 #       the AVX2 gemm_bt tile loads 4 floats of 8 B rows per step, and the
@@ -119,11 +121,11 @@ cmake --build build-check-ubsan -j "$JOBS" --target rrp_tests \
 # The scenario-DSL suite feeds malformed spec lines (outside input).
 ./build-check-ubsan/tests/rrp_campaign_suite
 
-step "(e') AddressSanitizer conv/gemm_bt parity + integrity + allocation-free inference"
+step "(e') AddressSanitizer conv/gemm_bt/BN-statistics parity + integrity + allocation-free inference"
 cmake -B build-check-asan -S . -DRRP_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS" --target rrp_tests rrp_alloc_suite
 ./build-check-asan/tests/rrp_tests \
-  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*:RenderParity.*:RngNormals.*:ThreadPoolHandoff.*'
+  --gtest_filter='Conv2D.*:ConvLiveness.*:InferPlan.*:FastPath.FusedConv*:IntegrityFixture.*:IntegrityDigest.*:IntegrityCompare.*:Gemm.Bt*:Linear.*:EffectiveMacs.*:RenderParity.*:RngNormals.*:ThreadPoolHandoff.*:BatchNormStats.*:BnCalibrationParity.*'
 ./build-check-asan/tests/rrp_alloc_suite
 
 step "(f) line coverage (informational)"

@@ -1,6 +1,6 @@
 # cli_policy_check.cmake — asserts that an rrp_cli command with a malformed
 # flag (a --policy outside the vocabulary, a number with trailing garbage,
-# a flag with no value) exits 2 with the expected diagnostic and never
+# a switch other than 0|1, a flag with no value) exits 2 with the expected diagnostic and never
 # touches the model cache (flags are checked before any model is
 # provisioned).
 #

@@ -196,6 +196,9 @@ std::uint64_t u64_flag(const std::string& flag, const std::string& value) {
 double double_flag(const std::string& flag, const std::string& value) {
   return number_flag(parse_double(value), flag, value, "a finite number");
 }
+bool switch_flag(const std::string& flag, const std::string& value) {
+  return number_flag(parse_switch(value), flag, value, "0 or 1");
+}
 
 /// Opens `path`, runs `emit`, flushes, and verifies the stream at every
 /// step.  Every output file the CLI writes goes through here, so an
@@ -289,11 +292,11 @@ int cmd_models() {
 
 int cmd_provision(models::ModelKind kind) {
   set_log_level(LogLevel::Info);
-  const models::ProvisionedModel pm =
+  models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
   std::cout << "provisioned " << models::model_kind_name(kind)
             << "; per-level eval accuracy:";
-  for (double a : pm.level_accuracy) std::cout << " " << fmt(a, 3);
+  for (double a : models::level_accuracy(pm)) std::cout << " " << fmt(a, 3);
   std::cout << "\n";
   return 0;
 }
@@ -301,12 +304,12 @@ int cmd_provision(models::ModelKind kind) {
 int cmd_provision_all() {
   set_log_level(LogLevel::Info);
   const std::vector<models::ModelKind> kinds = models::all_model_kinds();
-  const auto provisioned =
-      models::get_provisioned_all(kinds, {}, {}, cache_dir());
+  auto provisioned = models::get_provisioned_all(kinds, {}, {}, cache_dir());
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     std::cout << "provisioned " << models::model_kind_name(kinds[i])
               << "; per-level eval accuracy:";
-    for (double a : provisioned[i].level_accuracy) std::cout << " " << fmt(a, 3);
+    for (double a : models::level_accuracy(provisioned[i]))
+      std::cout << " " << fmt(a, 3);
     std::cout << "\n";
   }
   return 0;
@@ -315,6 +318,7 @@ int cmd_provision_all() {
 int cmd_evaluate(models::ModelKind kind) {
   models::ProvisionedModel pm =
       models::get_provisioned(kind, {}, {}, cache_dir());
+  const std::vector<double> accuracy = models::level_accuracy(pm);
   core::ReversiblePruner rp = pm.make_pruner();
   const sim::PlatformModel platform;
   const nn::Shape in = models::zoo_input_shape();
@@ -328,7 +332,7 @@ int cmd_evaluate(models::ModelKind kind) {
                fmt(pm.levels.mask(k).sparsity(pm.net), 3),
                fmt(macs / 1e6, 3), fmt(platform.latency_ms(macs), 3),
                fmt(platform.energy_mj(macs), 3),
-               fmt(pm.level_accuracy[static_cast<std::size_t>(k)], 3)});
+               fmt(accuracy[static_cast<std::size_t>(k)], 3)});
   }
   rp.set_level(0);
   table.print(std::cout);
@@ -1239,9 +1243,9 @@ int main(int argc, char** argv) {
         else if (flag == "--watchdog") opt.watchdog = int_flag(flag, value);
         else if (flag == "--deadline") opt.deadline_ms = double_flag(flag, value);
         else if (flag == "--capacity") opt.capacity = int_flag(flag, value);
-        else if (flag == "--trace") opt.trace = value != "0";
+        else if (flag == "--trace") opt.trace = switch_flag(flag, value);
         else if (flag == "--out") opt.out = value;
-        else if (flag == "--force") opt.force = value != "0";
+        else if (flag == "--force") opt.force = switch_flag(flag, value);
         else {
           std::cerr << "unknown flag " << flag << "\n";
           return 2;
@@ -1294,7 +1298,7 @@ int main(int argc, char** argv) {
         else if (flag == "--json") io.json_path = value;
         else if (flag == "--spans") io.spans_path = value;
         else if (flag == "--metrics") io.metrics_path = value;
-        else if (flag == "--wall") io.wall = value != "0";
+        else if (flag == "--wall") io.wall = switch_flag(flag, value);
         else {
           std::cerr << "unknown flag " << flag << "\n";
           return 2;
@@ -1362,7 +1366,7 @@ int main(int argc, char** argv) {
         else if (flag == "--deadline") opt.deadline_ms = double_flag(flag, value);
         else if (flag == "--out") opt.out = value;
         else if (flag == "--report-json") opt.report_json = value;
-        else if (flag == "--wall") opt.wall = value != "0";
+        else if (flag == "--wall") opt.wall = switch_flag(flag, value);
         else if (flag == "--snapshot-every") opt.snapshot_every = int_flag(flag, value);
         else if (flag == "--snapshot-out") opt.snapshot_out = value;
         else {
@@ -1411,7 +1415,7 @@ int main(int argc, char** argv) {
         } else if (flag == "--frames") opt.frames = int_flag(flag, value);
         else if (flag == "--out") opt.out = value;
         else if (flag == "--bundle") opt.bundle = value;
-        else if (flag == "--bundles") opt.dump_bundles = value != "0";
+        else if (flag == "--bundles") opt.dump_bundles = switch_flag(flag, value);
         else {
           std::cerr << "unknown flag " << flag << "\n";
           return 2;
