@@ -24,8 +24,9 @@ using namespace rrp;
 
 int main(int argc, char** argv) {
   bool gate = false;
-  for (int i = 1; i + 1 < argc; i += 2)
-    if (std::strcmp(argv[i], "--gate") == 0) gate = argv[i + 1][0] == '1';
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--gate") == 0)
+      gate = bench::switch_arg(argc, argv, i);
 
   bench::print_banner("R-C1",
                       "Monte-Carlo robustness campaign tail statistics");

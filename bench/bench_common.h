@@ -9,12 +9,14 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/baselines.h"
 #include "models/trained_cache.h"
 #include "sim/runner.h"
 #include "sim/scenario_gen.h"
+#include "util/cli.h"
 #include "util/csv.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -56,6 +58,23 @@ inline sim::RunConfig standard_run_config() {
   cfg.deadline_ms = 12.0;
   cfg.noise_seed = 424242;
   return cfg;
+}
+
+/// The value of the 0|1 switch at argv[i] (`--gate 1`), stepping i past
+/// it.  A missing value or anything but 0 or 1 ("10", "true") prints one
+/// diagnostic and exits 2, before any model is provisioned.
+inline bool switch_arg(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  if (i + 1 >= argc) {
+    std::cerr << flag << " expects a value\n";
+    std::exit(2);
+  }
+  const std::optional<bool> on = parse_switch(argv[++i]);
+  if (!on) {
+    std::cerr << flag << " expects 0 or 1, got '" << argv[i] << "'\n";
+    std::exit(2);
+  }
+  return *on;
 }
 
 inline void print_banner(const std::string& experiment,

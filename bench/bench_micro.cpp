@@ -37,8 +37,10 @@
 #include "core/reversible_pruner.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "nn/layers.h"
 #include "sim/vision_task.h"
 #include "util/checks.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -209,6 +211,46 @@ void BM_ReloadSwitch(benchmark::State& state) {
   state.SetLabel("roundtrip 0<->" + std::to_string(to));
 }
 BENCHMARK(BM_ReloadSwitch)->DenseRange(1, 4);
+
+void BM_ConvLiveness(benchmark::State& state) {
+  // One frame's liveness scans on the masked arm at level k: the live rows
+  // and channel runs of every conv, as each Conv2D forward finds them.
+  auto& pm = detnet();
+  static core::ReversiblePruner provider = pm.make_pruner();
+  provider.set_level(static_cast<int>(state.range(0)));
+  std::vector<const nn::Conv2D*> convs;
+  for (const auto& layer : provider.network().layers())
+    if (layer->kind() == nn::LayerKind::Conv2D)
+      convs.push_back(static_cast<const nn::Conv2D*>(layer.get()));
+  std::vector<float> rows, chans;
+  for (const nn::Conv2D* conv : convs) {
+    rows.resize(std::max<std::size_t>(rows.size(), conv->out_channels()));
+    chans.resize(std::max<std::size_t>(chans.size(), conv->in_channels() + 1));
+  }
+  for (auto _ : state) {
+    for (const nn::Conv2D* conv : convs) {
+      nn::ConvGemm g;
+      g.a = conv->weight().raw();
+      g.lda = static_cast<std::int64_t>(conv->in_channels()) *
+              conv->kernel() * conv->kernel();
+      g.cin = conv->in_channels();
+      g.kernel = conv->kernel();
+      nn::conv_liveness(conv->out_channels(), g, rows.data(), chans.data());
+      benchmark::DoNotOptimize(g.live_chans);
+    }
+  }
+  provider.set_level(0);
+}
+BENCHMARK(BM_ConvLiveness)->DenseRange(0, 4);
+
+void BM_CounterAdd(benchmark::State& state) {
+  // ns per metrics::Counter::add when 1, 2 or 4 threads add to the same
+  // counter, as pool workers do on the frame path (DESIGN.md §8 stripes).
+  static metrics::Counter& c = metrics::counter("bench.counter_add");
+  for (auto _ : state) c.add(1);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CounterAdd)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 // --- measured wall-clock (gate-exempt) -------------------------------------
 

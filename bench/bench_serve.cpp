@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
   bool gate = false;
   bool wall = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc)
-      gate = argv[++i][0] == '1';
+    if (std::strcmp(argv[i], "--gate") == 0)
+      gate = bench::switch_arg(argc, argv, i);
     else if (std::strcmp(argv[i], "--wall") == 0)
       wall = true;
   }

@@ -270,10 +270,13 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool gate = false;
   bool wall = false;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--gate") == 0) gate = argv[i + 1][0] == '1';
-    if (std::strcmp(argv[i], "--wall") == 0) wall = argv[i + 1][0] == '1';
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
+      trace_path = argv[++i];
+    else if (std::strcmp(argv[i], "--gate") == 0)
+      gate = bench::switch_arg(argc, argv, i);
+    else if (std::strcmp(argv[i], "--wall") == 0)
+      wall = bench::switch_arg(argc, argv, i);
   }
 
   bench::print_banner("R-T2", "end-to-end safety/efficiency across suites");

@@ -167,12 +167,12 @@ void conv_vec_tile(const ConvGemm& g, const std::int64_t (&rows)[R],
                    std::int64_t j, const std::int64_t (&first)[V]) {
   // Per 8-lane group: its first column's offset (unit-stride groups) or
   // every lane's offset.
-  std::int64_t lane[V][8] = {};
+  constexpr int kLanes = kUnitStride ? 1 : 8;
+  std::int64_t lane[V][kLanes];
   for (int v = 0; v < V; ++v) {
     lane[v][0] = first[v];
-    if (!kUnitStride)
-      for (int l = 1; l < 8; ++l)
-        lane[v][l] = conv_col_offset(g, j + v * 8 + l);
+    for (int l = 1; l < kLanes; ++l)
+      lane[v][l] = conv_col_offset(g, j + v * 8 + l);
   }
   __m256 acc[R][V];
   for (int r = 0; r < R; ++r)
@@ -196,11 +196,12 @@ void conv_vec_tile(const ConvGemm& g, const std::int64_t (&rows)[R],
           __m256 bv[V];
           for (int v = 0; v < V; ++v) {
             const std::int64_t* o = lane[v];
-            bv[v] = kUnitStride
-                        ? _mm256_loadu_ps(brow + o[0])
-                        : _mm256_setr_ps(brow[o[0]], brow[o[1]], brow[o[2]],
-                                         brow[o[3]], brow[o[4]], brow[o[5]],
-                                         brow[o[6]], brow[o[7]]);
+            if constexpr (kUnitStride)
+              bv[v] = _mm256_loadu_ps(brow + o[0]);
+            else
+              bv[v] = _mm256_setr_ps(brow[o[0]], brow[o[1]], brow[o[2]],
+                                     brow[o[3]], brow[o[4]], brow[o[5]],
+                                     brow[o[6]], brow[o[7]]);
           }
           for (int r = 0; r < R; ++r) {
             const float av = arow[roff[r] + kk];

@@ -15,39 +15,90 @@ void Gauge::set(double v) {
   v_ = v;
 }
 
+namespace {
+
+// Live threads holding each stripe.
+std::atomic<int> g_stripe_holders[kStripes];
+
+// Gives the thread's stripe back when the thread exits, so threads that
+// come and go (pool resizes) do not pile onto the stripes of the ones
+// that stay.
+struct StripeLease {
+  int stripe = -1;
+  ~StripeLease() {
+    if (stripe >= 0)
+      g_stripe_holders[stripe].fetch_sub(1, std::memory_order_relaxed);
+  }
+};
+thread_local StripeLease t_lease;
+
+// Sums as uint64 so a total past INT64_MAX wraps (two's complement)
+// instead of overflowing a signed sum.
+std::int64_t sum_stripes(const detail::Line* lines, std::size_t stride,
+                         std::size_t i) {
+  std::uint64_t n = 0;
+  for (int s = 0; s < kStripes; ++s)
+    n += static_cast<std::uint64_t>(
+        lines[s * stride + i / 8].v[i % 8].load(std::memory_order_relaxed));
+  return static_cast<std::int64_t>(n);
+}
+
+void clear_lines(detail::Line* lines, std::size_t n) {
+  for (std::size_t l = 0; l < n; ++l)
+    for (auto& v : lines[l].v) v.store(0, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+int detail::next_stripe() {
+  // The least-held stripe.  Two threads racing here may pick the same
+  // one; they then share it, which costs speed, never an add.
+  int best = 0;
+  for (int s = 1; s < kStripes; ++s)
+    if (g_stripe_holders[s].load(std::memory_order_relaxed) <
+        g_stripe_holders[best].load(std::memory_order_relaxed))
+      best = s;
+  g_stripe_holders[best].fetch_add(1, std::memory_order_relaxed);
+  t_lease.stripe = best;
+  return best;
+}
+
+std::int64_t Counter::value() const { return sum_stripes(cells_, 1, 0); }
+
+void Counter::reset() { clear_lines(cells_, kStripes); }
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)),
-      counts_(new std::atomic<std::int64_t>[bounds_.size() + 1]) {
+      row_lines_(bounds_.size() / 8 + 1),
+      lines_(new detail::Line[kStripes * row_lines_]) {
   RRP_CHECK_MSG(!bounds_.empty(), "histogram needs at least one bound");
   for (std::size_t i = 1; i < bounds_.size(); ++i)
     RRP_CHECK_MSG(bounds_[i - 1] < bounds_[i],
                   "histogram bounds must be strictly increasing");
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
 }
 
 void Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t bucket =
       static_cast<std::size_t>(it - bounds_.begin());  // == size() -> overflow
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  lines_[detail::stripe() * row_lines_ + bucket / 8]
+      .v[bucket % 8]
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 std::int64_t Histogram::bucket_count(std::size_t i) const {
   RRP_CHECK(i <= bounds_.size());
-  return counts_[i].load(std::memory_order_relaxed);
+  return sum_stripes(lines_.get(), row_lines_, i);
 }
 
 std::int64_t Histogram::total() const {
-  std::int64_t n = 0;
+  std::uint64_t n = 0;
   for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    n += counts_[i].load(std::memory_order_relaxed);
-  return n;
+    n += static_cast<std::uint64_t>(bucket_count(i));
+  return static_cast<std::int64_t>(n);
 }
 
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    counts_[i].store(0, std::memory_order_relaxed);
-}
+void Histogram::reset() { clear_lines(lines_.get(), kStripes * row_lines_); }
 
 Registry& Registry::instance() {
   static Registry r;

@@ -4,16 +4,26 @@
 // across RRP_THREADS (the registry is a regression oracle, like the rest
 // of the observability layer):
 //
-//   * Counter   — monotonically added std::atomic<int64>.  Safe to add
-//                 from ANY thread, including pool chunk bodies: integer
-//                 addition is commutative, so the total is independent of
-//                 scheduling.
+//   * Counter   — monotonically added int64, striped per thread (below).
+//                 Safe to add from ANY thread, including pool chunk
+//                 bodies: integer addition is commutative, so the total is
+//                 independent of scheduling.
 //   * Gauge     — last-written double.  Writes are silently dropped
 //                 inside pool parallel regions (a racing "last write"
 //                 would be schedule-dependent); set it from the driving
 //                 thread only.
-//   * Histogram — fixed upper-bound buckets with atomic<int64> counts.
-//                 Safe from any thread for the same reason as Counter.
+//   * Histogram — fixed upper-bound buckets with int64 counts, one bucket
+//                 row per stripe.  Safe from any thread for the same
+//                 reason as Counter.
+//
+// Stripes: a counter (and each histogram bucket) is kStripes atomic
+// cells, one 64-byte line apiece, so pool workers adding to the same
+// metric on the frame path never write the same cache line.  A thread
+// picks its stripe once, on its first add (the one fewest live threads
+// hold); threads beyond kStripes share one, which stays exact because
+// every add is an atomic fetch_add.  Reads sum the stripes as uint64, so
+// a sum wraps like the single two's-complement counter it replaces
+// (DESIGN.md §8).
 //
 // Registration discipline: every hot-path metric name is pre-registered
 // by the Registry constructor, so lookups from worker threads never
@@ -39,16 +49,42 @@
 
 namespace rrp::metrics {
 
+/// Cells per metric; a thread adds to cell stripe() of each.
+inline constexpr int kStripes = 8;
+
+namespace detail {
+
+/// The calling thread's stripe, -1 until its first add.
+inline constinit thread_local int t_stripe = -1;
+
+/// Hands the calling thread the stripe fewest live threads hold, and
+/// takes it back when the thread exits (metrics.cpp).
+int next_stripe();
+
+inline int stripe() {
+  int s = t_stripe;
+  if (s < 0) [[unlikely]] s = t_stripe = next_stripe();
+  return s;
+}
+
+/// One cache line of counts.
+struct alignas(64) Line {
+  std::atomic<std::int64_t> v[8] = {};
+};
+
+}  // namespace detail
+
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[detail::stripe()].v[0].fetch_add(delta, std::memory_order_relaxed);
   }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  /// The sum of every stripe.
+  std::int64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  detail::Line cells_[kStripes];
 };
 
 class Gauge {
@@ -79,8 +115,10 @@ class Histogram {
 
  private:
   std::vector<double> bounds_;
-  // unique_ptr array because std::atomic is not movable.
-  std::unique_ptr<std::atomic<std::int64_t>[]> counts_;
+  std::size_t row_lines_;  // lines per stripe row (bounds + overflow)
+  // kStripes rows of row_lines_ lines; bucket i of stripe s is
+  // lines_[s * row_lines_ + i / 8].v[i % 8].
+  std::unique_ptr<detail::Line[]> lines_;
 };
 
 /// Name -> metric map (std::map so iteration order is sorted == the

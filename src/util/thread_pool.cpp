@@ -234,6 +234,7 @@ void ThreadPool::wake_caller() {
 
 void ThreadPool::worker_loop(int slot) {
   tls_in_worker = true;
+  metrics::detail::stripe();  // take a metrics stripe now, not mid-frame
   std::uint64_t seen = 0;  // serial of the last job this worker joined
   while (await_job(seen)) {
     // Announce before reading the word: the caller rewrites job_ only

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -630,6 +631,170 @@ TEST(ConvLiveness, PrunedSlotFlipIsLiveUntilRepair) {
     expect_reference(what + " repaired");
     EXPECT_EQ(conv_lists(conv), std::make_pair(rows, chans)) << what;
   }
+}
+
+/// conv_liveness as it was with one any_nonzero call per (live row,
+/// channel) pair: the oracle the in-line channel scan must match list for
+/// list.
+bool oracle_any_nonzero(const float* w, std::int64_t n) {
+  constexpr std::int64_t kBlock = 32;
+  constexpr std::uint32_t kMagnitude = 0x7fffffffu;
+  if (n > 0 && !(w[0] == 0.0f)) return true;
+  std::int64_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::uint32_t bits[kBlock];
+    std::memcpy(bits, w + i, sizeof bits);
+    std::uint32_t any = 0;
+    for (const std::uint32_t b : bits) any |= b & kMagnitude;
+    if (any != 0) return true;
+  }
+  std::uint32_t any = 0;
+  for (; i < n; ++i) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, w + i, sizeof b);
+    any |= b & kMagnitude;
+  }
+  return any != 0;
+}
+
+void oracle_conv_liveness(std::int64_t m, ConvGemm& g, float* rows,
+                          float* chans) {
+  const std::int64_t taps = static_cast<std::int64_t>(g.kernel) * g.kernel;
+  std::int64_t live = 0, dead = m;
+  for (std::int64_t i = 0; i < m; ++i) {
+    const bool on = oracle_any_nonzero(g.a + i * g.lda, g.cin * taps);
+    rows[on ? live++ : --dead] = static_cast<float>(i);
+  }
+  int runs = 0, run_end = -1, live_chans = 0;
+  for (int c = 0; c < g.cin; ++c) {
+    bool on = false;
+    for (std::int64_t t = 0; t < live && !on; ++t)
+      on = oracle_any_nonzero(g.a + conv_index(rows, t) * g.lda + c * taps,
+                              taps);
+    if (!on) continue;
+    if (c != run_end) chans[2 * runs++] = static_cast<float>(c);
+    run_end = c + 1;
+    chans[2 * runs - 1] = static_cast<float>(run_end);
+    ++live_chans;
+  }
+  g.rows = rows;
+  g.live_rows = live;
+  g.chans = chans;
+  g.chan_runs = runs;
+  g.live_chans = live_chans;
+}
+
+/// Everything a liveness scan writes: the whole row list (dead rows in
+/// their order too), the channel runs and the counts.
+struct LivenessLists {
+  std::vector<float> rows, chans;
+  std::int64_t live_rows = 0;
+  int chan_runs = 0, live_chans = 0;
+  bool operator==(const LivenessLists&) const = default;
+};
+
+LivenessLists scan_with(void (*scan)(std::int64_t, ConvGemm&, float*, float*),
+                        const float* w, int m, int cin, int kernel) {
+  ConvGemm g;
+  g.a = w;
+  g.lda = static_cast<std::int64_t>(cin) * kernel * kernel;
+  g.cin = cin;
+  g.kernel = kernel;
+  LivenessLists out;
+  out.rows.assign(static_cast<std::size_t>(m), -1.0f);
+  out.chans.assign(static_cast<std::size_t>(cin + 1), -1.0f);
+  scan(m, g, out.rows.data(), out.chans.data());
+  out.chans.resize(static_cast<std::size_t>(2 * g.chan_runs));
+  out.live_rows = g.live_rows;
+  out.chan_runs = g.chan_runs;
+  out.live_chans = g.live_chans;
+  return out;
+}
+
+void expect_oracle_lists(const float* w, int m, int cin, int kernel,
+                         const std::string& what) {
+  EXPECT_EQ(scan_with(conv_liveness, w, m, cin, kernel),
+            scan_with(oracle_conv_liveness, w, m, cin, kernel))
+      << what;
+}
+
+TEST(ConvLiveness, InlineChannelScanMatchesPairwiseOracle) {
+  // Structured: every conv of a masked detnet at every level, clean and
+  // with an exponent bit flipped in a pruned slot.
+  {
+    Rng rng(31);
+    Network net = models::build_model(models::ModelKind::DetNet, rng);
+    const prune::PruneLevelLibrary lib =
+        prune::PruneLevelLibrary::build_structured(
+            net, {0.0, 0.3, 0.5, 0.7, 0.85}, models::zoo_input_shape());
+    core::ReversiblePruner pruner(net, lib);
+    for (int level = 0; level < pruner.level_count(); ++level) {
+      pruner.set_level(level);
+      for (const auto& layer : pruner.network().layers()) {
+        if (layer->kind() != LayerKind::Conv2D) continue;
+        auto& conv = static_cast<Conv2D&>(*layer);
+        const std::span<const float> weights = conv.weight().data();
+        std::vector<float> w(weights.begin(), weights.end());
+        const std::string what =
+            "level " + std::to_string(level) + " " + layer->name();
+        expect_oracle_lists(w.data(), conv.out_channels(), conv.in_channels(),
+                            conv.kernel(), what);
+        for (std::size_t k = 0; k < w.size(); k += 7) {
+          if (w[k] != 0.0f) continue;
+          flip_bit(w[k], 30);
+          expect_oracle_lists(w.data(), conv.out_channels(),
+                              conv.in_channels(), conv.kernel(),
+                              what + " flipped slot " + std::to_string(k));
+          flip_bit(w[k], 30);
+        }
+      }
+    }
+  }
+  // Random: dead rows and channels (±0 slots), live (row, channel) blocks
+  // at several tap densities drawn from NaN, ±Inf, denormals and 0.5, and
+  // a flipped pruned slot; the channel counts cross a 64-float block.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            0.5f, -0.5f};
+  Rng rng(32);
+  for (const int kernel : {1, 3, 5})
+    for (const int m : {1, 2, 9})
+      for (const int cin : {1, 3, 8, 33, 70})
+        for (const double density : {0.0, 0.05, 0.5, 1.0})
+          for (int trial = 0; trial < 3; ++trial) {
+            const int taps = kernel * kernel;
+            std::vector<char> dead_row(static_cast<std::size_t>(m)),
+                dead_chan(static_cast<std::size_t>(cin));
+            for (char& d : dead_row) d = rng.uniform() < 0.3;
+            for (char& d : dead_chan) d = rng.uniform() < 0.4;
+            std::vector<float> w(static_cast<std::size_t>(m) * cin * taps);
+            for (int r = 0; r < m; ++r)
+              for (int c = 0; c < cin; ++c)
+                for (int t = 0; t < taps; ++t) {
+                  float& v = w[(static_cast<std::size_t>(r) * cin + c) * taps +
+                               static_cast<std::size_t>(t)];
+                  v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+                  if (!dead_row[static_cast<std::size_t>(r)] &&
+                      !dead_chan[static_cast<std::size_t>(c)] &&
+                      rng.uniform() < density)
+                    v = specials[rng.uniform_int(0, 6)];
+                }
+            const std::string what =
+                "kernel " + std::to_string(kernel) + " m" + std::to_string(m) +
+                " cin" + std::to_string(cin) + " density " +
+                std::to_string(density) + " trial " + std::to_string(trial);
+            expect_oracle_lists(w.data(), m, cin, kernel, what);
+            const std::size_t slot = static_cast<std::size_t>(
+                rng.uniform_u64(static_cast<std::uint64_t>(w.size())));
+            if (w[slot] == 0.0f) {
+              flip_bit(w[slot], 30);
+              expect_oracle_lists(w.data(), m, cin, kernel,
+                                  what + " flipped " + std::to_string(slot));
+            }
+          }
 }
 
 TEST(EffectiveMacs, CountNonzeroMatchesANaiveCount) {

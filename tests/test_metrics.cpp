@@ -2,15 +2,18 @@
 // reconciliation layer (core/metrics.h).
 //
 // Determinism is the design axis: counters and histogram buckets are
-// commutative atomics (safe from pool chunks), gauges drop writes inside
-// parallel regions, and snapshots serialize in sorted name order so equal
-// state exports byte-equal.  Names created here are prefixed "test." so
-// they never collide with the built-in schema.
+// commutative atomics striped per thread (safe from pool chunks), gauges
+// drop writes inside parallel regions, and snapshots serialize in sorted
+// name order so equal state exports byte-equal.  Names created here are
+// prefixed "test." so they never collide with the built-in schema.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.h"
@@ -33,6 +36,83 @@ TEST(Metrics, CounterAddsFromParallelChunksAreExact) {
     });
     EXPECT_EQ(c.value(), 2000) << "threads=" << threads;
   }
+}
+
+TEST(Metrics, StripedTotalsAreExactAtEveryPoolSize) {
+  // 16 pool threads is more than kStripes: threads that share a stripe
+  // still add atomically, so every counter and bucket total is exact.
+  metrics::Counter& c = metrics::counter("test.striped_counter");
+  const std::vector<double> bounds = {1.0, 5.0, 20.0, 100.0, 300.0, 500.0,
+                                      600.0, 700.0, 800.0, 900.0};
+  metrics::Histogram& h =
+      metrics::Registry::instance().histogram("test.striped_hist", bounds);
+  std::vector<std::int64_t> want(bounds.size() + 1, 0);
+  for (std::int64_t i = 0; i < 4096; ++i)
+    ++want[static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(),
+                         static_cast<double>(i % 1000)) -
+        bounds.begin())];
+  for (int threads : {1, 2, 3, 8, 16}) {
+    ThreadCountGuard pool(threads);
+    c.reset();
+    h.reset();
+    parallel_for(0, 4096, 3, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        c.add(i);
+        h.observe(static_cast<double>(i % 1000));
+      }
+    });
+    EXPECT_EQ(c.value(), 4096 * 4095 / 2) << "threads=" << threads;
+    for (std::size_t b = 0; b < want.size(); ++b)
+      EXPECT_EQ(h.bucket_count(b), want[b]) << "threads=" << threads;
+    EXPECT_EQ(h.total(), 4096) << "threads=" << threads;
+  }
+}
+
+TEST(Metrics, ResetClearsEveryStripe) {
+  // 3 * kStripes threads start one after another and stay alive, each
+  // taking the stripe the fewest live threads hold, so together they
+  // hold every stripe; each adds once to a counter and to a histogram
+  // bucket on the second line of its stripe's row.
+  metrics::Counter& c = metrics::counter("test.stripe_reset_counter");
+  metrics::Histogram& h = metrics::Registry::instance().histogram(
+      "test.stripe_reset_hist",
+      std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  c.reset();
+  h.reset();
+  constexpr int kThreads = 3 * metrics::kStripes;
+  std::vector<int> stripes(kThreads, -1);
+  std::atomic<int> added{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      c.add(3);
+      h.observe(9.5);    // bucket 9
+      h.observe(100.0);  // overflow
+      stripes[static_cast<std::size_t>(t)] = metrics::detail::stripe();
+      added.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (added.load() <= t) std::this_thread::yield();
+  }
+  release.store(true);
+  for (std::thread& t : threads) t.join();
+  std::sort(stripes.begin(), stripes.end());
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  EXPECT_EQ(stripes.size(), static_cast<std::size_t>(metrics::kStripes));
+  EXPECT_EQ(c.value(), 3 * kThreads);
+  EXPECT_EQ(h.bucket_count(9), kThreads);
+  EXPECT_EQ(h.bucket_count(10), kThreads);
+  EXPECT_EQ(h.total(), 2 * kThreads);
+  c.reset();
+  h.reset();
+  EXPECT_EQ(c.value(), 0);
+  for (std::size_t b = 0; b <= h.bounds().size(); ++b)
+    EXPECT_EQ(h.bucket_count(b), 0) << b;
+  EXPECT_EQ(h.total(), 0);
+  c.add(1);
+  EXPECT_EQ(c.value(), 1);
 }
 
 TEST(Metrics, GaugeWritesDropInsideParallelRegions) {

@@ -1,8 +1,9 @@
 // TSan/ASan smoke suite (ctest -L tsan) — a fast pass over every code path
 // that fans work out on the thread pool: raw pool mechanics and the
-// spin-then-park job handoff, the parallel GEMM kernels (gemm_bt
-// included), the planned implicit-GEMM conv, fleet frames stepped on the
-// pool, clone-based batched evaluation, and multi-model zoo provisioning.
+// spin-then-park job handoff, striped metrics under pool workers, the
+// parallel GEMM kernels (gemm_bt included), the planned implicit-GEMM
+// conv, fleet frames stepped on the pool, clone-based batched evaluation,
+// and multi-model zoo provisioning.
 // Build with -DRRP_SANITIZE=thread (or address) and run `ctest -L tsan`;
 // any data race in the execution layer surfaces here.
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "sim/frame_engine.h"
 #include "sim/scenario_gen.h"
 #include "test_support.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace rrp {
@@ -75,6 +77,29 @@ TEST(TsanSmoke, PoolHandoff) {
   for (int round = 0; round < 50; ++round) {
     ThreadPool pool(round % 2 == 0 ? 2 : 8);
     pool.parallel_for(0, 4, 1, [](std::int64_t, std::int64_t) {});
+  }
+}
+
+TEST(TsanSmoke, StripedMetricsUnderPoolWorkers) {
+  // Pool workers hammer one counter and one histogram: the stripe each
+  // thread picks on its first add, and the stripe cells, are its only
+  // shared state.  A pool of 8 is as many threads as there are stripes.
+  metrics::Counter& c = metrics::counter("test.tsan_striped_counter");
+  metrics::Histogram& h = metrics::Registry::instance().histogram(
+      "test.tsan_striped_hist", std::vector<double>{1.0, 2.0, 3.0});
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    c.reset();
+    h.reset();
+    pool.parallel_for(0, 20000, 7, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        c.add(1);
+        h.observe(static_cast<double>(i % 5));
+      }
+    });
+    EXPECT_EQ(c.value(), 20000);
+    EXPECT_EQ(h.total(), 20000);
+    EXPECT_EQ(h.bucket_count(3), 4000);  // i % 5 == 4
   }
 }
 
