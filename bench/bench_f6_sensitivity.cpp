@@ -1,7 +1,7 @@
 // R-F6 — Per-layer pruning sensitivity.
 //
 // Prunes one layer at a time and measures accuracy: the profile that
-// justifies (a) which layers the planner may prune and (b) non-uniform
+// justifies (a) which layers the level builder may prune and (b) non-uniform
 // per-layer ratios.  Early conv layers and the classifier head are the
 // sensitive ones; wide mid layers absorb pruning almost for free.
 #include <cmath>

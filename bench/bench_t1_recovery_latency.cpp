@@ -94,7 +94,6 @@ void run(models::ModelKind kind, bench::BenchReport& report) {
     pm.levels.mask(deepest).apply(pruned);
     nn::SgdConfig cfg;
     cfg.epochs = 1;
-    cfg.freeze_zeros = false;  // recovery means regrowing weights
     Rng rng(7);
     Timer t;
     nn::train_sgd(pruned, pm.train_data, cfg, rng);

@@ -10,8 +10,9 @@
 //                          stack re-loading a .onnx/.pt file.  Recovery
 //                          latency scales with model size, not with Δ.
 //
-// The retraining-recovery baseline (fine-tune after pruning) is exercised
-// directly by bench R-T1 via nn::train_sgd with freeze_zeros.
+// The retraining-recovery baseline (one epoch of plain SGD from the pruned
+// state, which regrows the zeroed weights) is exercised directly by bench
+// R-T1 via nn::train_sgd.
 #pragma once
 
 #include <optional>
@@ -71,9 +72,6 @@ class ReloadProvider : public InferenceProvider {
   /// Size of one level's artifact in bytes.
   std::int64_t artifact_bytes(int level) const;
 
-  /// Path of one level's on-disk artifact (Disk mode; empty dir otherwise).
-  std::string artifact_path(int level) const { return path_for(level); }
-
   /// Re-deserializes the CURRENT level's artifact — the reload stack's only
   /// recovery path after in-memory weight corruption (it has no golden
   /// store to heal from).  Pays the full artifact cost every time.
@@ -86,7 +84,6 @@ class ReloadProvider : public InferenceProvider {
   /// storage returned garbage; the retry loop absorbs up to three of them
   /// per switch (see load_with_retry).
   void inject_read_failures(int n) { injected_read_failures_ = n; }
-  int pending_read_failures() const { return injected_read_failures_; }
 
  private:
   std::string path_for(int level) const;

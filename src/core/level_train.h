@@ -25,8 +25,7 @@ struct CoTrainConfig {
                        .weight_decay = 1e-4f,
                        .batch_size = 32,
                        .epochs = 1,       // driven per-epoch by co_train
-                       .lr_decay = 1.0f,  // decay handled across co-epochs
-                       .freeze_zeros = false};
+                       .lr_decay = 1.0f};  // decay handled across co-epochs
   float lr_decay_per_epoch = 0.75f;
   /// Probability mass of sampling level 0 (full network) per batch; the
   /// remaining mass is uniform over pruned levels.  Level 0 needs extra

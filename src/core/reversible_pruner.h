@@ -104,7 +104,6 @@ class ReversiblePruner : public InferenceProvider {
   /// exactly level_count() states; entry k is applied whenever level k is
   /// entered (including retroactively for the current level).
   void set_bn_states(std::vector<BnState> states);
-  bool has_bn_states() const { return !bn_states_.empty(); }
 
   nn::Network& network() { return *net_; }
   const WeightStore& store() const { return store_; }
@@ -114,11 +113,10 @@ class ReversiblePruner : public InferenceProvider {
   WeightStore& mutable_store() { return store_; }
   const prune::PruneLevelLibrary& levels() const { return levels_; }
   /// The last kHistoryCapacity transitions.  Below capacity this is
-  /// append-ordered; once full it becomes a ring and the oldest slot
-  /// (at index history_ring_next()) is overwritten first, so the frame
-  /// path never reallocates (R6, DESIGN.md invariant 14).
+  /// append-ordered; once full it becomes a ring and the oldest slot is
+  /// overwritten first, so the frame path never reallocates (R6,
+  /// DESIGN.md invariant 14).
   const std::vector<TransitionStats>& history() const { return history_; }
-  std::size_t history_ring_next() const { return history_next_; }
   static constexpr std::size_t kHistoryCapacity = 256;
 
   /// Bytes spent on the precomputed delta index lists (overhead report).

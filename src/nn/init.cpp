@@ -12,13 +12,6 @@ void he_normal(Tensor& t, int fan_in, Rng& rng) {
   for (float& v : t.data()) v = static_cast<float>(rng.normal(0.0, std));
 }
 
-void xavier_uniform(Tensor& t, int fan_in, int fan_out, Rng& rng) {
-  RRP_CHECK(fan_in > 0 && fan_out > 0);
-  const double limit = std::sqrt(6.0 / (fan_in + fan_out));
-  for (float& v : t.data())
-    v = static_cast<float>(rng.uniform(-limit, limit));
-}
-
 void init_network(Network& net, Rng& rng) {
   for (Layer* l : net.leaf_layers()) {
     if (auto* lin = dynamic_cast<Linear*>(l)) {

@@ -9,9 +9,6 @@ namespace rrp::nn {
 /// Fills a tensor with He/Kaiming-normal values for the given fan-in.
 void he_normal(Tensor& t, int fan_in, Rng& rng);
 
-/// Fills a tensor with Xavier/Glorot-uniform values.
-void xavier_uniform(Tensor& t, int fan_in, int fan_out, Rng& rng);
-
 /// Initializes every Linear/Conv2D in the network: He-normal weights
 /// (fan-in computed from the layer geometry), zero biases.  BatchNorm keeps
 /// its gamma=1/beta=0 construction values.

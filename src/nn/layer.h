@@ -15,7 +15,7 @@
 
 namespace rrp::nn {
 
-/// Closed set of layer kinds; used by serialization and the pruning planner.
+/// Closed set of layer kinds; used by serialization and the level builder.
 enum class LayerKind {
   Linear,
   Conv2D,

@@ -38,23 +38,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   return r;
 }
 
-LossResult mse(const Tensor& pred, const Tensor& target) {
-  RRP_CHECK_MSG(pred.shape() == target.shape(), "mse shape mismatch");
-  LossResult r;
-  r.grad = Tensor(pred.shape());
-  const std::int64_t n = pred.numel();
-  RRP_CHECK(n > 0);
-  double total = 0.0;
-  const float scale = 2.0f / static_cast<float>(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float d = pred[i] - target[i];
-    total += static_cast<double>(d) * d;
-    r.grad[i] = scale * d;
-  }
-  r.loss = static_cast<float>(total / static_cast<double>(n));
-  return r;
-}
-
 // rrp-frame-path: the frame's predicted class, read off the logits row.
 int argmax(std::span<const float> row) {
   RRP_CHECK(!row.empty());

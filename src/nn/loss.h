@@ -18,9 +18,6 @@ struct LossResult {
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<int>& labels);
 
-/// Mean squared error between predictions and targets (same shape).
-LossResult mse(const Tensor& pred, const Tensor& target);
-
 /// Index of the first largest value of a non-empty row, read in place.
 int argmax(std::span<const float> row);
 

@@ -4,7 +4,7 @@
 // connections are expressed by the Residual layer, which wraps a
 // sub-Network and computes x + body(x).  This covers MLPs, LeNet-style
 // CNNs and ResNet-style models without a general DAG executor, while
-// keeping the structure statically analyzable for the pruning planner
+// keeping the structure statically analyzable for the level builder
 // (a Residual pins its body's final output width to its input width).
 #pragma once
 

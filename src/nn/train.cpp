@@ -47,10 +47,6 @@ void SgdOptimizer::step() {
     auto g = params[i].grad->data();
     RRP_CHECK(v.size() == w.size() && w.size() == g.size());
     for (std::size_t j = 0; j < w.size(); ++j) {
-      if (config_.freeze_zeros && w[j] == 0.0f) {
-        v[j] = 0.0f;
-        continue;
-      }
       const float grad = g[j] + config_.weight_decay * w[j];
       v[j] = config_.momentum * v[j] - config_.lr * grad;
       w[j] += v[j];

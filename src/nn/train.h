@@ -36,9 +36,6 @@ struct SgdConfig {
   int batch_size = 32;
   int epochs = 10;
   float lr_decay = 0.7f;  ///< multiplicative decay applied each epoch
-  /// When true, parameters that are exactly zero before the step keep their
-  /// zero value (used for fine-tuning a pruned network without regrowth).
-  bool freeze_zeros = false;
 };
 
 /// Per-epoch training statistics.

@@ -8,6 +8,20 @@ namespace rrp::prune {
 
 using nn::Network;
 
+std::vector<nn::Layer*> prunable_layers(Network& net) {
+  std::vector<nn::Layer*> out;
+  for (nn::Layer* l : net.leaf_layers()) {
+    if (auto* lin = dynamic_cast<nn::Linear*>(l)) {
+      if (lin->out_prunable()) out.push_back(l);
+    } else if (auto* conv = dynamic_cast<nn::Conv2D*>(l)) {
+      if (conv->out_prunable()) out.push_back(l);
+    } else if (auto* dw = dynamic_cast<nn::DepthwiseConv2D*>(l)) {
+      if (dw->out_prunable()) out.push_back(l);
+    }
+  }
+  return out;
+}
+
 void PruneLevelLibrary::check_ratios(const std::vector<double>& ratios) {
   RRP_CHECK_MSG(!ratios.empty(), "need at least one level");
   RRP_CHECK_MSG(ratios.front() == 0.0, "level 0 must have ratio 0");

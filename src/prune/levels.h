@@ -8,10 +8,14 @@
 // of the two masks, and a restore to level 0 recovers the full network.
 #pragma once
 
+#include "prune/importance.h"
 #include "prune/mask.h"
-#include "prune/planner.h"
 
 namespace rrp::prune {
+
+/// The layers a structured ladder ranks: leaf Conv2D/Linear/DepthwiseConv2D
+/// with out_prunable() == true, in execution order.
+std::vector<nn::Layer*> prunable_layers(nn::Network& net);
 
 /// Immutable ladder of nested pruning levels for one network.
 class PruneLevelLibrary {

@@ -102,7 +102,6 @@ class AdmissionController {
   int level_floor() const { return floor_; }
   /// Miss ratio over the current window (0 when the window is empty).
   double window_miss_ratio() const;
-  int healthy_ticks() const { return healthy_ticks_; }
 
   void reset();
 

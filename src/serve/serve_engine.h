@@ -213,8 +213,6 @@ class ServeEngine {
   /// identical event trace and aggregates.
   ServeReport run(const std::vector<StreamSpec>& specs);
 
-  /// Streams currently admitted and not yet retired (0 after run()).
-  int active_stream_count() const { return static_cast<int>(active_.size()); }
   core::CompactedLadderProvider& shared_provider() { return *shared_; }
   const ServeConfig& config() const { return config_; }
 

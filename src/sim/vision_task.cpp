@@ -98,9 +98,7 @@ void render_into(const Scene& scene, const VisionTaskConfig& config,
 
   // Draw every actor the sensor can resolve.  Beyond-range actors are not
   // rendered at all — consistent with scene_label(), which ignores them.
-  // erase, not clear: rrp_lint resolves calls by name, and clear() names
-  // the monitors' resets.
-  order.erase(order.begin(), order.end());
+  order.clear();
   for (const Actor& a : scene.actors) {
     if (a.distance_m > kSensorRange_m) continue;
     // rrp-lint-allow(frame-path-alloc): make_stream reserved the scenario's most actors in one scene, so this append never reallocates.

@@ -142,12 +142,6 @@ void TableFormatter::print(std::ostream& out) const {
   print_rule();
 }
 
-void TableFormatter::print_csv(std::ostream& out) const {
-  CsvWriter w(out);
-  w.header(header_);
-  for (const auto& r : rows_) w.row(r);
-}
-
 std::string fmt(double v, int precision) {
   std::ostringstream os;
   os << std::setprecision(precision) << std::fixed << v;

@@ -51,10 +51,6 @@ class TableFormatter {
 
   void row(std::vector<std::string> fields);
   void print(std::ostream& out) const;
-  /// Also emit the same content as CSV (for scripting / plotting).
-  void print_csv(std::ostream& out) const;
-
-  std::size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

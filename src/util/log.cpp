@@ -22,8 +22,6 @@ const char* level_name(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level.store(level); }
 
-LogLevel log_level() { return g_level.load(); }
-
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
   // One locked write per line so lines from pool workers never interleave.

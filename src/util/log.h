@@ -15,7 +15,6 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 /// Sets the global minimum level that will be emitted.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Emits a single log line to stderr if `level` passes the filter.
 void log_line(LogLevel level, const std::string& message);

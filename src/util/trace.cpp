@@ -84,7 +84,6 @@ void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-bool wall_clock_enabled() { return state().wall; }
 void set_wall_clock(bool on) { state().wall = on; }
 
 void reset() {

@@ -63,7 +63,6 @@ void set_enabled(bool on);
 
 /// Wall-clock capture (adds wall_us; forfeits byte-identity). Off by
 /// default and independent of `enabled()`.
-bool wall_clock_enabled();
 void set_wall_clock(bool on);
 
 /// Drops all records and restarts the sequence counter at 0.  Open Span

@@ -104,14 +104,15 @@ TEST(ReloadProvider, MissingArtifactFailsWithDiagnosableError) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "rrp_reload_missing").string();
   ReloadProvider rp(net, lib, ReloadProvider::Source::Disk, dir);
-  std::filesystem::remove(rp.artifact_path(1));
+  const std::string artifact = dir + "/level_1.rrpn";
+  std::filesystem::remove(artifact);
   try {
     rp.set_level(1);
     FAIL() << "expected SerializationError";
   } catch (const SerializationError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("cannot open artifact"), std::string::npos) << what;
-    EXPECT_NE(what.find(rp.artifact_path(1)), std::string::npos) << what;
+    EXPECT_NE(what.find(artifact), std::string::npos) << what;
   }
   EXPECT_EQ(rp.current_level(), 0);  // provider state is unchanged
   std::filesystem::remove_all(dir);
@@ -125,8 +126,9 @@ TEST(ReloadProvider, TruncatedArtifactFailsWithDiagnosableError) {
   ReloadProvider rp(net, lib, ReloadProvider::Source::Disk, dir);
   // Truncate level 2's artifact to half its size: the size check must turn
   // what would be stream UB into a typed, named error.
+  const std::string artifact = dir + "/level_2.rrpn";
   std::filesystem::resize_file(
-      rp.artifact_path(2),
+      artifact,
       static_cast<std::uintmax_t>(rp.artifact_bytes(2) / 2));
   try {
     rp.set_level(2);
@@ -134,7 +136,7 @@ TEST(ReloadProvider, TruncatedArtifactFailsWithDiagnosableError) {
   } catch (const SerializationError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
-    EXPECT_NE(what.find(rp.artifact_path(2)), std::string::npos) << what;
+    EXPECT_NE(what.find(artifact), std::string::npos) << what;
   }
   EXPECT_EQ(rp.current_level(), 0);
   // The provider keeps serving the level-0 network after the failure.

@@ -25,7 +25,9 @@ void randomize(nn::Network& net, std::uint64_t seed) {
 
 void expect_equivalent(nn::Network& original, double ratio,
                        std::uint64_t seed) {
-  const auto masks = plan_structured(original, ratio);
+  const auto lib = PruneLevelLibrary::build_structured(
+      original, {0.0, ratio}, tiny_input_shape());
+  const auto& masks = lib.channel_masks(1);
   nn::Network masked = original.clone();
   lower_channel_masks(masked, masks, tiny_input_shape()).apply(masked);
   nn::Network compacted =
@@ -112,7 +114,9 @@ TEST(Compact, ShrinksBatchNorm) {
 
 TEST(Compact, ReducesMacs) {
   nn::Network net = tiny_conv_net(14);
-  const auto masks = plan_structured(net, 0.5);
+  const auto lib =
+      PruneLevelLibrary::build_structured(net, {0.0, 0.5}, tiny_input_shape());
+  const auto& masks = lib.channel_masks(1);
   nn::Network c = compact_network(net, masks, tiny_input_shape());
   EXPECT_LT(c.macs(tiny_input_shape()), net.macs(tiny_input_shape()));
 }

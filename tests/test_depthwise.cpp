@@ -163,7 +163,9 @@ TEST(DepthwisePrune, UpstreamPruningKillsDepthwiseChannels) {
 TEST(DepthwisePrune, MaskedEqualsCompacted) {
   for (double ratio : {0.2, 0.4, 0.6}) {
     nn::Network net = sep_net(2);
-    const auto masks = plan_structured(net, ratio);
+    const auto lib =
+        PruneLevelLibrary::build_structured(net, {0.0, ratio}, {1, 1, 8, 8});
+    const auto& masks = lib.channel_masks(1);
     nn::Network masked = net.clone();
     lower_channel_masks(masked, masks, {1, 1, 8, 8}).apply(masked);
     nn::Network compacted = compact_network(net, masks, {1, 1, 8, 8});

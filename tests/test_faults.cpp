@@ -316,7 +316,8 @@ TEST_F(FaultsFixture, RetryAbsorbsTransientReadFailures) {
   EXPECT_EQ(stats.read_retries, 2);
   // Modeled exponential backoff: 200 + 400 us.
   EXPECT_DOUBLE_EQ(stats.backoff_us, 600.0);
-  EXPECT_EQ(reload.pending_read_failures(), 0);
+  // Both injected failures were consumed: the next switch reads cleanly.
+  EXPECT_EQ(reload.set_level(2).read_retries, 0);
 }
 
 TEST_F(FaultsFixture, RetryExhaustionThrowsDiagnosableError) {

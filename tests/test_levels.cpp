@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "prune/levels.h"
 #include "test_support.h"
 #include "util/checks.h"
@@ -128,6 +130,61 @@ TEST(Levels, MinChannelsRespectedInStructured) {
       net, {0.0, 0.9}, tiny_input_shape(), ImportanceMetric::L1,
       /*min_channels=*/3);
   for (const auto& cm : lib.channel_masks(1)) EXPECT_GE(cm.kept_count(), 3u);
+}
+
+TEST(Levels, UnstructuredPrunesSmallestMagnitudesFirst) {
+  nn::Network net("n");
+  auto& lin = net.emplace<nn::Linear>("fc", 4, 1, false);
+  lin.weight() = nn::Tensor({1, 4}, {0.1f, -5.0f, 0.2f, 4.0f});
+  const auto lib = PruneLevelLibrary::build_unstructured(net, {0.0, 0.5});
+  const auto* keep = lib.mask(1).find("fc.weight");
+  ASSERT_NE(keep, nullptr);
+  EXPECT_EQ((*keep)[0], 0);  // 0.1 pruned
+  EXPECT_EQ((*keep)[1], 1);  // -5 kept
+  EXPECT_EQ((*keep)[2], 0);  // 0.2 pruned
+  EXPECT_EQ((*keep)[3], 1);  // 4 kept
+}
+
+TEST(Levels, UnstructuredNeverZeroesWholeTensor) {
+  // The global ranking puts all of "tiny" below "big": at 0.99 its whole
+  // tensor falls under the cut, but one element must survive.
+  nn::Network net("n");
+  auto& tiny = net.emplace<nn::Linear>("tiny", 2, 1, false);
+  tiny.weight() = nn::Tensor({1, 2}, {1e-9f, 1e-9f});
+  auto& big = net.emplace<nn::Linear>("big", 1, 8, false);
+  big.weight() = nn::Tensor({8, 1}, {1, 2, 3, 4, 5, 6, 7, 8});
+  const auto lib = PruneLevelLibrary::build_unstructured(net, {0.0, 0.99});
+  for (const char* name : {"tiny.weight", "big.weight"}) {
+    const auto* keep = lib.mask(1).find(name);
+    ASSERT_NE(keep, nullptr) << name;
+    EXPECT_EQ(std::count(keep->begin(), keep->end(), 1), 1) << name;
+  }
+}
+
+TEST(Levels, StructuredPrunesLowestScoringChannels) {
+  nn::Network net("n");
+  auto& conv = net.emplace<nn::Conv2D>("c", 1, 3, 2, 1, 0, false);
+  conv.weight().fill(0.0f);
+  conv.weight().at(0, 0, 0, 0) = 3.0f;
+  conv.weight().at(1, 0, 0, 0) = 0.1f;
+  conv.weight().at(2, 0, 0, 0) = 2.0f;
+  const auto lib =
+      PruneLevelLibrary::build_structured(net, {0.0, 0.4}, {1, 1, 4, 4});
+  const auto& masks = lib.channel_masks(1);
+  ASSERT_EQ(masks.size(), 1u);
+  EXPECT_EQ(masks[0].keep[1], 0);  // weakest channel pruned
+  EXPECT_EQ(masks[0].keep[0], 1);
+  EXPECT_EQ(masks[0].keep[2], 1);
+}
+
+TEST(PrunableLayers, ExcludesPinnedOutputs) {
+  nn::Network net = tiny_conv_net(5);
+  const auto layers = prunable_layers(net);
+  std::vector<std::string> names;
+  for (auto* l : layers) names.push_back(l->name());
+  EXPECT_NE(std::find(names.begin(), names.end(), "conv1"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "fc1"), names.end());
+  EXPECT_EQ(std::find(names.begin(), names.end(), "head"), names.end());
 }
 
 }  // namespace

@@ -59,19 +59,6 @@ TEST(SoftmaxCE, ValidatesInput) {
   EXPECT_THROW(softmax_cross_entropy(Tensor({1, 3}), {-1}), PreconditionError);
 }
 
-TEST(Mse, KnownValue) {
-  const Tensor pred({2}, {1.0f, 3.0f});
-  const Tensor target({2}, {0.0f, 1.0f});
-  const LossResult r = mse(pred, target);
-  EXPECT_NEAR(r.loss, (1.0f + 4.0f) / 2.0f, 1e-6f);
-  EXPECT_NEAR(r.grad[0], 1.0f, 1e-6f);   // 2*(1-0)/2
-  EXPECT_NEAR(r.grad[1], 2.0f, 1e-6f);   // 2*(3-1)/2
-}
-
-TEST(Mse, ShapeMismatchThrows) {
-  EXPECT_THROW(mse(Tensor({2}), Tensor({3})), PreconditionError);
-}
-
 TEST(Argmax, PicksLargestPerRow) {
   const Tensor logits({2, 3}, {1, 5, 2, 9, 0, 3});
   const auto idx = argmax_rows(logits);

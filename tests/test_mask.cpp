@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "prune/mask.h"
-#include "prune/planner.h"
 #include "test_support.h"
 #include "util/checks.h"
 

@@ -149,9 +149,31 @@ TEST(TrainedCache, ProvisionedBnModelCarriesBnStates) {
                                         level_recipe, dir);
   EXPECT_EQ(pm.bn_states.size(), 2u);
   auto pruner = pm.make_pruner();
-  EXPECT_TRUE(pruner.has_bn_states());
+  // Each level entered installs that level's BatchNorm statistics.
+  auto expect_bn_of_level = [&](int level) {
+    const core::BnState live = core::capture_bn_state(pruner.network());
+    const core::BnState& want = pm.bn_states[static_cast<std::size_t>(level)];
+    ASSERT_EQ(live.stats.size(), want.stats.size());
+    ASSERT_FALSE(live.empty());
+    for (const auto& [name, mean_var] : want.stats) {
+      const auto it = live.stats.find(name);
+      ASSERT_NE(it, live.stats.end()) << name;
+      EXPECT_TRUE(it->second.first.equals(mean_var.first)) << name;
+      EXPECT_TRUE(it->second.second.equals(mean_var.second)) << name;
+    }
+  };
+  // Level 1 was calibrated on its own pruned network: its statistics
+  // differ from level 0's, so the checks below tell the levels apart.
+  bool levels_differ = false;
+  for (const auto& [name, mean_var] : pm.bn_states[1].stats)
+    levels_differ = levels_differ ||
+                    !mean_var.first.equals(pm.bn_states[0].stats.at(name).first);
+  EXPECT_TRUE(levels_differ);
+  expect_bn_of_level(0);
   pruner.set_level(1);
+  expect_bn_of_level(1);
   pruner.set_level(0);
+  expect_bn_of_level(0);
   std::filesystem::remove_all(dir);
 }
 

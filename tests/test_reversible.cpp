@@ -114,17 +114,21 @@ TEST(ReversiblePruner, HistoryRingOverwritesBeyondCapacity) {
 
   const std::size_t total = cap + 5;
   for (std::size_t i = 0; i < total; ++i)
-    rp.set_level(static_cast<int>(i % 2) + 1);  // 1 <-> 2, every one real
+    rp.set_level(static_cast<int>(i % 3) + 1);  // 1 -> 2 -> 3, every one real
 
   EXPECT_EQ(rp.history().size(), cap);
   // No reallocation: push_back stopped at the reserved capacity and the
   // ring branch writes in place.
   EXPECT_EQ(rp.history().data(), before_data);
-  // Five overwrites happened; the cursor points at the oldest slot.
-  EXPECT_EQ(rp.history_ring_next(), 5u);
-  // The newest transition sits just behind the cursor.
-  const TransitionStats& newest = rp.history()[4];
-  EXPECT_EQ(newest.to_level, static_cast<int>((total - 1) % 2) + 1);
+  // Five overwrites happened, oldest slot first: slots 0-4 hold the newest
+  // five transitions, the rest the oldest survivors.  The capacity is not
+  // a multiple of 3, so each slot's target level tells which one wrote it.
+  static_assert(ReversiblePruner::kHistoryCapacity % 3 != 0);
+  for (std::size_t slot = 0; slot < cap; ++slot) {
+    const std::size_t t = slot < 5 ? cap + slot : slot;
+    EXPECT_EQ(rp.history()[slot].to_level, static_cast<int>(t % 3) + 1)
+        << "slot " << slot;
+  }
   // The ring never corrupted the switching math: restore is still exact.
   rp.set_level(0);
 }

@@ -62,28 +62,7 @@ TEST(Train, DeterministicForFixedSeed) {
     EXPECT_TRUE(pa[i].value->equals(*pb[i].value)) << pa[i].name;
 }
 
-TEST(Train, FreezeZerosPreservesSparsity) {
-  Network net = tiny_conv_net(30);
-  // Zero half of fc1's weights.
-  auto* fc1 = dynamic_cast<Linear*>(net.find("fc1"));
-  ASSERT_NE(fc1, nullptr);
-  for (std::int64_t i = 0; i < fc1->weight().numel(); i += 2)
-    fc1->weight()[i] = 0.0f;
-  const std::int64_t nonzero_before = net.param_nonzero();
-
-  const Dataset data = tiny_dataset(100, 31);
-  SgdConfig cfg;
-  cfg.epochs = 2;
-  cfg.freeze_zeros = true;
-  cfg.weight_decay = 0.0f;
-  Rng rng(32);
-  train_sgd(net, data, cfg, rng);
-
-  for (std::int64_t i = 0; i < fc1->weight().numel(); i += 2)
-    EXPECT_EQ(fc1->weight()[i], 0.0f) << "regrew at " << i;
-  EXPECT_LE(net.param_nonzero(), nonzero_before);
-}
-
+// Plain SGD has no sparsity guard: a pruned (zeroed) weight regrows.
 TEST(Train, WithoutFreezeZerosWeightsRegrow) {
   Network net = tiny_conv_net(40);
   auto* fc1 = dynamic_cast<Linear*>(net.find("fc1"));

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "core/weight_store.h"
-#include "prune/planner.h"
+#include "prune/levels.h"
 #include "test_support.h"
 #include "util/checks.h"
 
@@ -79,8 +79,10 @@ TEST(WeightStore, ThousandCyclesStayBitExact) {
   // Reversibility claim at endurance scale: 1000 prune/restore cycles
   // across two different masks leave every element BIT-identical (memcmp,
   // not approximate equality) — no drift, ever.
-  const prune::NetworkMask mask_a = prune::plan_unstructured(net, 0.5);
-  const prune::NetworkMask mask_b = prune::plan_unstructured(net, 0.8);
+  const auto lib =
+      prune::PruneLevelLibrary::build_unstructured(net, {0.0, 0.5, 0.8});
+  const prune::NetworkMask& mask_a = lib.mask(1);
+  const prune::NetworkMask& mask_b = lib.mask(2);
   for (int cycle = 0; cycle < 1000; ++cycle) {
     store.apply_mask(net, (cycle % 2 == 0) ? mask_a : mask_b);
     store.restore_all(net);

@@ -156,6 +156,7 @@ struct CallSite {
   std::string name;   ///< callee simple name
   bool member = false;     ///< preceded by '.' or '->'
   bool std_qual = false;   ///< qualifier chain starts at std::
+  std::string receiver;    ///< `x` of `x.name(` / `x->name(`, else ""
 };
 
 struct FunctionDef {
@@ -194,6 +195,74 @@ std::string ident_before(const std::string& s, std::size_t pos) {
   while (b > 0 && ident_char(s[b - 1])) --b;
   if (b == e) return "";
   return s.substr(b, e - b);
+}
+
+/// The plain identifier a member call at `pos` is made on — `x` in
+/// `x.f(` or `x->f(` — or "" when the receiver is an expression or itself
+/// a member (`a.x.f(`, `p->x.f(`, `N::x.f(`).
+std::string receiver_before(const std::string& s, std::size_t pos) {
+  auto skip_back = [&](std::size_t i) {
+    while (i > 0 && (s[i - 1] == ' ' || s[i - 1] == '\t')) --i;
+    return i;
+  };
+  // True when the text ending at `i` is a member/scope operator.
+  auto accessor_at = [&](std::size_t i) {
+    return i > 0 && (s[i - 1] == '.' || s[i - 1] == ':' ||
+                     (i >= 2 && s[i - 1] == '>' && s[i - 2] == '-'));
+  };
+  std::size_t e = skip_back(pos);
+  if (!accessor_at(e) || s[e - 1] == ':') return "";
+  e = skip_back(e - (s[e - 1] == '.' ? 1 : 2));
+  std::size_t b = e;
+  while (b > 0 && ident_char(s[b - 1])) --b;
+  if (b == e || accessor_at(skip_back(b))) return "";
+  return s.substr(b, e - b);
+}
+
+/// Names declared with a std:: type in `text` — `std::T<...> x`,
+/// `const std::T& x`, `std::T* x`, range-for `std::T x :` — i.e. the
+/// parameters and locals whose member calls are standard-library calls.
+std::set<std::string> std_typed_names(const std::string& text) {
+  std::set<std::string> out;
+  for (std::size_t pos = text.find("std::"); pos != kNposT;
+       pos = text.find("std::", pos + 1)) {
+    if (pos > 0 && (ident_char(text[pos - 1]) || text[pos - 1] == ':'))
+      continue;
+    std::size_t i = pos;
+    while (i < text.size() && (ident_char(text[i]) || text[i] == ':')) ++i;
+    i = skip_spaces(text, i);
+    if (i < text.size() && text[i] == '<') {
+      // A template argument list never spans a statement: `std::cout <<`
+      // must not pair with a later `->`.
+      int depth = 0;
+      for (; i < text.size() && text[i] != ';' && text[i] != '{'; ++i) {
+        if (text[i] == '<') ++depth;
+        if (text[i] == '>' && --depth == 0) break;
+      }
+      if (i >= text.size() || text[i] != '>') continue;
+      ++i;
+    }
+    for (;;) {
+      i = skip_spaces(text, i);
+      if (i < text.size() && (text[i] == '&' || text[i] == '*')) {
+        ++i;
+      } else if (text.compare(i, 5, "const") == 0 &&
+                 (i + 5 >= text.size() || !ident_char(text[i + 5]))) {
+        i += 5;
+      } else {
+        break;
+      }
+    }
+    if (i >= text.size() || !(std::isalpha(static_cast<unsigned char>(
+                                  text[i])) || text[i] == '_'))
+      continue;
+    const std::size_t b = i;
+    while (i < text.size() && ident_char(text[i])) ++i;
+    const std::size_t k = skip_spaces(text, i);
+    if (k >= text.size() || std::string(";=({,):[").find(text[k]) != kNposT)
+      out.insert(text.substr(b, i - b));
+  }
+  return out;
 }
 
 /// Accepts `stmt` (the statement text preceding a body-opening '{') as a
@@ -415,7 +484,8 @@ void index_file(const ParsedFile& pf, int file_index,
                 std_qual = lead == "std";
               }
               (*all_defs)[active].calls.push_back(
-                  {line, tok, member, std_qual});
+                  {line, tok, member, std_qual,
+                   member ? receiver_before(s, i) : std::string()});
             }
           }
         } else {
@@ -784,8 +854,15 @@ std::vector<Finding> frame_path_pass(const std::vector<ParsedFile>& files,
   int edge_count = 0;
   for (int di = 0; di < n; ++di) {
     const FunctionDef& d = defs[di];
-    const std::string& rel = files[static_cast<std::size_t>(d.file_index)]
-                                 .rel_path;
+    const ParsedFile& pf = files[static_cast<std::size_t>(d.file_index)];
+    const std::string& rel = pf.rel_path;
+    // Parameters and locals of std:: type, read off the whole definition
+    // (header and body); the function's own name is not a variable.
+    std::string text;
+    for (int l = d.header_line; l <= d.body_end; ++l)
+      text += pf.view.code[static_cast<std::size_t>(l) - 1] + ' ';
+    std::set<std::string> std_receivers = std_typed_names(text);
+    std_receivers.erase(d.name);
     for (const CallSite& c : d.calls) {
       if (growth_call_set().count(c.name)) {
         pending.push_back(
@@ -814,6 +891,8 @@ std::vector<Finding> frame_path_pass(const std::vector<ParsedFile>& files,
         continue;
       }
       if (c.std_qual) continue;  // remaining std:: calls: accepted facade
+      if (c.member && std_receivers.count(c.receiver))
+        continue;  // a std:: container's or type's own method
       if (io_call_name(c.name)) continue;  // the body scan reports these
       if (safe_call_set().count(c.name)) continue;  // wins over the index
       if (starts_with(c.name, "__")) continue;   // compiler builtins
